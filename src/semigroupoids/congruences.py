@@ -8,38 +8,16 @@ different routes never share their core loops.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .core import (
     SemigroupoidMorphism,
-    NOT_COMPOSABLE,
+    UnionFind,
     validate_morphism,
     validate_semigroupoid,
 )
 from .errors import InternalInconsistencyError, ValidationError
 from .inverse import InverseSemigroupoid, is_groupoid, promote_to_inverse
-
-
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        # keep the least index as representative for determinism
-        if rb < ra:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        return True
 
 
 @dataclass(frozen=True)
@@ -72,38 +50,37 @@ class GraphedCongruence:
         )
 
 
-def _reps_from_unionfind(uf: _UnionFind, n: int) -> tuple[int, ...]:
-    rep = [uf.find(s) for s in range(n)]
-    # normalize: representative is the least member of each class
-    least: dict[int, int] = {}
-    for s in range(n):
-        r = rep[s]
-        if r not in least or s < least[r]:
-            least[r] = s
-    return tuple(least[r] for r in rep)
-
-
 def validate_congruence(cong: GraphedCongruence) -> None:
     """Raise unless the partition is a graphed congruence respecting
-    the involution."""
+    the involution.
+
+    Checks run in order NotGraphed, NotCompatible, InvolutionNotRespected,
+    each with its lexicographically least witness.  Compatibility is
+    tested class-wise in O(n^2): every arrow s and the least member r of
+    its class must satisfy s u ~ r u and u s ~ u r for each single arrow
+    u.  On a graphed partition that is equivalent to s1 s2 ~ t1 t2 for
+    all s1 ~ t1 and s2 ~ t2, since s1 s2 ~ t1 s2 ~ t1 t2 and parallel
+    arrows have the same composable partners.  Only a failing check pays
+    for the witness search.
+    """
     sg = cong.base.base
     n = sg.n_arrows
     for s in range(n):
         for t in range(s + 1, n):
             if cong.related(s, t) and not sg.parallel(s, t):
                 raise ValidationError("NotGraphed", (s, t))
-    for s1 in range(n):
-        for t1 in range(n):
-            if not cong.related(s1, t1):
-                continue
-            for s2 in range(n):
-                if not sg.composable(s1, s2):
-                    continue
-                for t2 in range(n):
-                    if not cong.related(s2, t2):
-                        continue
-                    if not cong.related(sg.mul[s1][s2], sg.mul[t1][t2]):
-                        raise ValidationError("NotCompatible", (s1, t1, s2, t2))
+    rep = cong.rep
+    dom, cod, mul = sg.dom, sg.cod, sg.mul
+    least: dict[int, int] = {}
+    for s in range(n):
+        r = least.setdefault(rep[s], s)
+        if r == s:
+            continue
+        for u in range(n):
+            if dom[s] == cod[u] and rep[mul[s][u]] != rep[mul[r][u]]:
+                raise ValidationError("NotCompatible", _least_incompatible(cong))
+            if dom[u] == cod[s] and rep[mul[u][s]] != rep[mul[u][r]]:
+                raise ValidationError("NotCompatible", _least_incompatible(cong))
     inv = cong.base.inv
     for s in range(n):
         for t in range(n):
@@ -111,39 +88,56 @@ def validate_congruence(cong: GraphedCongruence) -> None:
                 raise ValidationError("InvolutionNotRespected", (s, t))
 
 
+def _least_incompatible(cong: GraphedCongruence) -> tuple[int, int, int, int]:
+    """The least (s1, t1, s2, t2) with s1 ~ t1, s2 ~ t2, s1 s2 defined and
+    s1 s2 not related to t1 t2, on a graphed partition that has one.
+    Only t1 and t2 run over class members, not over all arrows."""
+    sg = cong.base.base
+    rep, mul = cong.rep, sg.mul
+    members: dict[int, list[int]] = {}
+    for s in sg.arrows():
+        members.setdefault(rep[s], []).append(s)
+    for s1 in sg.arrows():
+        for t1 in members[rep[s1]]:
+            for s2 in sg.arrows():
+                if not sg.composable(s1, s2):
+                    continue
+                target = rep[mul[s1][s2]]
+                for t2 in members[rep[s2]]:
+                    if rep[mul[t1][t2]] != target:
+                        return (s1, t1, s2, t2)
+    raise InternalInconsistencyError("NoIncompatibleWitness", ())
+
+
 def congruence_closure(
     inv_sg: InverseSemigroupoid, seed: Iterable[tuple[int, int]]
 ) -> GraphedCongruence:
     """Smallest congruence containing the seed pairs.
 
-    Union-find plus a fixpoint loop over left/right multiplication;
-    symmetry and transitivity come from the partition structure.
+    A worklist over union-find: every union that merges two classes is
+    queued, and popping (s, t) unites s u with t u and u s with u t for
+    each composable arrow u.  At most n - 1 merges at O(n) each make the
+    closure O(n^2) before the final validate_congruence.
     """
     sg = inv_sg.base
     n = sg.n_arrows
-    uf = _UnionFind(n)
+    dom, cod, mul = sg.dom, sg.cod, sg.mul
+    uf = UnionFind(n)
+    pending = []
     for s, t in seed:
         if not sg.parallel(s, t):
             raise ValidationError("NonParallelSeed", (s, t))
-        uf.union(s, t)
+        if uf.union(s, t):
+            pending.append((s, t))
+    while pending:
+        s, t = pending.pop()
+        for u in range(n):
+            if dom[s] == cod[u] and uf.union(mul[s][u], mul[t][u]):
+                pending.append((mul[s][u], mul[t][u]))
+            if dom[u] == cod[s] and uf.union(mul[u][s], mul[u][t]):
+                pending.append((mul[u][s], mul[u][t]))
 
-    changed = True
-    while changed:
-        changed = False
-        for s1 in range(n):
-            for t1 in range(n):
-                if uf.find(s1) != uf.find(t1):
-                    continue
-                for s2 in range(n):
-                    if not sg.composable(s1, s2):
-                        continue
-                    for t2 in range(n):
-                        if uf.find(s2) != uf.find(t2):
-                            continue
-                        if uf.union(sg.mul[s1][s2], sg.mul[t1][t2]):
-                            changed = True
-
-    cong = GraphedCongruence(base=inv_sg, rep=_reps_from_unionfind(uf, n))
+    cong = GraphedCongruence(base=inv_sg, rep=uf.reps())
     validate_congruence(cong)
     return cong
 
@@ -153,7 +147,7 @@ def sigma(inv_sg: InverseSemigroupoid) -> GraphedCongruence:
     sg = inv_sg.base
     n = sg.n_arrows
     order = inv_sg.order
-    uf = _UnionFind(n)
+    uf = UnionFind(n)
     raw = set()
     for s in range(n):
         for t in range(n):
@@ -163,7 +157,7 @@ def sigma(inv_sg: InverseSemigroupoid) -> GraphedCongruence:
                 raw.add((s, t))
                 uf.union(s, t)
 
-    cong = GraphedCongruence(base=inv_sg, rep=_reps_from_unionfind(uf, n))
+    cong = GraphedCongruence(base=inv_sg, rep=uf.reps())
     # the scanned relation is an equivalence outright; the partition is
     # not allowed to silently close it
     if cong.pairs() != frozenset(raw):
@@ -200,10 +194,10 @@ def sigma_by_equations(inv_sg: InverseSemigroupoid) -> GraphedCongruence:
             "SigmaEquationMismatch", tuple(sorted(right ^ left))[:1]
         )
 
-    uf = _UnionFind(n)
+    uf = UnionFind(n)
     for s, t in right:
         uf.union(s, t)
-    cong = GraphedCongruence(base=inv_sg, rep=_reps_from_unionfind(uf, n))
+    cong = GraphedCongruence(base=inv_sg, rep=uf.reps())
     # the raw relation must already have been an equivalence
     if cong.pairs() != frozenset(right):
         raise InternalInconsistencyError("SigmaEquationNotEquivalence", ())

@@ -226,3 +226,32 @@ def identity_morphism(sg: FiniteSemigroupoid) -> SemigroupoidMorphism:
     return SemigroupoidMorphism(
         sg, sg, tuple(range(sg.n_arrows)), tuple(range(sg.n_objects))
     )
+
+
+class UnionFind:
+    """Disjoint sets over ``0..n-1`` whose root is always the least member
+    of its class, so ``find`` doubles as a canonical representative."""
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, x: int) -> int:
+        p = self.parent
+        while p[x] != x:
+            p[x] = p[p[x]]
+            x = p[x]
+        return x
+
+    def union(self, a: int, b: int) -> bool:
+        """Merge the classes of a and b; True iff they were distinct."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        if rb < ra:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        return True
+
+    def reps(self) -> tuple[int, ...]:
+        """The least member of each element's class, element by element."""
+        return tuple(self.find(x) for x in range(len(self.parent)))

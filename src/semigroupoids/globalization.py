@@ -22,6 +22,7 @@ from .actions import (
     validate_partial_action_E,
     validate_partial_action_P,
 )
+from .core import UnionFind
 from .errors import InternalInconsistencyError, ValidationError, Violation
 from .posets import FinitePoset, validate_poset
 
@@ -57,26 +58,6 @@ class GlobalizationResult:
         return len(self.classes)
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if rb < ra:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-
-
 def globalize(a: PartialActionData) -> GlobalizationResult:
     """Construct the universal globalization of a valid partial action."""
     violation = validate_partial_action_E(a)
@@ -94,7 +75,7 @@ def globalize(a: PartialActionData) -> GlobalizationResult:
             pairs.append((s, x))
     index = {p: i for i, p in enumerate(pairs)}
 
-    uf = _UnionFind(len(pairs))
+    uf = UnionFind(len(pairs))
     # transport rule: (s, x) ~ (t, theta_{t* s}(x)) whenever cod t = cod s
     # and x lies in the domain at s* t
     for i, (s, x) in enumerate(pairs):
@@ -111,10 +92,10 @@ def globalize(a: PartialActionData) -> GlobalizationResult:
         for e in tagged[1:]:
             uf.union(index[(tagged[0], x)], index[(e, x)])
 
-    roots = sorted({uf.find(i) for i in range(len(pairs))})
-    cls_of_root = {r: c for c, r in enumerate(roots)}
-    class_of = tuple(cls_of_root[uf.find(i)] for i in range(len(pairs)))
-    members: list[list[int]] = [[] for _ in roots]
+    rep = uf.reps()
+    cls_of_root = {r: c for c, r in enumerate(sorted(set(rep)))}
+    class_of = tuple(cls_of_root[r] for r in rep)
+    members: list[list[int]] = [[] for _ in cls_of_root]
     for i in range(len(pairs)):
         members[class_of[i]].append(i)
     classes = tuple(tuple(ms) for ms in members)

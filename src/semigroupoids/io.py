@@ -75,7 +75,11 @@ def semigroupoid_from_doc(doc: dict) -> FiniteSemigroupoid:
     _unique_names(names, "arrow")
     triples = []
     for t in mul:
-        if not (isinstance(t, list) and len(t) == 3):
+        if not (
+            isinstance(t, list)
+            and len(t) == 3
+            and all(isinstance(a, int) and not isinstance(a, bool) for a in t)
+        ):
             raise ParseError(f"bad product triple {t!r}")
         triples.append(tuple(t))
     return validate_semigroupoid(

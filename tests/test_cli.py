@@ -1,9 +1,13 @@
 """Command-line interface: commands, formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import semigroupoids
 from semigroupoids import corpus, io
 from semigroupoids.cli import cli
 
@@ -42,6 +46,16 @@ def test_validate_invalid_table_exits_1(files, capsys):
     assert cli(["--input", bad, "validate"]) == 1
     out = capsys.readouterr().out
     assert "UndefinedOnComposablePair" in out
+
+
+@pytest.mark.parametrize("row", [[0, 0, "z"], [0.5, 0, 0], [1, 1, True]])
+def test_validate_malformed_product_triple_exits_2(files, capsys, row):
+    doc = json.load(open(files["chain2"]))
+    doc["mul"][-1] = row
+    bad = files["dir"] + "/triple.json"
+    json.dump(doc, open(bad, "w"))
+    assert cli(["--input", bad, "validate"]) == 2
+    assert "bad product triple" in capsys.readouterr().err
 
 
 def test_missing_file_exits_2(files):
@@ -157,6 +171,26 @@ def test_verify_all_passes(files, capsys):
     assert cli(["--input", files["chain2"], "validate", "--verify-all"]) == 0
     out = capsys.readouterr().out
     assert "[PASS]" in out and "[FAIL]" not in out
+
+
+def test_verify_all_reports_failures_without_asserts():
+    # a failing cross-check must not depend on assert statements, which
+    # python -O strips; break two checks and run under -O
+    script = """
+from semigroupoids import cli, corpus
+from semigroupoids.congruences import congruence_closure
+cli.is_groupoid = lambda q: False
+cli.sigma_by_equations = lambda s: congruence_closure(s, [])
+rows = cli.cross_checks(corpus.chain2().base)
+print(sorted(name for name, ok, _msg in rows if not ok))
+"""
+    src = os.path.dirname(os.path.dirname(semigroupoids.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "['sigma-quotient-groupoid', 'sigma-three-way']"
 
 
 def test_verify_all_on_action(files, tmp_path, capsys):

@@ -1,5 +1,8 @@
 """Congruence closure, sigma, quotients, idempotent purity, E-unitarity."""
 
+import random
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -50,6 +53,79 @@ def naive_closure_pairs(inv_sg, seed):
     return rel
 
 
+def quartic_congruence_check(cong):
+    """Oracle: the definitional scan over s1 ~ t1 and s2 ~ t2, returning
+    the first (code, witness) in the library's check order, or None."""
+    sg = cong.base.base
+    n = sg.n_arrows
+    rep, dom, cod, mul, inv = cong.rep, sg.dom, sg.cod, sg.mul, cong.base.inv
+    for s in range(n):
+        for t in range(s + 1, n):
+            if rep[s] == rep[t] and (dom[s], cod[s]) != (dom[t], cod[t]):
+                return ("NotGraphed", (s, t))
+    for s1 in range(n):
+        for t1 in range(n):
+            if rep[s1] != rep[t1]:
+                continue
+            for s2 in range(n):
+                if dom[s1] != cod[s2]:
+                    continue
+                for t2 in range(n):
+                    if rep[s2] == rep[t2] and rep[mul[s1][s2]] != rep[mul[t1][t2]]:
+                        return ("NotCompatible", (s1, t1, s2, t2))
+    for s in range(n):
+        for t in range(n):
+            if rep[s] == rep[t] and rep[inv[s]] != rep[inv[t]]:
+                return ("InvolutionNotRespected", (s, t))
+    return None
+
+
+def parity_pool(structures):
+    """Every structure with at most 4 arrows plus the named fixtures."""
+    return list(corpus.enumerate_inverse_semigroupoids(4)) + [
+        s for _n, s in structures
+    ]
+
+
+def random_partitions(inv_sg, rng, count):
+    """Partitions as least-member reps: every fourth ignores dom/cod and
+    is usually not graphed, the rest split each parallel class at random."""
+    sg = inv_sg.base
+    n = sg.n_arrows
+    for k in range(count):
+        if k % 4 == 0:
+            labels = [rng.randrange(n) for _ in range(n)]
+        else:
+            parts = rng.randrange(1, 4)
+            labels = [(sg.dom[s], sg.cod[s], rng.randrange(parts)) for s in range(n)]
+        first = {}
+        yield tuple(first.setdefault(label, s) for s, label in enumerate(labels))
+
+
+def parallel_seeds(inv_sg, rng, count):
+    sg = inv_sg.base
+    parallel = [(s, t) for s in sg.arrows() for t in sg.arrows() if sg.parallel(s, t)]
+    for _ in range(count):
+        yield [rng.choice(parallel) for _ in range(rng.randrange(3))]
+
+
+def test_validate_congruence_matches_quartic_oracle(structures):
+    rng = random.Random(2008)
+    seen = Counter()
+    for inv_sg in parity_pool(structures):
+        for rep in random_partitions(inv_sg, rng, 30):
+            cong = GraphedCongruence(base=inv_sg, rep=rep)
+            expected = quartic_congruence_check(cong)
+            try:
+                validate_congruence(cong)
+                got = None
+            except ValidationError as err:
+                got = (err.code, err.witness)
+            assert got == expected, (inv_sg.base, rep)
+            seen[expected and expected[0]] += 1
+    assert seen[None] and seen["NotGraphed"] and seen["NotCompatible"]
+
+
 def test_empty_seed_gives_equality():
     c2 = corpus.chain2()
     cong = congruence_closure(c2, [])
@@ -70,7 +146,8 @@ def test_nonparallel_seed_rejected():
     assert err.value.code == "NonParallelSeed"
 
 
-def test_closure_matches_naive_fixpoint_oracle():
+def test_closure_matches_naive_fixpoint_oracle(structures):
+    rng = random.Random(59)
     cases = [
         (corpus.brandt_b2(), [(1, 2)]),   # relate a and a* (parallel, one object)
         (corpus.brandt_b2(), [(0, 3)]),
@@ -78,9 +155,33 @@ def test_closure_matches_naive_fixpoint_oracle():
         (corpus.vee_semilattice(), [(0, 1)]),
         (corpus.pair_groupoid(2), []),
     ]
+    cases += [
+        (inv_sg, seed)
+        for inv_sg in parity_pool(structures)
+        for seed in parallel_seeds(inv_sg, rng, 3)
+    ]
     for inv_sg, seed in cases:
         cong = congruence_closure(inv_sg, seed)
-        assert cong.pairs() == naive_closure_pairs(inv_sg, seed)
+        assert cong.pairs() == naive_closure_pairs(inv_sg, seed), seed
+
+
+def test_closure_of_parallel_idempotents_is_sigma(structures):
+    for inv_sg in parity_pool(structures):
+        sg = inv_sg.base
+        idems = inv_sg.idempotents
+        seed = [(e, f) for e in idems for f in idems if sg.parallel(e, f)]
+        assert congruence_closure(inv_sg, seed).rep == sigma(inv_sg).rep
+
+
+def test_sigma_and_e_unitarity_on_i4():
+    i4 = corpus.gen_Jpi([0, 0, 0, 0])
+    assert i4.n_arrows == 209
+    cong = sigma(i4)
+    assert cong.classes() == (tuple(i4.arrows()),)
+    assert cong.rep == sigma_by_equations(i4).rep
+    cert = is_e_unitary(i4)
+    assert cert.conditions == (False,) * 5
+    assert not cert.verdict
 
 
 @given(st.data())
