@@ -4,8 +4,13 @@ McAlister triple as JSON and DOT files into a directory.
 
 Usage: python3 scripts/export_examples.py [outdir]
 """
+import os
 import pathlib
 import sys
+
+sys.path.insert(
+    0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+)
 
 from semigroupoids import corpus, dot, io
 from semigroupoids.globalization import globalize

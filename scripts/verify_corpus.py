@@ -5,8 +5,13 @@ exhaustively enumerated small structures, printing one row per check.
 Usage: python3 scripts/verify_corpus.py [--max-arrows N]
 """
 import argparse
+import os
 import sys
 import time
+
+sys.path.insert(
+    0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+)
 
 from semigroupoids import corpus
 from semigroupoids.cli import cross_checks

@@ -5,7 +5,6 @@ McAlister triples, and the reconstruction of E-unitary structures."""
 from .core import (
     FiniteSemigroupoid,
     SemigroupoidMorphism,
-    composable_pairs,
     compose_morphisms,
     identity_morphism,
     validate_morphism,
@@ -34,7 +33,6 @@ from .inverse import (
     check_partial_morphism,
     is_groupoid,
     is_strong_morphism,
-    natural_partial_order,
     promote_to_inverse,
 )
 from .congruences import (

@@ -47,13 +47,6 @@ class PartialActionData:
     def maps(self) -> tuple[dict[int, int], ...]:
         return tuple(dict(pairs) for pairs in self.map_pairs)
 
-    def theta(self, s: int) -> dict[int, int]:
-        return self.maps[s]
-
-    def domain_of_map(self, s: int) -> frozenset[int]:
-        """The declared domain of the map of arrow s (that is, X at s*)."""
-        return self.domains[self.actor.inv[s]]
-
 
 def make_action(
     actor: InverseSemigroupoid,

@@ -20,6 +20,7 @@ from .actions import (
     validate_partial_action_P,
 )
 from .congruences import (
+    EUnitarityCertificate,
     check_lemma_sts,
     is_e_unitary,
     is_idempotent_pure,
@@ -89,8 +90,7 @@ def _as_action(obj, seed: int | None) -> PartialActionData:
     raise ParseError(f"expected an action file, got {type(obj).__name__}")
 
 
-def _certificate_doc(inv_sg: InverseSemigroupoid) -> dict:
-    cert = is_e_unitary(inv_sg)
+def _certificate_doc(inv_sg: InverseSemigroupoid, cert: EUnitarityCertificate) -> dict:
     doc = {
         "verdict": cert.verdict,
         "conditions": list(cert.conditions),
@@ -127,8 +127,8 @@ def cmd_validate(args) -> int:
 def cmd_analyze(args) -> int:
     inv_sg = _as_inverse(_load(args))
     sg = inv_sg.base
-    cong = sigma(inv_sg)
-    q, _proj = quotient(inv_sg, cong)
+    cert = is_e_unitary(inv_sg)
+    q, _proj = cert.sigma.quotient
     doc = {
         "idempotents": [sg.arrow_names[e] for e in inv_sg.idempotents],
         "inverse": {
@@ -140,10 +140,10 @@ def cmd_analyze(args) -> int:
         ],
         "is_groupoid": is_groupoid(inv_sg),
         "sigma_classes": [
-            [sg.arrow_names[s] for s in cls] for cls in cong.classes()
+            [sg.arrow_names[s] for s in cls] for cls in cert.sigma.classes()
         ],
         "sigma_quotient": io.semigroupoid_to_doc(q.base),
-        "e_unitary": _certificate_doc(inv_sg),
+        "e_unitary": _certificate_doc(inv_sg, cert),
     }
     _emit_doc(doc, args)
     return 0
@@ -223,7 +223,7 @@ def cmd_ptheorem(args) -> int:
     cert = is_e_unitary(inv_sg)
     if not cert.verdict:
         print("INVALID: structure is not E-unitary")
-        print(io.canonical_dumps(_certificate_doc(inv_sg)), end="")
+        print(io.canonical_dumps(_certificate_doc(inv_sg, cert)), end="")
         return 1
     bundle = ptheorem_bundle(inv_sg)
     sg = inv_sg.base
@@ -302,7 +302,9 @@ def cross_checks(obj) -> list[tuple[str, bool, str]]:
         note("sigma-three-way", lambda: _check_sigma_agree(inv_sg))
         note(
             "sigma-quotient-groupoid",
-            lambda: _assert(is_groupoid(quotient(inv_sg, sigma(inv_sg))[0])),
+            lambda: _assert(
+                is_groupoid(quotient(inv_sg, sigma_by_equations(inv_sg))[0])
+            ),
         )
         note(
             "e-unitary-five-way",

@@ -7,7 +7,8 @@ different routes never share their core loops.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable
 
 from .core import (
@@ -48,6 +49,43 @@ class GraphedCongruence:
         return frozenset(
             (s, t) for s in range(n) for t in range(n) if self.rep[s] == self.rep[t]
         )
+
+    @cached_property
+    def quotient(self) -> tuple[InverseSemigroupoid, SemigroupoidMorphism]:
+        """The quotient inverse semigroupoid and its projection morphism.
+
+        Objects are kept unchanged; classes are indexed by their least
+        member, so quotients are deterministic.
+        """
+        inv_sg = self.base
+        sg = inv_sg.base
+        classes = self.classes()
+        index = self.class_index()
+        reps = [cls[0] for cls in classes]
+
+        dom = [sg.dom[r] for r in reps]
+        cod = [sg.cod[r] for r in reps]
+        triples = []
+        for a, ra in enumerate(reps):
+            for b, rb in enumerate(reps):
+                if sg.dom[ra] != sg.cod[rb]:
+                    continue
+                triples.append((a, b, index[sg.mul[ra][rb]]))
+        names = tuple("[" + sg.arrow_names[r] + "]" for r in reps)
+        qsg = validate_semigroupoid(
+            dom,
+            cod,
+            triples,
+            n_objects=sg.n_objects,
+            arrow_names=names,
+            object_names=sg.object_names,
+        )
+        q = promote_to_inverse(qsg)
+        for s in sg.arrows():
+            if q.inv[index[s]] != index[inv_sg.inv[s]]:
+                raise InternalInconsistencyError("QuotientInvolutionMismatch", (s,))
+        proj = validate_morphism(sg, qsg, index)
+        return q, proj
 
 
 def validate_congruence(cong: GraphedCongruence) -> None:
@@ -208,39 +246,12 @@ def sigma_by_equations(inv_sg: InverseSemigroupoid) -> GraphedCongruence:
 def quotient(
     inv_sg: InverseSemigroupoid, cong: GraphedCongruence
 ) -> tuple[InverseSemigroupoid, SemigroupoidMorphism]:
-    """The quotient inverse semigroupoid and its projection morphism.
-
-    Objects are kept unchanged; classes are indexed by their least
-    member, so quotients are deterministic.
-    """
-    sg = inv_sg.base
-    classes = cong.classes()
-    index = cong.class_index()
-    reps = [cls[0] for cls in classes]
-
-    dom = [sg.dom[r] for r in reps]
-    cod = [sg.cod[r] for r in reps]
-    triples = []
-    for a, ra in enumerate(reps):
-        for b, rb in enumerate(reps):
-            if sg.dom[ra] != sg.cod[rb]:
-                continue
-            triples.append((a, b, index[sg.mul[ra][rb]]))
-    names = tuple("[" + sg.arrow_names[r] + "]" for r in reps)
-    qsg = validate_semigroupoid(
-        dom,
-        cod,
-        triples,
-        n_objects=sg.n_objects,
-        arrow_names=names,
-        object_names=sg.object_names,
-    )
-    q = promote_to_inverse(qsg)
-    for s in sg.arrows():
-        if q.inv[index[s]] != index[inv_sg.inv[s]]:
-            raise InternalInconsistencyError("QuotientInvolutionMismatch", (s,))
-    proj = validate_morphism(sg, qsg, index)
-    return q, proj
+    """The quotient inverse semigroupoid and its projection morphism,
+    built once per congruence and kept on it; ``inv_sg`` must be the
+    congruence's structure (CongruenceBaseMismatch otherwise)."""
+    if inv_sg is not cong.base and inv_sg != cong.base:
+        raise ValidationError("CongruenceBaseMismatch", ())
+    return cong.quotient
 
 
 def universal_groupoid_property(
@@ -256,7 +267,7 @@ def universal_groupoid_property(
     if not is_groupoid(target):
         raise ValidationError("TargetNotGroupoid", ())
     cong = sigma(inv_sg)
-    q, proj = quotient(inv_sg, cong)
+    q, proj = cong.quotient
     classes = cong.classes()
     mediating = []
     for cls in classes:
@@ -285,7 +296,7 @@ def is_idempotent_pure(cong: GraphedCongruence) -> bool:
         if cong.related(s, e)
     )
 
-    q, proj = quotient(inv_sg, cong)
+    q, proj = cong.quotient
     q_idems = set(q.idempotents)
     by_projection = all(
         s in idems for s in range(n) if proj.arrow_map[s] in q_idems
@@ -313,12 +324,14 @@ class EUnitarityCertificate:
 
     ``conditions`` holds the five independent evaluations (they must
     agree); ``witness`` is the least (e, s) with e idempotent, e <= s
-    and s not idempotent when the verdict is negative.
+    and s not idempotent when the verdict is negative; ``sigma`` is the
+    congruence the conditions were evaluated on.
     """
 
     verdict: bool
     conditions: tuple[bool, bool, bool, bool, bool]
     witness: tuple[int, int] | None
+    sigma: GraphedCongruence = field(repr=False)
 
     def __bool__(self) -> bool:
         return self.verdict
@@ -339,7 +352,7 @@ def is_e_unitary(inv_sg: InverseSemigroupoid) -> EUnitarityCertificate:
     )
 
     # (2) the projection onto the quotient groupoid is idempotent pure
-    q, proj = quotient(inv_sg, sig)
+    q, proj = sig.quotient
     q_idems = set(q.idempotents)
     cond2 = all(s in idems for s in range(n) if proj.arrow_map[s] in q_idems)
 
@@ -381,7 +394,7 @@ def is_e_unitary(inv_sg: InverseSemigroupoid) -> EUnitarityCertificate:
     if len(set(conditions)) != 1:
         raise InternalInconsistencyError("InternalInconsistency", conditions)
     return EUnitarityCertificate(
-        verdict=conditions[0], conditions=conditions, witness=witness
+        verdict=conditions[0], conditions=conditions, witness=witness, sigma=sig
     )
 
 

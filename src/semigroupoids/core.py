@@ -55,16 +55,6 @@ class FiniteSemigroupoid:
         return r
 
 
-def composable_pairs(sg: FiniteSemigroupoid) -> frozenset[tuple[int, int]]:
-    """All pairs (s, t) with dom(s) = cod(t)."""
-    return frozenset(
-        (s, t)
-        for s in sg.arrows()
-        for t in sg.arrows()
-        if sg.composable(s, t)
-    )
-
-
 def validate_semigroupoid(
     dom: Sequence[int],
     cod: Sequence[int],

@@ -17,13 +17,7 @@ from .actions import PartialActionData, make_action, restrict_global
 from .core import validate_semigroupoid
 from .errors import ValidationError
 from .inverse import InverseSemigroupoid, promote_to_inverse
-from .posets import (
-    FinitePoset,
-    Semilatticeoid,
-    discrete_poset,
-    is_order_ideal,
-    semilatticeoid_from_poset,
-)
+from .posets import FinitePoset, discrete_poset, is_order_ideal
 from .ptheorem import munn_action
 
 
@@ -470,14 +464,6 @@ def structure_corpus() -> list[tuple[str, InverseSemigroupoid]]:
         ("jpi_i2", gen_Jpi([0, 0])),
         ("jpi_two_fibers", gen_Jpi([0, 1])),
     ]
-
-
-def semilatticeoid_of(action: PartialActionData) -> Semilatticeoid:
-    """The ordered carrier of an action as a semilatticeoid; requires
-    every comparability component to be a meet semilattice."""
-    if action.order is None:
-        raise ValidationError("MalformedAction", (), "carrier has no order")
-    return semilatticeoid_from_poset(action.order)
 
 
 def all_order_ideals(order: FinitePoset) -> list[frozenset[int]]:

@@ -50,9 +50,6 @@ class GlobalizationResult:
     def pair_index(self) -> dict[tuple[int, int], int]:
         return {p: i for i, p in enumerate(self.pairs)}
 
-    def canonical_rep(self, cls: int) -> tuple[int, int]:
-        return self.pairs[self.classes[cls][0]]
-
     @property
     def n_classes(self) -> int:
         return len(self.classes)

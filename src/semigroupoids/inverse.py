@@ -41,19 +41,8 @@ class InverseSemigroupoid:
     def parallel(self, s: int, t: int) -> bool:
         return self.base.parallel(s, t)
 
-    def product(self, s: int, t: int) -> int:
-        return self.base.product(s, t)
-
     def leq(self, s: int, t: int) -> bool:
         return self.order.leq[s][t]
-
-    def source_idem(self, s: int) -> int:
-        """The idempotent at the domain end, s* s."""
-        return self.base.product(self.inv[s], s)
-
-    def range_idem(self, s: int) -> int:
-        """The idempotent at the codomain end, s s*."""
-        return self.base.product(s, self.inv[s])
 
 
 def _pseudoinverses(sg: FiniteSemigroupoid, s: int) -> list[int]:
@@ -137,12 +126,6 @@ def promote_to_inverse(sg: FiniteSemigroupoid) -> InverseSemigroupoid:
     return InverseSemigroupoid(
         base=sg, inv=tuple(inv), idempotents=idems, order=order
     )
-
-
-def natural_partial_order(inv_sg: InverseSemigroupoid) -> FinitePoset:
-    """Recompute the natural order, asserting the four forms agree."""
-    matrix = _order_matrix(inv_sg.base, inv_sg.inv, inv_sg.idempotents)
-    return poset_from_matrix(matrix, names=inv_sg.base.arrow_names)
 
 
 def is_groupoid(inv_sg: InverseSemigroupoid) -> bool:

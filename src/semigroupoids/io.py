@@ -20,10 +20,25 @@ from .ptheorem import McAlisterTriple, validate_mcalister_triple
 FORMAT_VERSION = 1
 
 
-def _require(doc: Any, key: str):
+def _require(doc: Any, key: str, kind: type = object):
     if not isinstance(doc, dict) or key not in doc:
         raise ParseError(f"missing field {key!r}")
+    if not isinstance(doc[key], kind):
+        raise ParseError(f"field {key!r} is not a {kind.__name__}")
     return doc[key]
+
+
+def _known(name: Any, index: dict[str, int]) -> bool:
+    return isinstance(name, str) and name in index
+
+
+def _known_pair(pair: Any, index: dict[str, int]) -> bool:
+    """Whether pair is a list of two names in index."""
+    return (
+        isinstance(pair, list)
+        and len(pair) == 2
+        and all(_known(x, index) for x in pair)
+    )
 
 
 def _unique_names(names, what: str) -> dict[str, int]:
@@ -57,9 +72,9 @@ def semigroupoid_to_doc(sg: FiniteSemigroupoid) -> dict:
 
 
 def semigroupoid_from_doc(doc: dict) -> FiniteSemigroupoid:
-    objects = _require(doc, "objects")
-    arrows = _require(doc, "arrows")
-    mul = _require(doc, "mul")
+    objects = _require(doc, "objects", list)
+    arrows = _require(doc, "arrows", list)
+    mul = _require(doc, "mul", list)
     obj_index = _unique_names(objects, "object")
     names = []
     dom = []
@@ -68,7 +83,7 @@ def semigroupoid_from_doc(doc: dict) -> FiniteSemigroupoid:
         names.append(_require(entry, "name"))
         d = _require(entry, "dom")
         c = _require(entry, "cod")
-        if d not in obj_index or c not in obj_index:
+        if not (_known(d, obj_index) and _known(c, obj_index)):
             raise ParseError(f"unknown object in arrow {entry!r}")
         dom.append(obj_index[d])
         cod.append(obj_index[c])
@@ -109,16 +124,13 @@ def poset_to_doc(poset: FinitePoset) -> dict:
 
 
 def poset_from_doc(doc: dict) -> FinitePoset:
-    elements = _require(doc, "elements")
+    elements = _require(doc, "elements", list)
     index = _unique_names(elements, "element")
     pairs = []
-    for pair in _require(doc, "leq"):
-        if not (isinstance(pair, list) and len(pair) == 2):
+    for pair in _require(doc, "leq", list):
+        if not _known_pair(pair, index):
             raise ParseError(f"bad order pair {pair!r}")
-        x, y = pair
-        if x not in index or y not in index:
-            raise ParseError(f"unknown element in pair {pair!r}")
-        pairs.append((index[x], index[y]))
+        pairs.append((index[pair[0]], index[pair[1]]))
     return validate_poset(
         pairs, len(elements), names=elements, auto_close=bool(doc.get("auto_close"))
     )
@@ -158,44 +170,39 @@ def action_to_doc(a: PartialActionData) -> dict:
 
 def action_from_doc(doc: dict) -> PartialActionData:
     actor = promote_to_inverse(semigroupoid_from_doc(_require(doc, "actor")))
-    carrier = _require(doc, "carrier")
+    carrier = _require(doc, "carrier", list)
     carrier_index = _unique_names(carrier, "carrier point")
     arrow_index = _unique_names(actor.base.arrow_names, "arrow")
 
-    raw_domains = _require(doc, "domains")
-    raw_maps = _require(doc, "maps")
+    raw_domains = _require(doc, "domains", dict)
+    raw_maps = _require(doc, "maps", dict)
     domains = [frozenset() for _ in actor.arrows()]
     maps: list[dict[int, int]] = [dict() for _ in actor.arrows()]
     for name, pts in raw_domains.items():
         if name not in arrow_index:
             raise ParseError(f"unknown arrow {name!r} in domains")
-        try:
-            domains[arrow_index[name]] = frozenset(carrier_index[p] for p in pts)
-        except KeyError as exc:
-            raise ParseError(f"unknown carrier point {exc.args[0]!r}") from exc
+        if not (isinstance(pts, list) and all(_known(p, carrier_index) for p in pts)):
+            raise ParseError(f"bad domain {pts!r} of arrow {name!r}")
+        domains[arrow_index[name]] = frozenset(carrier_index[p] for p in pts)
     for name, pairs in raw_maps.items():
         if name not in arrow_index:
             raise ParseError(f"unknown arrow {name!r} in maps")
+        if not isinstance(pairs, list):
+            raise ParseError(f"map of {name!r} is not a list")
         m = {}
         for pair in pairs:
-            if not (isinstance(pair, list) and len(pair) == 2):
+            if not _known_pair(pair, carrier_index):
                 raise ParseError(f"bad map pair {pair!r}")
-            x, y = pair
-            if x not in carrier_index or y not in carrier_index:
-                raise ParseError(f"unknown carrier point in {pair!r}")
-            m[carrier_index[x]] = carrier_index[y]
+            m[carrier_index[pair[0]]] = carrier_index[pair[1]]
         maps[arrow_index[name]] = m
 
     order = None
     if "order" in doc:
         pairs = []
-        for pair in doc["order"]:
-            if not (isinstance(pair, list) and len(pair) == 2):
+        for pair in _require(doc, "order", list):
+            if not _known_pair(pair, carrier_index):
                 raise ParseError(f"bad order pair {pair!r}")
-            x, y = pair
-            if x not in carrier_index or y not in carrier_index:
-                raise ParseError(f"unknown carrier point in {pair!r}")
-            pairs.append((carrier_index[x], carrier_index[y]))
+            pairs.append((carrier_index[pair[0]], carrier_index[pair[1]]))
         order = validate_poset(pairs, len(carrier), names=carrier)
 
     from .errors import ValidationError
@@ -232,8 +239,8 @@ def triple_from_doc(doc: dict) -> McAlisterTriple:
     action = action_from_doc(_require(doc, "action"))
     index = {name: i for i, name in enumerate(space.names)}
     ideal = set()
-    for name in _require(doc, "ideal"):
-        if name not in index:
+    for name in _require(doc, "ideal", list):
+        if not _known(name, index):
             raise ParseError(f"unknown space element {name!r}")
         ideal.add(index[name])
     triple = McAlisterTriple(
@@ -276,7 +283,7 @@ def structure_to_doc(obj) -> dict:
 def parse_document(doc: Any):
     if not isinstance(doc, dict):
         raise ParseError("document is not an object")
-    kind = _require(doc, "kind")
+    kind = _require(doc, "kind", str)
     if kind not in _FROM_DOC:
         raise ParseError(f"unknown kind {kind!r}")
     return _FROM_DOC[kind](doc)
@@ -292,7 +299,7 @@ def load_structure(path: str):
             doc = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
     return parse_document(doc)
 

@@ -8,16 +8,14 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .actions import (
-    EquivariantMap,
     PartialActionData,
-    check_equivariant,
     make_action,
     orbit,
     restrict_global,
     validate_partial_action_E,
     validate_partial_action_P,
 )
-from .congruences import is_e_unitary, quotient, sigma
+from .congruences import GraphedCongruence, is_e_unitary
 from .core import SemigroupoidMorphism, validate_morphism, validate_semigroupoid
 from .errors import InternalInconsistencyError, ValidationError
 from .globalization import globalize
@@ -82,7 +80,8 @@ def induced_sigma_action(
     independent of the member used, so any gluing conflict signals a bug
     and is reported as GluingConflict.
     """
-    if not is_e_unitary(inv_sg).verdict:
+    cert = is_e_unitary(inv_sg)
+    if not cert.verdict:
         raise ValidationError("NotEUnitary", ())
     if theta.actor != inv_sg:
         raise ValidationError("MalformedAction", (), "action actor differs")
@@ -92,9 +91,14 @@ def induced_sigma_action(
             raise ValidationError(v.code, v.witness)
     if theta.order is None or not theta.global_flag:
         raise ValidationError("NotGlobalOrdered", ())
+    return _glue_along_sigma(cert.sigma, theta)
 
-    sig = sigma(inv_sg)
-    q, proj = quotient(inv_sg, sig)
+
+def _glue_along_sigma(
+    sig: GraphedCongruence, theta: PartialActionData
+) -> PartialActionData:
+    """The gluing step of induced_sigma_action, on inputs already checked."""
+    q, _proj = sig.quotient
     classes = sig.classes()
 
     domains = []
@@ -179,7 +183,15 @@ def semidirect_product(
     for s in actor.arrows():
         if not action.domains[s]:
             raise ValidationError("EmptyDomain", (s,))
+    return _build_semidirect(action, latt)
 
+
+def _build_semidirect(
+    action: PartialActionData, latt: Semilatticeoid
+) -> SemidirectProduct:
+    """The construction step of semidirect_product, on inputs already
+    checked."""
+    actor = action.actor
     sg = actor.base
     inv = actor.inv
     pairs = [
@@ -377,16 +389,17 @@ def ptheorem_bundle(inv_sg: InverseSemigroupoid) -> PTheoremBundle:
     """Rebuild an E-unitary structure as the semidirect product of its
     maximal groupoid image acting on its idempotents, with the
     isomorphism checked arrow by arrow."""
-    if not is_e_unitary(inv_sg).verdict:
+    cert = is_e_unitary(inv_sg)
+    if not cert.verdict:
         raise ValidationError("NotEUnitary", ())
+    sig = cert.sigma
     theta = munn_action(inv_sg)
-    alpha = induced_sigma_action(inv_sg, theta)
+    alpha = _glue_along_sigma(sig, theta)
     latt = idempotent_semilatticeoid(inv_sg)
     if latt.order.leq != theta.order.leq:
         raise InternalInconsistencyError("LatticeOrderMismatch", ())
-    sdp = semidirect_product(alpha, latt)
+    sdp = _build_semidirect(alpha, latt)
 
-    sig = sigma(inv_sg)
     cls_index = sig.class_index()
     idems = inv_sg.idempotents
     pos = {e: i for i, e in enumerate(idems)}

@@ -23,7 +23,7 @@ from semigroupoids.actions import (
 from semigroupoids.congruences import is_e_unitary, quotient, sigma, sigma_by_equations
 from semigroupoids.globalization import check_lemma_tec, globalize, universal_map
 from semigroupoids.inverse import is_groupoid, is_strong_morphism
-from semigroupoids.posets import is_order_ideal
+from semigroupoids.posets import is_order_ideal, semilatticeoid_from_poset
 from semigroupoids.ptheorem import (
     check_e_unitary_preservation,
     idempotent_semilatticeoid,
@@ -212,7 +212,7 @@ def test_criterion_9_triple_round_trip():
         if is_groupoid(a.actor) and all(a.domains)
     ]
     for name, a in pool:
-        latt = corpus.semilatticeoid_of(a)
+        latt = semilatticeoid_from_poset(a.order)
         triple = mcalister_from_action(a, latt)
         restricted = triple_restriction(triple)
         r = globalize(a)

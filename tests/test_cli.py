@@ -193,6 +193,65 @@ print(sorted(name for name, ok, _msg in rows if not ok))
     assert out.strip() == "['sigma-quotient-groupoid', 'sigma-three-way']"
 
 
+def test_verify_all_quotient_row_is_independent_of_sigma():
+    # the row builds its own quotient from the equational sigma, so a
+    # broken sigma_by_equations fails it even though sigma's cached
+    # quotient is a groupoid
+    script = """
+from semigroupoids import cli, corpus
+from semigroupoids.congruences import congruence_closure
+cli.sigma_by_equations = lambda s: congruence_closure(s, [])
+rows = cli.cross_checks(corpus.chain2().base)
+print(sorted(name for name, ok, _msg in rows if not ok))
+"""
+    src = os.path.dirname(os.path.dirname(semigroupoids.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    assert "'sigma-quotient-groupoid'" in out
+
+
+# documents that once escaped as tracebacks, built from a valid chain2 file
+MALFORMED = {
+    "objects-int": lambda d: dict(d, objects=3),
+    "arrows-int": lambda d: dict(d, arrows=3),
+    "mul-int": lambda d: dict(d, mul=3),
+    "dom-list": lambda d: dict(d, arrows=[dict(d["arrows"][0], dom=["u"])]),
+    "kind-list": lambda d: dict(d, kind=["semigroupoid"]),
+    "leq-list-element": lambda d: {
+        "kind": "poset", "version": 1, "elements": ["x"], "leq": [[["x"], "x"]]
+    },
+    "not-utf8": None,
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_document_exits_2(files, tmp_path, capsys, case):
+    bad = tmp_path / "bad.json"
+    if MALFORMED[case] is None:
+        bad.write_bytes(b'{"kind": "semigroupoid", "objects": ["\xff"]}')
+    else:
+        bad.write_text(json.dumps(MALFORMED[case](json.load(open(files["chain2"])))))
+    assert cli(["--input", str(bad), "validate"]) == 2
+    assert "parse error:" in capsys.readouterr().err
+
+
+def test_scripts_run_from_a_source_checkout(tmp_path):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    for argv in (
+        ["verify_corpus.py", "--max-arrows", "2"],
+        ["export_examples.py", str(tmp_path / "out")],
+    ):
+        subprocess.run(
+            [sys.executable, os.path.join(root, "scripts", argv[0]), *argv[1:]],
+            env=env, cwd=tmp_path, capture_output=True, text=True, check=True,
+        )
+    assert (tmp_path / "out" / "chain2.json").exists()
+
+
 def test_verify_all_on_action(files, tmp_path, capsys):
     munn = tmp_path / "munn.json"
     cli(["--input", files["b2"], "munn", "--output", str(munn)])

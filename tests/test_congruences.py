@@ -21,7 +21,7 @@ from semigroupoids.congruences import (
 )
 from semigroupoids.core import validate_morphism
 from semigroupoids.errors import ValidationError
-from semigroupoids.inverse import is_groupoid
+from semigroupoids.inverse import is_groupoid, promote_to_inverse
 
 
 def naive_closure_pairs(inv_sg, seed):
@@ -234,6 +234,26 @@ def test_quotient_by_equality_is_isomorphic_copy():
     assert q.base.mul == b2.base.mul
     assert q.base.dom == b2.base.dom
     assert proj.arrow_map == tuple(range(5))
+
+
+def test_quotient_is_built_once_per_congruence():
+    b2 = corpus.brandt_b2()
+    cong = sigma(b2)
+    assert quotient(b2, cong) is quotient(b2, cong)
+    # an equal structure, built separately, is accepted
+    assert quotient(promote_to_inverse(b2.base), cong) is quotient(b2, cong)
+
+
+def test_quotient_rejects_another_structure():
+    cong = sigma(corpus.brandt_b2())
+    with pytest.raises(ValidationError) as err:
+        quotient(corpus.chain2(), cong)
+    assert err.value.code == "CongruenceBaseMismatch"
+
+
+def test_certificate_sigma_matches_equations(structures):
+    for s in parity_pool(structures):
+        assert is_e_unitary(s).sigma.rep == sigma_by_equations(s).rep
 
 
 def test_chain2_mod_sigma_is_trivial():

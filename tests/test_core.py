@@ -5,7 +5,6 @@ import pytest
 from semigroupoids import corpus
 from semigroupoids.core import (
     NOT_COMPOSABLE,
-    composable_pairs,
     compose_morphisms,
     identity_morphism,
     validate_morphism,
@@ -88,27 +87,6 @@ def test_orphan_object_rejected():
         validate_semigroupoid([0], [0], [(0, 0, 0)], n_objects=2)
     assert err.value.code == "OrphanObject"
     assert err.value.witness == (1,)
-
-
-def test_composable_pairs_trivial():
-    sg = validate_semigroupoid([0], [0], [(0, 0, 0)])
-    assert composable_pairs(sg) == {(0, 0)}
-
-
-def test_composable_pairs_pair_groupoid():
-    dom, cod, triples = pair_groupoid_table()
-    sg = validate_semigroupoid(dom, cod, triples)
-    # oracle: filter the 16 raw pairs by dom = cod
-    expected = {
-        (s, t) for s in range(4) for t in range(4) if dom[s] == cod[t]
-    }
-    assert len(expected) == 8
-    assert composable_pairs(sg) == expected
-
-
-def test_composable_pairs_one_object_is_everything():
-    b2 = corpus.brandt_b2()
-    assert len(composable_pairs(b2.base)) == 25
 
 
 def test_identity_morphism_valid(structures):

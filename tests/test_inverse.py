@@ -10,7 +10,6 @@ from semigroupoids.inverse import (
     check_partial_morphism,
     is_groupoid,
     is_strong_morphism,
-    natural_partial_order,
     promote_to_inverse,
 )
 
@@ -69,11 +68,6 @@ def test_b2_order_bruteforce():
         assert b2.leq(zero, t)
     strict = [(s, t) for s in b2.arrows() for t in b2.arrows() if s != t and b2.leq(s, t)]
     assert strict == [(0, 1), (0, 2), (0, 3), (0, 4)]
-
-
-def test_natural_order_recompute_matches(structures):
-    for _name, s in structures:
-        assert natural_partial_order(s).leq == s.order.leq
 
 
 def test_is_groupoid_examples():

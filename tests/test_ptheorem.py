@@ -1,9 +1,11 @@
 """Munn action, induced action of the quotient groupoid, semidirect
 products, McAlister triples, and the reconstruction isomorphism."""
 
+from collections import Counter
+
 import pytest
 
-from semigroupoids import corpus
+from semigroupoids import congruences, corpus, ptheorem
 from semigroupoids.actions import (
     EquivariantMap,
     check_equivariant,
@@ -14,6 +16,7 @@ from semigroupoids.actions import (
 from semigroupoids.congruences import is_e_unitary, sigma
 from semigroupoids.errors import ValidationError
 from semigroupoids.inverse import is_groupoid, is_strong_morphism
+from semigroupoids.posets import semilatticeoid_from_poset
 from semigroupoids.ptheorem import (
     check_e_unitary_preservation,
     idempotent_semilatticeoid,
@@ -62,7 +65,7 @@ def two_fiber_groupoid_action():
         order=order,
         global_flag=True,
     )
-    latt = corpus.semilatticeoid_of(action)
+    latt = semilatticeoid_from_poset(action.order)
     return pg, action, latt
 
 
@@ -194,7 +197,7 @@ def test_semidirect_rejects_empty_domain():
         order=discrete_poset(2, ("p", "q")),
     )
     assert validate_partial_action_E(a) is None
-    latt = corpus.semilatticeoid_of(a)
+    latt = semilatticeoid_from_poset(a.order)
     with pytest.raises(ValidationError) as err:
         semidirect_product(a, latt)
     assert err.value.code == "EmptyDomain"
@@ -227,7 +230,7 @@ def test_triple_from_global_action_is_isomorphic_copy():
 def test_triple_from_partial_groupoid_action():
     pg, action, latt = two_fiber_groupoid_action()
     partial = restrict_global(action, {0, 1, 2})  # drop the top of one fiber
-    small_latt = corpus.semilatticeoid_of(partial)
+    small_latt = semilatticeoid_from_poset(partial.order)
     triple = mcalister_from_action(partial, small_latt)
     validate_mcalister_triple(triple)
     assert triple.space.size >= len(triple.ideal)
@@ -236,7 +239,7 @@ def test_triple_from_partial_groupoid_action():
 def test_triple_restriction_recovers_action():
     pg, action, latt = two_fiber_groupoid_action()
     partial = restrict_global(action, {0, 1, 2})
-    small_latt = corpus.semilatticeoid_of(partial)
+    small_latt = semilatticeoid_from_poset(partial.order)
     from semigroupoids.globalization import globalize
 
     result = globalize(partial)
@@ -274,6 +277,35 @@ def test_ptheorem_requires_e_unitary():
     with pytest.raises(ValidationError) as err:
         ptheorem_isomorphism(corpus.brandt_b2())
     assert err.value.code == "NotEUnitary"
+
+
+def test_ptheorem_bundle_runs_each_self_check_once(structures, monkeypatch):
+    # sigma's congruence check once; each action validator once on the
+    # Munn action and once on the induced action
+    calls = Counter()
+
+    def counting(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(congruences, "validate_congruence")
+    counting(ptheorem, "validate_partial_action_E")
+    counting(ptheorem, "validate_partial_action_P")
+    for name, s in structures:
+        if not is_e_unitary(s).verdict:
+            continue
+        calls.clear()
+        ptheorem_bundle(s)
+        assert calls == {
+            "validate_congruence": 1,
+            "validate_partial_action_E": 2,
+            "validate_partial_action_P": 2,
+        }, name
 
 
 def test_ptheorem_small_structures(small_structures):

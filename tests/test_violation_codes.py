@@ -16,7 +16,7 @@ from semigroupoids.core import (
     validate_semigroupoid,
 )
 from semigroupoids.errors import ValidationError
-from semigroupoids.posets import chain_poset, validate_poset
+from semigroupoids.posets import chain_poset, semilatticeoid_from_poset, validate_poset
 from semigroupoids.ptheorem import munn_action
 
 
@@ -338,7 +338,7 @@ def test_mcalister_from_action_rejects_empty_domain():
     a = make_action(
         pg, ("p", "q"), domains, maps, order=discrete_poset(2, ("p", "q"))
     )
-    latt = corpus.semilatticeoid_of(a)
+    latt = semilatticeoid_from_poset(a.order)
     with pytest.raises(ValidationError) as err:
         mcalister_from_action(a, latt)
     assert err.value.code == "EmptyDomain"
