@@ -2,7 +2,9 @@
 
 Subcommands: validate, analyze, globalize, munn, semidirect, triple,
 ptheorem, enumerate, export-dot.  Exit codes: 0 success, 1 validation
-failure (report on standard output), 2 I/O or parse error.
+failure (report on standard output), 2 I/O or parse error, 3 internal
+inconsistency (a failed theorem-backed self-check: a bug, not bad input;
+report on standard error).
 """
 from __future__ import annotations
 
@@ -35,11 +37,12 @@ from .errors import (
     SemigroupoidError,
     ValidationError,
 )
-from .globalization import check_lemma_tec, globalize
+from .globalization import _globalize_valid, check_lemma_tec, globalize
 from .inverse import InverseSemigroupoid, is_groupoid, promote_to_inverse
 from .posets import FinitePoset, semilatticeoid_from_poset
 from .ptheorem import (
     McAlisterTriple,
+    _bundle_from_certificate,
     mcalister_from_action,
     munn_action,
     ptheorem_bundle,
@@ -155,7 +158,7 @@ def cmd_globalize(args) -> int:
     if v is not None:
         print(f"INVALID action: {v}")
         return 1
-    result = globalize(action)
+    result = _globalize_valid(action)
     if args.format == "dot":
         if result.order is None:
             raise ParseError("action has no carrier order to draw")
@@ -225,7 +228,7 @@ def cmd_ptheorem(args) -> int:
         print("INVALID: structure is not E-unitary")
         print(io.canonical_dumps(_certificate_doc(inv_sg, cert)), end="")
         return 1
-    bundle = ptheorem_bundle(inv_sg)
+    bundle = _bundle_from_certificate(inv_sg, cert)
     sg = inv_sg.base
     product = bundle.semidirect.product.base
     doc = {
@@ -445,9 +448,9 @@ def cli(argv: list[str] | None = None) -> int:
     except ValidationError as exc:
         print(f"INVALID: {exc}")
         return 1
-    except InternalInconsistencyError as exc:  # pragma: no cover
+    except InternalInconsistencyError as exc:
         print(f"internal inconsistency (bug): {exc}", file=sys.stderr)
-        return 1
+        return 3
 
 
 def main() -> None:  # pragma: no cover

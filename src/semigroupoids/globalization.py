@@ -60,7 +60,12 @@ def globalize(a: PartialActionData) -> GlobalizationResult:
     violation = validate_partial_action_E(a)
     if violation is not None:
         raise ValidationError(violation.code, violation.witness)
+    return _globalize_valid(a)
 
+
+def _globalize_valid(a: PartialActionData) -> GlobalizationResult:
+    """The construction step of globalize, on an action already
+    validated; the construction-time self-checks all still run."""
     actor = a.actor
     sg = actor.base
     inv = actor.inv
@@ -209,20 +214,6 @@ def class_order(r: GlobalizationResult) -> FinitePoset:
     )
 
 
-def _definition_leq(r: GlobalizationResult, c1: int, c2: int) -> bool:
-    """The order on classes by its defining formula, quantifying over all
-    representatives: some representative (p, y') of c2 and some x' <= y'
-    put (p, x') in c1."""
-    order = r.action.order
-    for i in r.classes[c2]:
-        p, yp = r.pairs[i]
-        for xp in order.downset(yp):
-            j = r.pair_index.get((p, xp))
-            if j is not None and r.class_of[j] == c1:
-                return True
-    return False
-
-
 def check_lemma_tec(r: GlobalizationResult) -> list[Violation]:
     """Exhaustively verify the three facts about the pair equivalence on
     an ordered input, plus agreement of both order computations.
@@ -230,66 +221,82 @@ def check_lemma_tec(r: GlobalizationResult) -> list[Violation]:
     (i) two pairs with the same arrow are related only when their points
     coincide; (ii) relatedness transports downward along the carrier
     order; (iii) the order holds through one representative iff it holds
-    through every representative of the upper class.
+    through every representative of the upper class.  The order on
+    classes by its defining formula (c1 <= c2 iff some representative
+    (p, y') of c2 and some x' <= y' put (p, x') in c1) is what (iii) and
+    the comparison with the stored order read.
+
+    For each pair (t, y) the classes of the pairs (t, y') with y' <= y
+    are collected once, the defining order once per upper class, and
+    clause (ii) pairs each pair only with the pairs ``class_of`` puts in
+    its class, so the check costs O(P k + sum over classes of
+    |class|^2 k + C P) for P pairs, C classes and k carrier points.
+    Violations come in clause order; within clause (ii) by pair i, pair
+    j, then x' in the iteration order of ``order.downset(x)``.
     """
     if r.action.order is None:
         raise ValidationError("NotOrdered", ())
     order = r.action.order
+    pairs, class_of, index = r.pairs, r.class_of, r.pair_index
     out: list[Violation] = []
 
     same_arrow: dict[int, list[int]] = {}
-    for i, (s, x) in enumerate(r.pairs):
+    for i, (s, x) in enumerate(pairs):
         same_arrow.setdefault(s, []).append(i)
     for s, idxs in same_arrow.items():
         for i in idxs:
             for j in idxs:
-                if i < j and r.class_of[i] == r.class_of[j]:
+                if i < j and class_of[i] == class_of[j]:
                     out.append(
                         Violation(
                             "SameArrowRelatednessFailure",
-                            (s, r.pairs[i][1], r.pairs[j][1]),
+                            (s, pairs[i][1], pairs[j][1]),
                         )
                     )
 
-    for i, (s, x) in enumerate(r.pairs):
-        for j, (t, y) in enumerate(r.pairs):
-            if r.class_of[i] != r.class_of[j]:
-                continue
-            for xp in order.downset(x):
-                ii = r.pair_index.get((s, xp))
-                if ii is None:
-                    out.append(Violation("DownwardTransportFailure", (s, x, t, y, xp)))
-                    continue
-                found = any(
-                    r.pair_index.get((t, yp)) is not None
-                    and r.class_of[r.pair_index[(t, yp)]] == r.class_of[ii]
-                    for yp in order.downset(y)
-                )
-                if not found:
+    down = [order.downset(y) for y in order.elements()]
+    # below[i]: the classes of the pairs (t, y') with y' <= y, for pairs[i] = (t, y)
+    below: list[set[int]] = []
+    # steps[i]: (x', class of (s, x') or None) for x' <= x, for pairs[i] = (s, x)
+    steps: list[list[tuple[int, int | None]]] = []
+    for s, x in pairs:
+        row = []
+        for xp in down[x]:
+            j = index.get((s, xp))
+            row.append((xp, None if j is None else class_of[j]))
+        steps.append(row)
+        below.append({c for _xp, c in row if c is not None})
+
+    mates: dict[int, list[int]] = {}
+    for i, c in enumerate(class_of):
+        mates.setdefault(c, []).append(i)
+    for i, (s, x) in enumerate(pairs):
+        for j in mates[class_of[i]]:
+            t, y = pairs[j]
+            below_j = below[j]
+            for xp, c in steps[i]:
+                if c is None or c not in below_j:
                     out.append(Violation("DownwardTransportFailure", (s, x, t, y, xp)))
 
     n = r.n_classes
+    definition = [set().union(*(below[i] for i in cls)) for cls in r.classes]
     for c1 in range(n):
         for c2 in range(n):
-            if not _definition_leq(r, c1, c2):
+            if c1 not in definition[c2]:
                 continue
             # every representative of c2 must admit a witness below it
             for j in r.classes[c2]:
-                p, z = r.pairs[j]
-                ok = any(
-                    r.pair_index.get((p, zp)) is not None
-                    and r.class_of[r.pair_index[(p, zp)]] == c1
-                    for zp in order.downset(z)
-                )
-                if not ok:
+                if c1 not in below[j]:
+                    p, z = pairs[j]
                     out.append(
                         Violation("RepresentativeCriterionFailure", (c1, c2, p, z))
                     )
 
-    stored = r.order
+    stored = r.order.leq
     for c1 in range(n):
+        row = stored[c1]
         for c2 in range(n):
-            if stored.leq[c1][c2] != _definition_leq(r, c1, c2):
+            if row[c2] != (c1 in definition[c2]):
                 out.append(Violation("OrderComputationMismatch", (c1, c2)))
     return out
 

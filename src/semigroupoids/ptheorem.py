@@ -15,7 +15,7 @@ from .actions import (
     validate_partial_action_E,
     validate_partial_action_P,
 )
-from .congruences import GraphedCongruence, is_e_unitary
+from .congruences import EUnitarityCertificate, GraphedCongruence, is_e_unitary
 from .core import SemigroupoidMorphism, validate_morphism, validate_semigroupoid
 from .errors import InternalInconsistencyError, ValidationError
 from .globalization import globalize
@@ -392,6 +392,15 @@ def ptheorem_bundle(inv_sg: InverseSemigroupoid) -> PTheoremBundle:
     cert = is_e_unitary(inv_sg)
     if not cert.verdict:
         raise ValidationError("NotEUnitary", ())
+    return _bundle_from_certificate(inv_sg, cert)
+
+
+def _bundle_from_certificate(
+    inv_sg: InverseSemigroupoid, cert: EUnitarityCertificate
+) -> PTheoremBundle:
+    """The reconstruction step of ptheorem_bundle, for a caller that
+    already holds the structure's E-unitarity certificate (verdict
+    True)."""
     sig = cert.sigma
     theta = munn_action(inv_sg)
     alpha = _glue_along_sigma(sig, theta)

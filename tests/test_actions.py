@@ -1,11 +1,12 @@
 """Partial action validators, orbits, restriction, equivariant maps."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semigroupoids import corpus
+from semigroupoids import actions, corpus
 from semigroupoids.actions import (
     EquivariantMap,
     check_equivariant,
@@ -17,8 +18,13 @@ from semigroupoids.actions import (
     validate_partial_action_E,
     validate_partial_action_P,
 )
-from semigroupoids.errors import ValidationError
-from semigroupoids.posets import chain_poset, discrete_poset
+from semigroupoids.errors import ValidationError, Violation
+from semigroupoids.posets import (
+    chain_poset,
+    check_order_iso,
+    discrete_poset,
+    is_order_ideal,
+)
 from semigroupoids.ptheorem import munn_action
 
 
@@ -260,3 +266,81 @@ def test_point_action_valid(structures):
         a = point_action(s)
         assert validate_partial_action_E(a) is None
         assert validate_partial_action_P(a) is None
+
+
+def quadratic_copy_ordered_clauses(a):
+    """Oracle: the ordered clause as first written, with ``is_order_ideal``
+    scans and ``check_order_iso`` on restricted copies of the order."""
+    order = a.order
+    for s in a.actor.arrows():
+        if not is_order_ideal(order, a.domains[s]):
+            return Violation("NotIdeal", (s,))
+    for s in a.actor.arrows():
+        src = sorted(a.domains[a.actor.inv[s]])
+        theta = a.maps[s]
+        dst = [theta[x] for x in src]
+        if not check_order_iso(
+            list(range(len(src))), order.restrict(src), order.restrict(dst)
+        ):
+            return Violation("NotOrderIso", (s,))
+    return None
+
+
+def ordered_mutation(a, rng):
+    """Drop a point from a domain or swap two values of a map, keeping
+    every map keyed by its domain (and its inverse map its inverse when
+    the arrow is not its own inverse)."""
+    inv = a.actor.inv
+    domains = [set(d) for d in a.domains]
+    maps = [dict(m) for m in a.maps]
+    if rng.random() < 0.5:
+        s = rng.choice([s for s in a.actor.arrows() if domains[s]] or [0])
+        if domains[s]:
+            y = rng.choice(sorted(domains[s]))
+            x = min(k for k, v in maps[s].items() if v == y)
+            domains[s].discard(y)
+            domains[inv[s]].discard(x)
+            maps[s].pop(x)
+            maps[inv[s]].pop(y, None)
+    else:
+        s = rng.choice([s for s in a.actor.arrows() if len(maps[s]) > 1] or [0])
+        if len(maps[s]) > 1:
+            x1, x2 = rng.sample(sorted(maps[s]), 2)
+            maps[s][x1], maps[s][x2] = maps[s][x2], maps[s][x1]
+            if inv[s] != s:
+                maps[inv[s]] = {y: x for x, y in maps[s].items()}
+    return make_action(
+        a.actor, a.carrier_names, domains, maps, order=a.order,
+        global_flag=a.global_flag,
+    )
+
+
+def ordered_parity_inputs():
+    rng = random.Random(5)
+    valid = [munn_action(s) for s in corpus.enumerate_inverse_semigroupoids(4)]
+    valid += [a for _, a in corpus.action_corpus()]
+    candidates = corpus.action_candidates(seed=17, random_per_actor=10)
+    valid += [
+        a for a in candidates
+        if a.order is not None and validate_partial_action_E(a) is None
+    ]
+    mutated = [ordered_mutation(a, rng) for a in valid for _ in range(3)]
+    return valid + candidates + mutated
+
+
+def test_ordered_clauses_match_restrict_oracle(monkeypatch):
+    inputs = [a for a in ordered_parity_inputs() if a.order is not None]
+    clause_codes = Counter()
+    for a in inputs:
+        v = actions._ordered_clauses(a)
+        assert v == quadratic_copy_ordered_clauses(a), a
+        clause_codes[v.code if v else None] += 1
+    assert clause_codes["NotIdeal"] and clause_codes["NotOrderIso"]
+
+    new = [(validate_partial_action_E(a), validate_partial_action_P(a)) for a in inputs]
+    monkeypatch.setattr(actions, "_ordered_clauses", quadratic_copy_ordered_clauses)
+    old = [(validate_partial_action_E(a), validate_partial_action_P(a)) for a in inputs]
+    assert new == old
+    for route in (0, 1):
+        codes = Counter(pair[route].code for pair in new if pair[route] is not None)
+        assert codes["NotIdeal"] and codes["NotOrderIso"], codes

@@ -8,8 +8,9 @@ import sys
 import pytest
 
 import semigroupoids
-from semigroupoids import corpus, io
+from semigroupoids import cli as cli_module, congruences, corpus, globalization, io
 from semigroupoids.cli import cli
+from semigroupoids.errors import InternalInconsistencyError
 
 
 @pytest.fixture()
@@ -77,6 +78,48 @@ def test_ptheorem_chain2(files, tmp_path):
     assert cli(["--input", files["chain2"], "ptheorem", "--output", str(out)]) == 0
     doc = json.load(open(out))
     assert len(doc["isomorphism"]) == 2
+
+
+def test_ptheorem_computes_one_certificate(files, monkeypatch):
+    calls = []
+    real_sigma = congruences.sigma
+
+    def counting_sigma(inv_sg):
+        calls.append(inv_sg)
+        return real_sigma(inv_sg)
+
+    monkeypatch.setattr(congruences, "sigma", counting_sigma)
+    assert cli(["--input", files["chain2"], "ptheorem"]) == 0
+    assert len(calls) == 1
+
+
+def test_globalize_validates_its_input_once(files, tmp_path, monkeypatch):
+    munn = tmp_path / "munn.json"
+    cli(["--input", files["b2"], "munn", "--output", str(munn)])
+    seen = []
+    real_validate = globalization.validate_partial_action_E
+
+    def recording(a):
+        seen.append(a)
+        return real_validate(a)
+
+    monkeypatch.setattr(cli_module, "validate_partial_action_E", recording)
+    monkeypatch.setattr(globalization, "validate_partial_action_E", recording)
+    assert cli(["--input", str(munn), "globalize"]) == 0
+    # the command checks its input; the construction checks only its
+    # envelope
+    assert sum(a is seen[0] for a in seen) == 1
+
+
+def test_internal_inconsistency_exits_3(files, monkeypatch, capsys):
+    def broken(inv_sg):
+        raise InternalInconsistencyError("MunnActionInvalid", ("NotIdeal", (0,)))
+
+    monkeypatch.setattr(cli_module, "munn_action", broken)
+    assert cli(["--input", files["chain2"], "munn"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("internal inconsistency (bug): MunnActionInvalid")
+    assert "Traceback" not in captured.err + captured.out
 
 
 def test_ptheorem_b2_rejected(files, capsys):

@@ -1,6 +1,10 @@
 """The universal globalization: construction, induced order, lemma
 verification, and the mediating-map property."""
 
+import dataclasses
+import random
+from collections import Counter
+
 import pytest
 
 from semigroupoids import corpus
@@ -14,14 +18,19 @@ from semigroupoids.actions import (
     restrict_global,
 )
 from semigroupoids.congruences import sigma
-from semigroupoids.errors import ValidationError
+from semigroupoids.errors import ValidationError, Violation
 from semigroupoids.globalization import (
     check_lemma_tec,
     class_order,
     globalize,
     universal_map,
 )
-from semigroupoids.posets import discrete_poset, is_order_ideal
+from semigroupoids.posets import (
+    FinitePoset,
+    chain_poset,
+    discrete_poset,
+    is_order_ideal,
+)
 from semigroupoids.ptheorem import induced_sigma_action, munn_action
 
 
@@ -197,3 +206,122 @@ def test_universal_map_to_disjoint_union_target():
     target = disjoint_union_actions(r.envelope, point_action(theta.actor))
     k = universal_map(r, target, r.embed)
     assert all(k.f[c] == c for c in range(r.n_classes))
+
+
+def _definition_leq_oracle(r, c1, c2):
+    order = r.action.order
+    for i in r.classes[c2]:
+        p, yp = r.pairs[i]
+        for xp in order.downset(yp):
+            j = r.pair_index.get((p, xp))
+            if j is not None and r.class_of[j] == c1:
+                return True
+    return False
+
+
+def all_pairs_lemma_oracle(r):
+    """Oracle: check_lemma_tec as first written, scanning all pairs of
+    pairs for clause (ii) and evaluating the defining order on classes
+    afresh for every (c1, c2) it reads."""
+    order = r.action.order
+    out = []
+    same_arrow = {}
+    for i, (s, x) in enumerate(r.pairs):
+        same_arrow.setdefault(s, []).append(i)
+    for s, idxs in same_arrow.items():
+        for i in idxs:
+            for j in idxs:
+                if i < j and r.class_of[i] == r.class_of[j]:
+                    out.append(Violation(
+                        "SameArrowRelatednessFailure", (s, r.pairs[i][1], r.pairs[j][1])
+                    ))
+    for i, (s, x) in enumerate(r.pairs):
+        for j, (t, y) in enumerate(r.pairs):
+            if r.class_of[i] != r.class_of[j]:
+                continue
+            for xp in order.downset(x):
+                ii = r.pair_index.get((s, xp))
+                if ii is None:
+                    out.append(Violation("DownwardTransportFailure", (s, x, t, y, xp)))
+                    continue
+                found = any(
+                    r.pair_index.get((t, yp)) is not None
+                    and r.class_of[r.pair_index[(t, yp)]] == r.class_of[ii]
+                    for yp in order.downset(y)
+                )
+                if not found:
+                    out.append(Violation("DownwardTransportFailure", (s, x, t, y, xp)))
+    n = r.n_classes
+    for c1 in range(n):
+        for c2 in range(n):
+            if not _definition_leq_oracle(r, c1, c2):
+                continue
+            for j in r.classes[c2]:
+                p, z = r.pairs[j]
+                ok = any(
+                    r.pair_index.get((p, zp)) is not None
+                    and r.class_of[r.pair_index[(p, zp)]] == c1
+                    for zp in order.downset(z)
+                )
+                if not ok:
+                    out.append(Violation("RepresentativeCriterionFailure", (c1, c2, p, z)))
+    for c1 in range(n):
+        for c2 in range(n):
+            if r.order.leq[c1][c2] != _definition_leq_oracle(r, c1, c2):
+                out.append(Violation("OrderComputationMismatch", (c1, c2)))
+    return out
+
+
+def corrupted_results(r, rng):
+    """Copies of a globalization with its bookkeeping broken: two classes
+    merged or one pair moved in ``class_of``, two entries of ``classes``
+    swapped, and the stored order reversed or with one entry flipped."""
+    n = r.n_classes
+    if n < 2:
+        return
+    c1, c2 = sorted(rng.sample(range(n), 2))
+    merged = tuple(c1 if c == c2 else c for c in r.class_of)
+    yield dataclasses.replace(r, class_of=merged)
+    moved = list(r.class_of)
+    i = rng.randrange(len(moved))
+    moved[i] = c2 if moved[i] != c2 else c1
+    yield dataclasses.replace(r, class_of=tuple(moved))
+    swapped = list(r.classes)
+    swapped[c1], swapped[c2] = swapped[c2], swapped[c1]
+    yield dataclasses.replace(r, classes=tuple(swapped))
+    names = r.order.names
+    yield dataclasses.replace(r, order=FinitePoset(tuple(zip(*r.order.leq)), names))
+    flipped = [list(row) for row in r.order.leq]
+    flipped[c1][c2] = not flipped[c1][c2]
+    yield dataclasses.replace(
+        r, order=FinitePoset(tuple(map(tuple, flipped)), names)
+    )
+    chain = chain_poset(r.action.carrier_size, r.action.carrier_names)
+    yield dataclasses.replace(r, action=dataclasses.replace(r.action, order=chain))
+
+
+def test_check_lemma_tec_matches_all_pairs_oracle(actions):
+    rng = random.Random(3)
+    inputs = [a for _, a in actions] + [a for _, a in corpus.groupoid_action_corpus()]
+    for k, size in ((3, 3), (4, 3)):
+        theta = munn_action(corpus.gen_SA(corpus.chain_semilattice(k), size))
+        inputs += [restrict_global(theta, corpus.random_ideal(theta.order, rng))
+                   for _ in range(2)]
+    codes = Counter()
+    nonempty = total = 0
+    for a in inputs:
+        r = globalize(a)
+        assert check_lemma_tec(r) == all_pairs_lemma_oracle(r) == []
+        for bad in corrupted_results(r, rng):
+            got = check_lemma_tec(bad)
+            assert got == all_pairs_lemma_oracle(bad)
+            codes.update(v.code for v in got)
+            nonempty += bool(got)
+            total += 1
+    assert nonempty > 0.85 * total, (nonempty, total)
+    assert set(codes) == {
+        "SameArrowRelatednessFailure",
+        "DownwardTransportFailure",
+        "RepresentativeCriterionFailure",
+        "OrderComputationMismatch",
+    }, codes
