@@ -10,7 +10,7 @@ independent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ValidationError, Violation
@@ -90,6 +90,33 @@ def make_action(
     )
 
 
+def _stores_verdict(validator):
+    """Run ``validator`` on every call and store its result on the action
+    under the validator's name, for ``_input_verdict`` to read."""
+
+    key = validator.__name__
+
+    @wraps(validator)
+    def run(a: PartialActionData) -> Violation | None:
+        v = validator(a)
+        a.__dict__[key] = v
+        return v
+
+    return run
+
+
+_NOT_STORED = object()
+
+
+def _input_verdict(a: PartialActionData, validator) -> Violation | None:
+    """For input checks only: the verdict ``validator`` stored on ``a``,
+    or a fresh run of ``validator`` when none is stored.  Self-checks call
+    the validator itself."""
+    stored = a.__dict__.get(validator.__name__, _NOT_STORED)
+    return validator(a) if stored is _NOT_STORED else stored
+
+
+@_stores_verdict
 def validate_partial_action_E(a: PartialActionData) -> Violation | None:
     """Bijection/containment/monotone-domain axioms, plus the order and
     exact-composition clauses when the carrier is ordered or the action
@@ -163,6 +190,7 @@ def validate_partial_action_E(a: PartialActionData) -> Violation | None:
     return None
 
 
+@_stores_verdict
 def validate_partial_action_P(a: PartialActionData) -> Violation | None:
     """Identity-on-idempotents/domain-containment/composition-domain
     axioms; the independent route to the same class of valid actions."""

@@ -64,9 +64,13 @@ def _emit_doc(doc: dict, args) -> None:
 
 
 def _load(args):
+    """The object in ``--input``, read and parsed once per invocation:
+    ``--verify-all`` gets the object the command loaded."""
     if args.input is None:
         raise ParseError("missing --input")
-    return io.load_structure(args.input)
+    if getattr(args, "loaded", None) is None:
+        args.loaded = io.load_structure(args.input)
+    return args.loaded
 
 
 def _as_inverse(obj) -> InverseSemigroupoid:
@@ -440,7 +444,7 @@ def cli(argv: list[str] | None = None) -> int:
     try:
         code = _COMMANDS[args.command](args)
         if code == 0 and args.verify_all and args.input is not None:
-            code = _run_verify_all(io.load_structure(args.input))
+            code = _run_verify_all(_load(args))
         return code
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

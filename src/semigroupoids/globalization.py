@@ -16,6 +16,7 @@ from typing import Sequence
 from .actions import (
     EquivariantMap,
     PartialActionData,
+    _input_verdict,
     check_equivariant,
     make_action,
     orbit,
@@ -57,7 +58,7 @@ class GlobalizationResult:
 
 def globalize(a: PartialActionData) -> GlobalizationResult:
     """Construct the universal globalization of a valid partial action."""
-    violation = validate_partial_action_E(a)
+    violation = _input_verdict(a, validate_partial_action_E)
     if violation is not None:
         raise ValidationError(violation.code, violation.witness)
     return _globalize_valid(a)
@@ -65,32 +66,45 @@ def globalize(a: PartialActionData) -> GlobalizationResult:
 
 def _globalize_valid(a: PartialActionData) -> GlobalizationResult:
     """The construction step of globalize, on an action already
-    validated; the construction-time self-checks all still run."""
+    validated; the construction-time self-checks all still run.
+
+    Pairs are indexed by arrow and arrows by codomain, so the transport
+    rule and the envelope domains pair each arrow s only with the pairs
+    whose arrow has codomain cod s: O(sum over objects u of n_u P_u) for
+    n_u arrows and P_u pairs with codomain u, at most O(n P).
+    """
     actor = a.actor
     sg = actor.base
-    inv = actor.inv
+    inv, mul, cod = actor.inv, sg.mul, sg.cod
+    domains, maps = a.domains, a.maps
 
+    # into[u]: the arrows with codomain u; pairs_of[p]: (index, point) of
+    # the pairs (p, x), both in increasing order
+    into: list[list[int]] = [[] for _ in range(sg.n_objects)]
     pairs: list[tuple[int, int]] = []
+    pairs_of: list[list[tuple[int, int]]] = []
     for s in actor.arrows():
-        e = sg.mul[inv[s]][s]
-        for x in sorted(a.domains[e]):
+        into[cod[s]].append(s)
+        row = []
+        for x in sorted(domains[mul[inv[s]][s]]):
+            row.append((len(pairs), x))
             pairs.append((s, x))
+        pairs_of.append(row)
     index = {p: i for i, p in enumerate(pairs)}
 
     uf = UnionFind(len(pairs))
     # transport rule: (s, x) ~ (t, theta_{t* s}(x)) whenever cod t = cod s
     # and x lies in the domain at s* t
     for i, (s, x) in enumerate(pairs):
-        for t in actor.arrows():
-            if sg.cod[t] != sg.cod[s]:
+        row = mul[inv[s]]
+        for t in into[cod[s]]:
+            if x not in domains[row[t]]:
                 continue
-            if x not in a.domains[sg.mul[inv[s]][t]]:
-                continue
-            y = a.maps[sg.mul[inv[t]][s]][x]
+            y = maps[mul[inv[t]][s]][x]
             uf.union(i, index[(t, y)])
     # idempotent rule: (e, x) ~ (f, x) for idempotent tags on one point
     for x in range(a.carrier_size):
-        tagged = [e for e in actor.idempotents if x in a.domains[e]]
+        tagged = [e for e in actor.idempotents if x in domains[e]]
         for e in tagged[1:]:
             uf.union(index[(tagged[0], x)], index[(e, x)])
 
@@ -108,31 +122,31 @@ def _globalize_valid(a: PartialActionData) -> GlobalizationResult:
         for ms in classes
     )
 
-    # carrier sets and maps of the enveloping action
-    domains_env: list[set[int]] = []
-    member_sets: list[list[set[int]]] = []
+    # carrier sets of the enveloping action: the domain at s holds the
+    # classes of the pairs (p, x) with cod p = cod s and x in the domain
+    # of the idempotent (s* p)* (s* p); member_sets[s][c] lists those
+    # pairs that lie in class c
+    member_sets: list[dict[int, list[int]]] = []
     for s in actor.arrows():
-        dom_pairs = set()
-        for i, (p, x) in enumerate(pairs):
-            if sg.cod[p] != sg.cod[s]:
-                continue
-            sp = sg.mul[inv[s]][p]
-            e = sg.mul[inv[sp]][sp]
-            if x in a.domains[e]:
-                dom_pairs.add(i)
-        domains_env.append({class_of[i] for i in dom_pairs})
-        member_sets.append([set() for _ in classes])
-        for i in dom_pairs:
-            member_sets[s][class_of[i]].add(i)
+        row = mul[inv[s]]
+        by_class: dict[int, list[int]] = {}
+        for p in into[cod[s]]:
+            sp = row[p]
+            dom_e = domains[mul[inv[sp]][sp]]
+            for i, x in pairs_of[p]:
+                if x in dom_e:
+                    by_class.setdefault(class_of[i], []).append(i)
+        member_sets.append(by_class)
 
     maps_env: list[dict[int, int]] = []
     for s in actor.arrows():
         theta: dict[int, int] = {}
-        for c in sorted(domains_env[inv[s]]):
+        row = mul[s]
+        for c, ms in sorted(member_sets[inv[s]].items()):
             values = set()
-            for i in member_sets[inv[s]][c]:
+            for i in ms:
                 p, x = pairs[i]
-                values.add(class_of[index[(sg.mul[s][p], x)]])
+                values.add(class_of[index[(row[p], x)]])
             if len(values) != 1:
                 raise InternalInconsistencyError("EnvelopeMapNotWellDefined", (s, c))
             theta[c] = values.pop()
@@ -145,7 +159,7 @@ def _globalize_valid(a: PartialActionData) -> GlobalizationResult:
     envelope = make_action(
         actor,
         class_names,
-        [frozenset(d) for d in domains_env],
+        [frozenset(by_class) for by_class in member_sets],
         maps_env,
         order=order,
         global_flag=True,
@@ -153,7 +167,7 @@ def _globalize_valid(a: PartialActionData) -> GlobalizationResult:
 
     embed = []
     for x in range(a.carrier_size):
-        e = min(e for e in actor.idempotents if x in a.domains[e])
+        e = min(e for e in actor.idempotents if x in domains[e])
         embed.append(class_of[index[(e, x)]])
 
     result = GlobalizationResult(
@@ -315,7 +329,7 @@ def universal_map(
     if target.order is None or not target.global_flag:
         raise ValidationError("NotGlobalOrdered", ())
     for validator in (validate_partial_action_E, validate_partial_action_P):
-        violation = validator(target)
+        violation = _input_verdict(target, validator)
         if violation is not None:
             raise ValidationError(violation.code, violation.witness)
     jmap = tuple(j)

@@ -66,15 +66,23 @@ def _idempotents(sg: FiniteSemigroupoid) -> tuple[int, ...]:
 
 
 def _order_matrix(sg: FiniteSemigroupoid, inv: Sequence[int], idems: Sequence[int]):
-    """All four characterizations of the natural order; they must agree."""
+    """All four characterizations of the natural order; they must agree.
+
+    The sets {t e} and {f t} over the idempotents e at dom t and f at
+    cod t are built once per arrow t, so the two existential votes are
+    set lookups and the whole matrix costs O(n |E| + n^2).
+    """
     n = sg.n_arrows
     by_object = {}
     for e in idems:
         by_object.setdefault(sg.dom[e], []).append(e)
+    mul = sg.mul
+    right = [{mul[t][e] for e in by_object.get(sg.dom[t], ())} for t in range(n)]
+    left = [{mul[f][t] for f in by_object.get(sg.cod[t], ())} for t in range(n)]
 
     def le_right_idem(s: int, t: int) -> bool:
         # s = t e for some idempotent e at dom(t)
-        return any(sg.mul[t][e] == s for e in by_object.get(sg.dom[t], ()))
+        return s in right[t]
 
     def le_canonical(s: int, t: int) -> bool:
         # s = t (s* s)
@@ -83,7 +91,7 @@ def _order_matrix(sg: FiniteSemigroupoid, inv: Sequence[int], idems: Sequence[in
 
     def le_left_idem(s: int, t: int) -> bool:
         # s = f t for some idempotent f at cod(t)
-        return any(sg.mul[f][t] == s for f in by_object.get(sg.cod[t], ()))
+        return s in left[t]
 
     def le_left_canonical(s: int, t: int) -> bool:
         # s = (s s*) t

@@ -301,6 +301,11 @@ def load_structure(path: str):
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
+    except ValueError as exc:
+        # an integer beyond Python's limit on integer string conversion
+        raise ParseError(f"number too long in {path}: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"JSON nested too deeply in {path}") from exc
     return parse_document(doc)
 
 

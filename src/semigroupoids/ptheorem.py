@@ -9,6 +9,7 @@ from functools import cached_property
 
 from .actions import (
     PartialActionData,
+    _input_verdict,
     make_action,
     orbit,
     restrict_global,
@@ -86,7 +87,7 @@ def induced_sigma_action(
     if theta.actor != inv_sg:
         raise ValidationError("MalformedAction", (), "action actor differs")
     for validator in (validate_partial_action_E, validate_partial_action_P):
-        v = validator(theta)
+        v = _input_verdict(theta, validator)
         if v is not None:
             raise ValidationError(v.code, v.witness)
     if theta.order is None or not theta.global_flag:
@@ -177,7 +178,7 @@ def semidirect_product(
     """
     actor = action.actor
     _check_action_matches_lattice(action, latt)
-    v = validate_partial_action_E(action)
+    v = _input_verdict(action, validate_partial_action_E)
     if v is not None:
         raise ValidationError(v.code, v.witness)
     for s in actor.arrows():
@@ -298,7 +299,7 @@ def validate_mcalister_triple(t: McAlisterTriple) -> McAlisterTriple:
     if t.action.order is None or t.action.order.leq != t.space.leq:
         raise ValidationError("MalformedAction", (), "order differs from space")
     for validator in (validate_partial_action_E, validate_partial_action_P):
-        v = validator(t.action)
+        v = _input_verdict(t.action, validator)
         if v is not None:
             raise ValidationError(v.code, v.witness)
     if not t.action.global_flag:

@@ -281,6 +281,49 @@ def test_malformed_document_exits_2(files, tmp_path, capsys, case):
     assert "parse error:" in capsys.readouterr().err
 
 
+def _long_integer_document(files):
+    text = json.dumps(json.load(open(files["chain2"])))
+    return text.replace('"mul": [[', '"mul": [[' + "9" * 5000 + ", ", 1)
+
+
+# inputs that Python's own JSON reader rejects with RecursionError or
+# with the ValueError of its limit on integer string conversion
+OVERSIZED = {
+    "deep-nesting": (lambda files: "[" * 200_000, "nested too deeply"),
+    "long-integer": (_long_integer_document, "number too long"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERSIZED))
+def test_oversized_json_exits_2_without_traceback(files, tmp_path, case):
+    document, message = OVERSIZED[case]
+    bad = tmp_path / "bad.json"
+    bad.write_text(document(files))
+    src = os.path.dirname(os.path.dirname(semigroupoids.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "semigroupoids", "--input", str(bad), "validate"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("parse error:")
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_verify_all_reads_its_input_once(files, monkeypatch, capsys):
+    paths = []
+    real_load = io.load_structure
+
+    def counting_load(path):
+        paths.append(path)
+        return real_load(path)
+
+    monkeypatch.setattr(io, "load_structure", counting_load)
+    assert cli(["--input", files["chain2"], "analyze", "--verify-all"]) == 0
+    assert paths == [files["chain2"]]
+    assert "[PASS] sigma-three-way" in capsys.readouterr().out
+
+
 def test_scripts_run_from_a_source_checkout(tmp_path):
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}

@@ -2,12 +2,13 @@
 verification, and the mediating-map property."""
 
 import dataclasses
+import functools
 import random
 from collections import Counter
 
 import pytest
 
-from semigroupoids import corpus
+from semigroupoids import actions as actions_module, corpus, globalization, ptheorem
 from semigroupoids.actions import (
     EquivariantMap,
     check_equivariant,
@@ -16,10 +17,15 @@ from semigroupoids.actions import (
     orbit,
     point_action,
     restrict_global,
+    validate_partial_action_E,
+    validate_partial_action_P,
 )
 from semigroupoids.congruences import sigma
+from semigroupoids.core import UnionFind
 from semigroupoids.errors import ValidationError, Violation
 from semigroupoids.globalization import (
+    GlobalizationResult,
+    _class_order,
     check_lemma_tec,
     class_order,
     globalize,
@@ -325,3 +331,216 @@ def test_check_lemma_tec_matches_all_pairs_oracle(actions):
         "RepresentativeCriterionFailure",
         "OrderComputationMismatch",
     }, codes
+
+
+def scan_globalize_oracle(a):
+    """The construction of ``globalize`` as it was before pairs were
+    indexed: the transport rule tries every arrow for every pair and the
+    envelope domains scan every pair for every arrow.  No self-checks."""
+    actor = a.actor
+    sg = actor.base
+    inv = actor.inv
+    pairs = []
+    for s in actor.arrows():
+        e = sg.mul[inv[s]][s]
+        for x in sorted(a.domains[e]):
+            pairs.append((s, x))
+    index = {p: i for i, p in enumerate(pairs)}
+    uf = UnionFind(len(pairs))
+    for i, (s, x) in enumerate(pairs):
+        for t in actor.arrows():
+            if sg.cod[t] != sg.cod[s]:
+                continue
+            if x not in a.domains[sg.mul[inv[s]][t]]:
+                continue
+            y = a.maps[sg.mul[inv[t]][s]][x]
+            uf.union(i, index[(t, y)])
+    for x in range(a.carrier_size):
+        tagged = [e for e in actor.idempotents if x in a.domains[e]]
+        for e in tagged[1:]:
+            uf.union(index[(tagged[0], x)], index[(e, x)])
+    rep = uf.reps()
+    cls_of_root = {r: c for c, r in enumerate(sorted(set(rep)))}
+    class_of = tuple(cls_of_root[r] for r in rep)
+    members = [[] for _ in cls_of_root]
+    for i in range(len(pairs)):
+        members[class_of[i]].append(i)
+    classes = tuple(tuple(ms) for ms in members)
+    class_names = tuple(
+        "[%s,%s]"
+        % (sg.arrow_names[pairs[ms[0]][0]], a.carrier_names[pairs[ms[0]][1]])
+        for ms in classes
+    )
+    domains_env = []
+    member_sets = []
+    for s in actor.arrows():
+        dom_pairs = set()
+        for i, (p, x) in enumerate(pairs):
+            if sg.cod[p] != sg.cod[s]:
+                continue
+            sp = sg.mul[inv[s]][p]
+            e = sg.mul[inv[sp]][sp]
+            if x in a.domains[e]:
+                dom_pairs.add(i)
+        domains_env.append({class_of[i] for i in dom_pairs})
+        member_sets.append([set() for _ in classes])
+        for i in dom_pairs:
+            member_sets[s][class_of[i]].add(i)
+    maps_env = []
+    for s in actor.arrows():
+        theta = {}
+        for c in sorted(domains_env[inv[s]]):
+            values = {
+                class_of[index[(sg.mul[s][pairs[i][0]], pairs[i][1])]]
+                for i in member_sets[inv[s]][c]
+            }
+            assert len(values) == 1
+            theta[c] = values.pop()
+        maps_env.append(theta)
+    order = None
+    if a.order is not None:
+        order = _class_order(a, pairs, index, class_of, classes, class_names)
+    envelope = make_action(
+        actor,
+        class_names,
+        [frozenset(d) for d in domains_env],
+        maps_env,
+        order=order,
+        global_flag=True,
+    )
+    embed = tuple(
+        class_of[index[(min(e for e in actor.idempotents if x in a.domains[e]), x)]]
+        for x in range(a.carrier_size)
+    )
+    return GlobalizationResult(
+        action=a,
+        pairs=tuple(pairs),
+        class_of=class_of,
+        classes=classes,
+        envelope=envelope,
+        embed=embed,
+        order=order,
+    )
+
+
+def test_globalize_matches_scan_oracle(actions):
+    rng = random.Random(7)
+    inputs = [a for _, a in actions]
+    inputs += [
+        a for a in corpus.action_candidates(seed=9)
+        if validate_partial_action_E(a) is None
+    ]
+    inputs += [munn_action(s) for s in corpus.enumerate_inverse_semigroupoids(4)]
+    for s, size in ((corpus.chain2(), 3), (corpus.brandt_b2(), 2), (corpus.c2_with_zero(), 3)):
+        theta = munn_action(corpus.gen_SA(s, size))
+        inputs += [restrict_global(theta, corpus.random_ideal(theta.order, rng))
+                   for _ in range(4)]
+    multi_object = 0
+    for a in inputs:
+        r = globalize(a)
+        expected = scan_globalize_oracle(a)
+        # every field: pairs, classes, class names, envelope domains,
+        # maps and order, the embedding
+        assert r == expected
+        assert r.envelope.carrier_names == expected.envelope.carrier_names
+        assert r.envelope.maps == expected.envelope.maps
+        multi_object += a.actor.n_objects > 1
+    assert multi_object > 20, multi_object
+
+
+def _counting_validators(monkeypatch, module):
+    """Count the calls ``module`` makes to the two validators, by the
+    action they are called on; the wrappers keep the validators' names."""
+    calls = Counter()
+    for name in ("validate_partial_action_E", "validate_partial_action_P"):
+        real = getattr(module, name)
+
+        def wrapper(a, real=real, name=name):
+            calls[name, id(a)] += 1
+            return real(a)
+
+        monkeypatch.setattr(module, name, functools.wraps(real)(wrapper))
+    return calls
+
+
+def test_universal_map_checks_only_targets_without_verdicts(actions, monkeypatch):
+    calls = _counting_validators(monkeypatch, globalization)
+    both = {"validate_partial_action_E", "validate_partial_action_P"}
+    checked = 0
+    for _, a in actions:
+        r = globalize(a)
+        point = point_action(a.actor)
+        union = disjoint_union_actions(r.envelope, point)
+        calls.clear()
+        universal_map(r, r.envelope, r.embed)
+        # globalize's self-check has just validated the envelope
+        assert not calls
+        universal_map(r, point, (0,) * a.carrier_size)
+        assert calls == {(name, id(point)): 1 for name in both}
+        calls.clear()
+        universal_map(r, union, r.embed)
+        assert calls == {(name, id(union)): 1 for name in both}
+        checked += 1
+    assert checked == len(actions)
+
+
+def _presetting(make):
+    """``make_action`` whose result already claims to pass both
+    validators, so a self-check that read stored verdicts would skip."""
+
+    def wrapper(*args, **kwargs):
+        a = make(*args, **kwargs)
+        a.__dict__["validate_partial_action_E"] = None
+        a.__dict__["validate_partial_action_P"] = None
+        return a
+
+    return wrapper
+
+
+def test_self_checks_and_public_validators_always_compute(monkeypatch):
+    runs = Counter()
+    real_clauses = actions_module._ordered_clauses
+
+    def counting(a):
+        runs[id(a)] += 1
+        return real_clauses(a)
+
+    monkeypatch.setattr(actions_module, "_ordered_clauses", counting)
+    for module in (actions_module, globalization, ptheorem):
+        monkeypatch.setattr(module, "make_action", _presetting(module.make_action))
+    c2 = corpus.chain2()
+
+    # each run of a public validator computes, also on a checked action
+    theta = munn_action(c2)
+    assert runs[id(theta)] == 2
+    for _ in range(2):
+        assert validate_partial_action_E(theta) is None
+        assert validate_partial_action_P(theta) is None
+    assert runs[id(theta)] == 6
+
+    # each globalization, Munn action, restriction and glued action
+    # validates what it built, twice when built twice
+    results = [globalize(theta) for _ in range(2)]
+    assert [runs[id(r.envelope)] for r in results] == [2, 2]
+    munns = [munn_action(c2) for _ in range(2)]
+    assert [runs[id(m)] for m in munns] == [2, 2]
+    restricted = [restrict_global(theta, {1}) for _ in range(2)]
+    assert [runs[id(b)] for b in restricted] == [1, 1]
+    glued = [induced_sigma_action(c2, theta) for _ in range(2)]
+    assert [runs[id(g)] for g in glued] == [2, 2]
+    # the input checks read the verdicts the validators stored on theta
+    assert runs[id(theta)] == 6
+
+
+def test_replaced_action_carries_no_verdict():
+    a = munn_action(corpus.brandt_b2())
+    globalize(a)
+    reversed_order = dataclasses.replace(
+        a, order=FinitePoset(tuple(zip(*a.order.leq)), a.order.names)
+    )
+    shuffled_maps = dataclasses.replace(a, map_pairs=a.map_pairs[::-1])
+    for bad, expected in ((reversed_order, ("NotIdeal", (0,))),
+                          (shuffled_maps, ("NotBijective", (0,)))):
+        with pytest.raises(ValidationError) as err:
+            globalize(bad)
+        assert (err.value.code, err.value.witness) == expected

@@ -5,8 +5,9 @@ import pytest
 
 from semigroupoids import corpus
 from semigroupoids.core import validate_morphism, validate_semigroupoid
-from semigroupoids.errors import ValidationError
+from semigroupoids.errors import InternalInconsistencyError, ValidationError
 from semigroupoids.inverse import (
+    _order_matrix,
     check_partial_morphism,
     is_groupoid,
     is_strong_morphism,
@@ -184,3 +185,58 @@ def test_idempotents_commute(structures, small_structures):
                 if sg.composable(e, f):
                     assert sg.composable(f, e)
                     assert sg.mul[e][f] == sg.mul[f][e]
+
+
+def any_loop_order_votes(sg, inv, idems):
+    """The natural order by its four characterizations, each existential
+    one by a loop over the idempotents of one object for every parallel
+    pair: O(n^2 |E|).  Returns the matrix, or the first pair (s, t) on
+    which the votes disagree."""
+    by_object = {}
+    for e in idems:
+        by_object.setdefault(sg.dom[e], []).append(e)
+    n = sg.n_arrows
+    matrix = [[False] * n for _ in range(n)]
+    for s in range(n):
+        for t in range(n):
+            if not sg.parallel(s, t):
+                continue
+            votes = {
+                any(sg.mul[t][e] == s for e in by_object.get(sg.dom[t], ())),
+                sg.mul[t][sg.mul[inv[s]][s]] == s,
+                any(sg.mul[f][t] == s for f in by_object.get(sg.cod[t], ())),
+                sg.mul[sg.mul[s][inv[s]]][t] == s,
+            }
+            if len(votes) != 1:
+                return (s, t)
+            matrix[s][t] = votes.pop()
+    return matrix
+
+
+def test_order_matrix_matches_any_loop_oracle(structures):
+    inputs = list(corpus.enumerate_inverse_semigroupoids(4))
+    inputs += [s for _, s in structures]
+    inputs.append(corpus.gen_Jpi([0, 0, 0, 0]))
+    for s in inputs:
+        expected = any_loop_order_votes(s.base, s.inv, s.idempotents)
+        assert _order_matrix(s.base, s.inv, s.idempotents) == expected
+        assert [list(row) for row in s.order.leq] == expected
+
+
+# brandt_b2 with a wrong inverse map and a wrong idempotent list, one case
+# per vote: without that vote the first disagreeing pair would move
+SPLIT_VOTES = [
+    ((0, 0, 0, 0, 0), (4,), (0, 1)),
+    ((0, 0, 0, 0, 1), (0,), (4, 2)),
+    ((0, 0, 0, 0, 0), (3,), (0, 1)),
+    ((0, 0, 0, 0, 2), (0,), (4, 1)),
+]
+
+
+@pytest.mark.parametrize("inv, idems, witness", SPLIT_VOTES)
+def test_order_matrix_reports_disagreeing_votes(inv, idems, witness):
+    sg = corpus.brandt_b2().base
+    assert any_loop_order_votes(sg, inv, idems) == witness
+    with pytest.raises(InternalInconsistencyError) as err:
+        _order_matrix(sg, inv, idems)
+    assert (err.value.code, err.value.witness) == ("OrderCharacterizationMismatch", witness)
