@@ -62,7 +62,6 @@ from .actions import (
 from .globalization import (
     GlobalizationResult,
     check_lemma_tec,
-    class_order,
     globalize,
     universal_map,
 )

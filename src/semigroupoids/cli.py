@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+from functools import cache
 
 from . import corpus, dot, io
 from .actions import (
@@ -27,7 +28,6 @@ from .congruences import (
     is_e_unitary,
     is_idempotent_pure,
     quotient,
-    sigma,
     sigma_by_equations,
 )
 from .core import FiniteSemigroupoid
@@ -37,7 +37,7 @@ from .errors import (
     SemigroupoidError,
     ValidationError,
 )
-from .globalization import _globalize_valid, check_lemma_tec, globalize
+from .globalization import check_lemma_tec, globalize
 from .inverse import InverseSemigroupoid, is_groupoid, promote_to_inverse
 from .posets import FinitePoset, semilatticeoid_from_poset
 from .ptheorem import (
@@ -45,7 +45,6 @@ from .ptheorem import (
     _bundle_from_certificate,
     mcalister_from_action,
     munn_action,
-    ptheorem_bundle,
     semidirect_product,
     triple_restriction,
 )
@@ -95,6 +94,13 @@ def _as_action(obj, seed: int | None) -> PartialActionData:
         rng = random.Random(seed)
         return restrict_global(theta, corpus.random_ideal(theta.order, rng))
     raise ParseError(f"expected an action file, got {type(obj).__name__}")
+
+
+def _carrier_order(action: PartialActionData) -> FinitePoset:
+    """The carrier order of an action, for the commands that need one."""
+    if action.order is None:
+        raise ParseError("action has no carrier order")
+    return action.order
 
 
 def _certificate_doc(inv_sg: InverseSemigroupoid, cert: EUnitarityCertificate) -> dict:
@@ -158,14 +164,13 @@ def cmd_analyze(args) -> int:
 
 def cmd_globalize(args) -> int:
     action = _as_action(_load(args), args.seed)
-    v = validate_partial_action_E(action)
-    if v is not None:
-        print(f"INVALID action: {v}")
+    try:
+        result = globalize(action)
+    except ValidationError as exc:
+        print(f"INVALID action: {exc}")
         return 1
-    result = _globalize_valid(action)
     if args.format == "dot":
-        if result.order is None:
-            raise ParseError("action has no carrier order to draw")
+        _carrier_order(action)
         _write_output(dot.globalization_to_dot(result), args.output)
         return 0
     env = result.envelope
@@ -211,7 +216,7 @@ def cmd_munn(args) -> int:
 
 def cmd_semidirect(args) -> int:
     action = _as_action(_load(args), args.seed)
-    latt = semilatticeoid_from_poset(action.order)
+    latt = semilatticeoid_from_poset(_carrier_order(action))
     product = semidirect_product(action, latt)
     _emit_doc(io.semigroupoid_to_doc(product.product.base), args)
     return 0
@@ -219,7 +224,7 @@ def cmd_semidirect(args) -> int:
 
 def cmd_triple(args) -> int:
     action = _as_action(_load(args), args.seed)
-    latt = semilatticeoid_from_poset(action.order)
+    latt = semilatticeoid_from_poset(_carrier_order(action))
     triple = mcalister_from_action(action, latt)
     _emit_doc(io.triple_to_doc(triple), args)
     return 0
@@ -268,9 +273,7 @@ def cmd_export_dot(args) -> int:
     elif isinstance(obj, FinitePoset):
         text = dot.poset_to_dot(obj)
     elif isinstance(obj, PartialActionData):
-        if obj.order is None:
-            raise ParseError("action has no carrier order to draw")
-        text = dot.poset_to_dot(obj.order)
+        text = dot.poset_to_dot(_carrier_order(obj))
     elif isinstance(obj, McAlisterTriple):
         text = dot.poset_to_dot(obj.space, highlight=set(obj.ideal))
     else:  # pragma: no cover
@@ -296,6 +299,12 @@ def cross_checks(obj) -> list[tuple[str, bool, str]]:
     if isinstance(obj, FiniteSemigroupoid):
         inv_sg = promote_to_inverse(obj)
         sg = inv_sg.base
+        # each derived object is computed once, on first use, and every
+        # row compares two different computations; a derivation that
+        # raises is not cached, so each row that needs it fails alone
+        certificate = cache(lambda: is_e_unitary(inv_sg))
+        by_equations = cache(lambda: sigma_by_equations(inv_sg))
+        theta = cache(lambda: munn_action(inv_sg))
 
         def commuting_idempotents():
             for e in inv_sg.idempotents:
@@ -306,32 +315,32 @@ def cross_checks(obj) -> list[tuple[str, bool, str]]:
                         )
 
         note("idempotents-commute", commuting_idempotents)
-        note("sigma-three-way", lambda: _check_sigma_agree(inv_sg))
+        note(
+            "sigma-three-way",
+            lambda: _assert(certificate().sigma.rep == by_equations().rep),
+        )
         note(
             "sigma-quotient-groupoid",
-            lambda: _assert(
-                is_groupoid(quotient(inv_sg, sigma_by_equations(inv_sg))[0])
-            ),
+            lambda: _assert(is_groupoid(quotient(inv_sg, by_equations())[0])),
         )
-        note(
-            "e-unitary-five-way",
-            lambda: is_e_unitary(inv_sg),
-        )
+        note("e-unitary-five-way", certificate)
         note(
             "e-unitary-matches-idempotent-pure",
             lambda: _assert(
-                is_e_unitary(inv_sg).verdict
-                == is_idempotent_pure(sigma(inv_sg))
+                certificate().verdict == is_idempotent_pure(certificate().sigma)
             ),
         )
-        note("munn-validators", lambda: munn_action(inv_sg))
+        note("munn-validators", theta)
         note(
             "munn-globalization-lemma",
-            lambda: _assert(not check_lemma_tec(globalize(munn_action(inv_sg)))),
+            lambda: _assert(not check_lemma_tec(globalize(theta()))),
         )
-        if is_e_unitary(inv_sg).verdict:
+        if certificate().verdict:
             note("parallel-congruent-transfer", lambda: _assert(check_lemma_sts(inv_sg)))
-            note("ptheorem-isomorphism", lambda: ptheorem_bundle(inv_sg))
+            note(
+                "ptheorem-isomorphism",
+                lambda: _bundle_from_certificate(inv_sg, certificate()),
+            )
     elif isinstance(obj, PartialActionData):
         ve = validate_partial_action_E(obj)
         vp = validate_partial_action_P(obj)
@@ -353,10 +362,6 @@ def _assert(cond: bool) -> None:
     """Fail a cross-check; an explicit raise, so ``python -O`` keeps it."""
     if not cond:
         raise InternalInconsistencyError("CrossCheckFailed")
-
-
-def _check_sigma_agree(inv_sg: InverseSemigroupoid) -> None:
-    _assert(sigma(inv_sg).rep == sigma_by_equations(inv_sg).rep)
 
 
 def _check_contract(action: PartialActionData) -> None:

@@ -401,11 +401,12 @@ def is_e_unitary(inv_sg: InverseSemigroupoid) -> EUnitarityCertificate:
 def check_lemma_sts(inv_sg: InverseSemigroupoid) -> bool:
     """For E-unitary input: every sigma-congruent parallel pair (s, t)
     satisfies s t* t = t s* s."""
-    if not is_e_unitary(inv_sg).verdict:
+    cert = is_e_unitary(inv_sg)
+    if not cert.verdict:
         raise ValidationError("NotEUnitary", ())
     sg = inv_sg.base
     inv = inv_sg.inv
-    sig = sigma(inv_sg)
+    sig = cert.sigma
     for s in inv_sg.arrows():
         for t in inv_sg.arrows():
             if not sig.related(s, t):

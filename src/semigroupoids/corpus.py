@@ -429,13 +429,12 @@ def _enumerate_cached(max_arrows: int, max_objects: int) -> tuple[InverseSemigro
 def enumerate_inverse_semigroupoids(
     max_arrows: int,
     max_objects: int | None = None,
-    hard_cap: int = HARD_CAP,
 ) -> Iterator[InverseSemigroupoid]:
     """Every inverse semigroupoid on at most max_arrows arrows, up to the
     fixed arrow indexing, with objects canonically labeled; deterministic
     order, duplicate-free."""
-    if max_arrows > hard_cap:
-        raise ValidationError("CapExceeded", (max_arrows, hard_cap))
+    if max_arrows > HARD_CAP:
+        raise ValidationError("CapExceeded", (max_arrows, HARD_CAP))
     if max_objects is None:
         max_objects = max_arrows
     yield from _enumerate_cached(max_arrows, max_objects)

@@ -57,22 +57,18 @@ class GlobalizationResult:
 
 
 def globalize(a: PartialActionData) -> GlobalizationResult:
-    """Construct the universal globalization of a valid partial action."""
+    """Construct the universal globalization of a valid partial action.
+
+    The input check reuses a verdict already stored on the action; the
+    construction-time self-checks all run.  Pairs are indexed by arrow
+    and arrows by codomain, so the transport rule and the envelope
+    domains pair each arrow s only with the pairs whose arrow has
+    codomain cod s: O(sum over objects u of n_u P_u) for n_u arrows and
+    P_u pairs with codomain u, at most O(n P).
+    """
     violation = _input_verdict(a, validate_partial_action_E)
     if violation is not None:
         raise ValidationError(violation.code, violation.witness)
-    return _globalize_valid(a)
-
-
-def _globalize_valid(a: PartialActionData) -> GlobalizationResult:
-    """The construction step of globalize, on an action already
-    validated; the construction-time self-checks all still run.
-
-    Pairs are indexed by arrow and arrows by codomain, so the transport
-    rule and the envelope domains pair each arrow s only with the pairs
-    whose arrow has codomain cod s: O(sum over objects u of n_u P_u) for
-    n_u arrows and P_u pairs with codomain u, at most O(n P).
-    """
     actor = a.actor
     sg = actor.base
     inv, mul, cod = actor.inv, sg.mul, sg.cod
@@ -216,16 +212,6 @@ def _class_order(a, pairs, index, class_of, classes, class_names) -> FinitePoset
         raise InternalInconsistencyError(
             "InternalInconsistency", exc.witness, f"class order: {exc.code}"
         ) from exc
-
-
-def class_order(r: GlobalizationResult) -> FinitePoset:
-    """Recompute the induced order on classes (ordered input only)."""
-    if r.action.order is None:
-        raise ValidationError("NotOrdered", ())
-    names = tuple(r.envelope.carrier_names)
-    return _class_order(
-        r.action, r.pairs, r.pair_index, r.class_of, r.classes, names
-    )
 
 
 def check_lemma_tec(r: GlobalizationResult) -> list[Violation]:

@@ -251,13 +251,6 @@ def triple_from_doc(doc: dict) -> McAlisterTriple:
 
 # -------------------------------------------------------------- dispatching
 
-_TO_DOC = {
-    "semigroupoid": semigroupoid_to_doc,
-    "poset": poset_to_doc,
-    "action": action_to_doc,
-    "triple": triple_to_doc,
-}
-
 _FROM_DOC = {
     "semigroupoid": semigroupoid_from_doc,
     "poset": poset_from_doc,

@@ -402,3 +402,99 @@ def test_semigroupoid_arrow_graph_dot(files, tmp_path):
     text = dot.semigroupoid_to_dot(validate_semigroupoid([0], [0], [(0, 0, 0)]))
     assert text.startswith("digraph semigroupoid")
     assert "a0" in text
+
+
+def _count_calls(monkeypatch, names):
+    """Count calls to the named congruence functions, through every
+    reference any package module holds to them."""
+    counts = {name: 0 for name in names}
+    for name in names:
+        real = getattr(congruences, name)
+
+        def counting(*args, _real=real, _name=name):
+            counts[_name] += 1
+            return _real(*args)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("semigroupoids") and (
+                getattr(module, name, None) is real
+            ):
+                monkeypatch.setattr(module, name, counting)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "name, expected",
+    [
+        # the command's certificate, the battery's certificate and the
+        # certificate check_lemma_sts computes for itself
+        ("chain2", {"sigma": 3, "is_e_unitary": 3, "sigma_by_equations": 1}),
+        # not E-unitary: the command's and the battery's certificates
+        ("b2", {"sigma": 2, "is_e_unitary": 2, "sigma_by_equations": 1}),
+    ],
+)
+def test_verify_all_derives_each_object_once(files, monkeypatch, capsys, name, expected):
+    counts = _count_calls(monkeypatch, sorted(expected))
+    cli(["--input", files[name], "analyze", "--verify-all"])
+    assert counts == expected
+    assert "[FAIL]" not in capsys.readouterr().out
+
+
+VERIFY_ALL_ROWS = [
+    "idempotents-commute",
+    "sigma-three-way",
+    "sigma-quotient-groupoid",
+    "e-unitary-five-way",
+    "e-unitary-matches-idempotent-pure",
+    "munn-validators",
+    "munn-globalization-lemma",
+]
+
+
+@pytest.mark.parametrize(
+    "name, rows",
+    [
+        ("chain2", VERIFY_ALL_ROWS + ["parallel-congruent-transfer", "ptheorem-isomorphism"]),
+        ("b2", VERIFY_ALL_ROWS),
+    ],
+)
+def test_verify_all_rows_and_their_order(files, capsys, name, rows):
+    assert cli(["--input", files[name], "analyze", "--verify-all"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-len(rows):] == [f"[PASS] {row}" for row in rows]
+    obj = io.load_structure(files[name])
+    assert [row for row, _ok, _msg in cli_module.cross_checks(obj)] == rows
+
+
+def test_globalize_invalid_action_prints_its_violation(files, tmp_path, capsys):
+    munn = tmp_path / "munn.json"
+    cli(["--input", files["chain2"], "munn", "--output", str(munn)])
+    doc = json.load(open(munn))
+    doc["domains"]["e"] = []
+    doc["maps"]["e"] = []
+    bad = tmp_path / "bad_action.json"
+    json.dump(doc, open(bad, "w"))
+    capsys.readouterr()
+    assert cli(["--input", str(bad), "globalize"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "INVALID action: NotCovering\n"
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["export-dot"], ["globalize", "--format", "dot"], ["semidirect"], ["triple"]],
+)
+def test_command_needing_an_order_rejects_an_unordered_action(
+    files, tmp_path, capsys, argv
+):
+    munn = tmp_path / "munn.json"
+    cli(["--input", files["chain2"], "munn", "--output", str(munn)])
+    doc = json.load(open(munn))
+    del doc["order"]
+    unordered = tmp_path / "unordered.json"
+    json.dump(doc, open(unordered, "w"))
+    assert cli(["--input", str(unordered), "validate"]) == 0
+    capsys.readouterr()
+    assert cli(["--input", str(unordered), *argv]) == 2
+    assert capsys.readouterr().err == "parse error: action has no carrier order\n"

@@ -27,7 +27,6 @@ from semigroupoids.globalization import (
     GlobalizationResult,
     _class_order,
     check_lemma_tec,
-    class_order,
     globalize,
     universal_map,
 )
@@ -106,12 +105,6 @@ def test_envelope_maps_are_order_isomorphisms(actions):
             for c in theta:
                 for d in theta:
                     assert r.order.leq[c][d] == r.order.leq[theta[c]][theta[d]], name
-
-
-def test_class_order_recompute_matches(actions):
-    for _name, a in actions[:10]:
-        r = globalize(a)
-        assert class_order(r).leq == r.order.leq
 
 
 def test_lemma_report_empty_on_corpus(actions):
