@@ -461,9 +461,9 @@ VERIFY_ALL_ROWS = [
 def test_verify_all_rows_and_their_order(files, capsys, name, rows):
     assert cli(["--input", files[name], "analyze", "--verify-all"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[-len(rows):] == [f"[PASS] {row}" for row in rows]
-    obj = io.load_structure(files[name])
-    assert [row for row, _ok, _msg in cli_module.cross_checks(obj)] == rows
+    assert [line for line in lines if line.startswith("[")] == [
+        f"[PASS] {row}" for row in rows
+    ]
 
 
 def test_globalize_invalid_action_prints_its_violation(files, tmp_path, capsys):

@@ -91,6 +91,8 @@ def path(tmp_path_factory):
 
 @settings(max_examples=60)
 @given(site=SITES, value=VALUES)
+# semidirect and triple once crashed on this deletion, which random
+# examples rarely reach: it is one of several hundred sites
 @example(site=("action", ("order",)), value=DELETE)
 def test_every_command_survives_a_mutated_document(path, site, value):
     doc = _mutated(*site, value)
