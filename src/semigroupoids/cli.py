@@ -237,7 +237,7 @@ def cmd_ptheorem(args) -> int:
         print("INVALID: structure is not E-unitary")
         print(io.canonical_dumps(_certificate_doc(inv_sg, cert)), end="")
         return 1
-    bundle = _bundle_from_certificate(inv_sg, cert)
+    bundle = _bundle_from_certificate(cert, munn_action(inv_sg))
     sg = inv_sg.base
     product = bundle.semidirect.product.base
     doc = {
@@ -336,10 +336,13 @@ def cross_checks(obj) -> list[tuple[str, bool, str]]:
             lambda: _assert(not check_lemma_tec(globalize(theta()))),
         )
         if certificate().verdict:
-            note("parallel-congruent-transfer", lambda: _assert(check_lemma_sts(inv_sg)))
+            note(
+                "parallel-congruent-transfer",
+                lambda: _assert(check_lemma_sts(certificate())),
+            )
             note(
                 "ptheorem-isomorphism",
-                lambda: _bundle_from_certificate(inv_sg, certificate()),
+                lambda: _bundle_from_certificate(certificate(), theta()),
             )
     elif isinstance(obj, PartialActionData):
         ve = validate_partial_action_E(obj)

@@ -398,15 +398,15 @@ def is_e_unitary(inv_sg: InverseSemigroupoid) -> EUnitarityCertificate:
     )
 
 
-def check_lemma_sts(inv_sg: InverseSemigroupoid) -> bool:
-    """For E-unitary input: every sigma-congruent parallel pair (s, t)
-    satisfies s t* t = t s* s."""
-    cert = is_e_unitary(inv_sg)
+def check_lemma_sts(cert: EUnitarityCertificate) -> bool:
+    """For E-unitary input, given by its certificate: every
+    sigma-congruent parallel pair (s, t) satisfies s t* t = t s* s."""
     if not cert.verdict:
         raise ValidationError("NotEUnitary", ())
+    sig = cert.sigma
+    inv_sg = sig.base
     sg = inv_sg.base
     inv = inv_sg.inv
-    sig = cert.sigma
     for s in inv_sg.arrows():
         for t in inv_sg.arrows():
             if not sig.related(s, t):

@@ -73,6 +73,8 @@ def validate_semigroupoid(
     n = len(dom)
     if len(cod) != n:
         raise ValidationError("MalformedTable", (), "dom and cod lengths differ")
+    if n == 0:
+        raise ValidationError("EmptySemigroupoid")
     if n_objects is None:
         n_objects = max([*dom, *cod], default=-1) + 1
     dom = tuple(dom)

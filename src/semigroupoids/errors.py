@@ -41,9 +41,6 @@ class ValidationError(SemigroupoidError):
             msg = f"{msg}: {detail}"
         super().__init__(msg)
 
-    def as_violation(self) -> Violation:
-        return Violation(self.code, self.witness)
-
 
 class ParseError(SemigroupoidError):
     """Raised on malformed input files or documents."""

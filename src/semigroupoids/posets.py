@@ -137,12 +137,14 @@ def chain_poset(size: int, names: Sequence[str] | None = None) -> FinitePoset:
 
 
 def is_order_ideal(poset: FinitePoset, subset: Iterable[int]) -> bool:
-    """True iff the subset is downward closed."""
+    """True iff the subset is a downward closed set of the poset's
+    points; a point outside ``0..size-1`` makes the answer False."""
     inside = set(subset)
-    return all(
+    points = poset.elements()
+    return all(y in points for y in inside) and all(
         x in inside
         for y in inside
-        for x in poset.elements()
+        for x in points
         if poset.leq[x][y]
     )
 

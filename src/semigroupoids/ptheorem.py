@@ -16,7 +16,7 @@ from .actions import (
     validate_partial_action_E,
     validate_partial_action_P,
 )
-from .congruences import EUnitarityCertificate, GraphedCongruence, is_e_unitary
+from .congruences import EUnitarityCertificate, is_e_unitary
 from .core import SemigroupoidMorphism, validate_morphism, validate_semigroupoid
 from .errors import InternalInconsistencyError, ValidationError
 from .globalization import globalize
@@ -72,19 +72,21 @@ def munn_action(inv_sg: InverseSemigroupoid) -> PartialActionData:
 
 
 def induced_sigma_action(
-    inv_sg: InverseSemigroupoid, theta: PartialActionData
+    cert: EUnitarityCertificate, theta: PartialActionData
 ) -> PartialActionData:
     """Glue a global ordered action of an E-unitary structure along its
     sigma classes into an ordered partial action of the quotient groupoid.
 
-    The domain at a class is the union of the member domains; values are
-    independent of the member used, so any gluing conflict signals a bug
-    and is reported as GluingConflict.
+    ``cert`` is the structure's E-unitarity certificate; it carries
+    sigma, whose base is the structure.  The domain at a class is the
+    union of the member domains; values are independent of the member
+    used, so any gluing conflict signals a bug and is reported as
+    GluingConflict.
     """
-    cert = is_e_unitary(inv_sg)
     if not cert.verdict:
         raise ValidationError("NotEUnitary", ())
-    if theta.actor != inv_sg:
+    sig = cert.sigma
+    if theta.actor != sig.base:
         raise ValidationError("MalformedAction", (), "action actor differs")
     for validator in (validate_partial_action_E, validate_partial_action_P):
         v = _input_verdict(theta, validator)
@@ -92,13 +94,7 @@ def induced_sigma_action(
             raise ValidationError(v.code, v.witness)
     if theta.order is None or not theta.global_flag:
         raise ValidationError("NotGlobalOrdered", ())
-    return _glue_along_sigma(cert.sigma, theta)
 
-
-def _glue_along_sigma(
-    sig: GraphedCongruence, theta: PartialActionData
-) -> PartialActionData:
-    """The gluing step of induced_sigma_action, on inputs already checked."""
     q, _proj = sig.quotient
     classes = sig.classes()
 
@@ -184,15 +180,7 @@ def semidirect_product(
     for s in actor.arrows():
         if not action.domains[s]:
             raise ValidationError("EmptyDomain", (s,))
-    return _build_semidirect(action, latt)
 
-
-def _build_semidirect(
-    action: PartialActionData, latt: Semilatticeoid
-) -> SemidirectProduct:
-    """The construction step of semidirect_product, on inputs already
-    checked."""
-    actor = action.actor
     sg = actor.base
     inv = actor.inv
     pairs = [
@@ -393,22 +381,22 @@ def ptheorem_bundle(inv_sg: InverseSemigroupoid) -> PTheoremBundle:
     cert = is_e_unitary(inv_sg)
     if not cert.verdict:
         raise ValidationError("NotEUnitary", ())
-    return _bundle_from_certificate(inv_sg, cert)
+    return _bundle_from_certificate(cert, munn_action(inv_sg))
 
 
 def _bundle_from_certificate(
-    inv_sg: InverseSemigroupoid, cert: EUnitarityCertificate
+    cert: EUnitarityCertificate, theta: PartialActionData
 ) -> PTheoremBundle:
     """The reconstruction step of ptheorem_bundle, for a caller that
-    already holds the structure's E-unitarity certificate (verdict
-    True)."""
+    already holds the structure's E-unitarity certificate (verdict True)
+    and its Munn action."""
     sig = cert.sigma
-    theta = munn_action(inv_sg)
-    alpha = _glue_along_sigma(sig, theta)
+    inv_sg = sig.base
+    alpha = induced_sigma_action(cert, theta)
     latt = idempotent_semilatticeoid(inv_sg)
     if latt.order.leq != theta.order.leq:
         raise InternalInconsistencyError("LatticeOrderMismatch", ())
-    sdp = _build_semidirect(alpha, latt)
+    sdp = semidirect_product(alpha, latt)
 
     cls_index = sig.class_index()
     idems = inv_sg.idempotents

@@ -194,6 +194,14 @@ def test_restrict_requires_ideal():
     assert err.value.code == "NotAnIdeal"
 
 
+@pytest.mark.parametrize("subset", [{5}, {-1, 0, 1}])
+def test_restrict_rejects_points_outside_the_carrier(subset):
+    theta = munn_action(corpus.chain2())
+    with pytest.raises(ValidationError) as err:
+        restrict_global(theta, subset)
+    assert err.value.code == "NotAnIdeal"
+
+
 def test_restrictions_pass_ordered_validator(actions):
     for _name, a in actions:
         if not a.global_flag:

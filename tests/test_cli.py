@@ -8,7 +8,14 @@ import sys
 import pytest
 
 import semigroupoids
-from semigroupoids import cli as cli_module, congruences, corpus, globalization, io
+from semigroupoids import (
+    cli as cli_module,
+    congruences,
+    corpus,
+    globalization,
+    io,
+    ptheorem,
+)
 from semigroupoids.cli import cli
 from semigroupoids.errors import InternalInconsistencyError
 
@@ -125,6 +132,19 @@ def test_internal_inconsistency_exits_3(files, monkeypatch, capsys):
 def test_ptheorem_b2_rejected(files, capsys):
     assert cli(["--input", files["b2"], "ptheorem"]) == 1
     assert "not E-unitary" in capsys.readouterr().out
+
+
+def test_empty_semigroupoid_is_bad_input(files, capsys):
+    empty = files["dir"] + "/empty.json"
+    with open(empty, "w") as fh:
+        json.dump(
+            {"kind": "semigroupoid", "version": 1, "objects": [], "arrows": [], "mul": []},
+            fh,
+        )
+    for command in sorted(cli_module._COMMANDS.keys() - {"enumerate"}):
+        capsys.readouterr()
+        assert cli(["--input", empty, "--seed", "1", "--verify-all", command]) == 1
+        assert capsys.readouterr().out == "INVALID: EmptySemigroupoid\n", command
 
 
 def test_munn_then_globalize(files, tmp_path):
@@ -405,11 +425,11 @@ def test_semigroupoid_arrow_graph_dot(files, tmp_path):
 
 
 def _count_calls(monkeypatch, names):
-    """Count calls to the named congruence functions, through every
-    reference any package module holds to them."""
+    """Count calls to the named congruence and P-theorem functions,
+    through every reference any package module holds to them."""
     counts = {name: 0 for name in names}
     for name in names:
-        real = getattr(congruences, name)
+        real = getattr(congruences, name, None) or getattr(ptheorem, name)
 
         def counting(*args, _real=real, _name=name):
             counts[_name] += 1
@@ -426,11 +446,17 @@ def _count_calls(monkeypatch, names):
 @pytest.mark.parametrize(
     "name, expected",
     [
-        # the command's certificate, the battery's certificate and the
-        # certificate check_lemma_sts computes for itself
-        ("chain2", {"sigma": 3, "is_e_unitary": 3, "sigma_by_equations": 1}),
+        # the command's certificate and the battery's certificate; the
+        # battery's Munn action serves the Munn rows and the P-theorem row
+        (
+            "chain2",
+            {"sigma": 2, "is_e_unitary": 2, "sigma_by_equations": 1, "munn_action": 1},
+        ),
         # not E-unitary: the command's and the battery's certificates
-        ("b2", {"sigma": 2, "is_e_unitary": 2, "sigma_by_equations": 1}),
+        (
+            "b2",
+            {"sigma": 2, "is_e_unitary": 2, "sigma_by_equations": 1, "munn_action": 1},
+        ),
     ],
 )
 def test_verify_all_derives_each_object_once(files, monkeypatch, capsys, name, expected):
@@ -438,6 +464,44 @@ def test_verify_all_derives_each_object_once(files, monkeypatch, capsys, name, e
     cli(["--input", files[name], "analyze", "--verify-all"])
     assert counts == expected
     assert "[FAIL]" not in capsys.readouterr().out
+
+
+def test_ptheorem_verify_all_derives_each_object_once(files, monkeypatch, capsys):
+    # the command's certificate and Munn action, and the battery's own
+    expected = {"sigma": 2, "is_e_unitary": 2, "sigma_by_equations": 1, "munn_action": 2}
+    counts = _count_calls(monkeypatch, sorted(expected))
+    assert cli(["--input", files["chain2"], "ptheorem", "--verify-all"]) == 0
+    assert counts == expected
+    assert "[FAIL]" not in capsys.readouterr().out
+
+
+def test_verify_all_rows_take_the_batterys_certificate(files, monkeypatch):
+    # the command certifies its structure first and the battery its own
+    # promotion second; the rows that need E-unitarity take the battery's
+    made, taken = [], []
+    real_certificate = cli_module.is_e_unitary
+
+    def certifying(inv_sg):
+        made.append(real_certificate(inv_sg))
+        return made[-1]
+
+    def taking(fn):
+        def wrapper(cert, *rest):
+            taken.append(cert)
+            return fn(cert, *rest)
+
+        return wrapper
+
+    monkeypatch.setattr(cli_module, "is_e_unitary", certifying)
+    for name in ("check_lemma_sts", "_bundle_from_certificate"):
+        monkeypatch.setattr(cli_module, name, taking(getattr(cli_module, name)))
+    assert cli(["--input", files["chain2"], "ptheorem", "--verify-all"]) == 0
+    command_cert, battery_cert = made
+    assert command_cert.sigma.base is not battery_cert.sigma.base
+    # the command's bundle, then the two rows
+    assert len(taken) == 3
+    assert taken[0] is command_cert
+    assert taken[1] is battery_cert and taken[2] is battery_cert
 
 
 VERIFY_ALL_ROWS = [

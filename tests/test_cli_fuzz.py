@@ -73,6 +73,9 @@ VALUES = st.one_of(
 
 
 def _mutated(name, site, value):
+    if not site:
+        # the root itself: the whole document is replaced
+        return copy.deepcopy(value)
     doc = copy.deepcopy(DOCUMENTS[name])
     parent = doc
     for key in site[:-1]:
@@ -94,6 +97,12 @@ def path(tmp_path_factory):
 # semidirect and triple once crashed on this deletion, which random
 # examples rarely reach: it is one of several hundred sites
 @example(site=("action", ("order",)), value=DELETE)
+# a semigroupoid with no arrows changes three fields at once; the
+# commands that build its Munn action once exited 3 on it
+@example(
+    site=("semigroupoid", ()),
+    value={"kind": "semigroupoid", "version": 1, "objects": [], "arrows": [], "mul": []},
+)
 def test_every_command_survives_a_mutated_document(path, site, value):
     doc = _mutated(*site, value)
     with open(path, "w", encoding="utf-8") as fh:

@@ -381,20 +381,20 @@ def test_e_unitary_matches_idempotent_pure_sigma(structures, small_structures):
 
 
 def test_lemma_sts_on_groupoid_and_chain2():
-    assert check_lemma_sts(corpus.pair_groupoid(2))
-    assert check_lemma_sts(corpus.chain2())
+    assert check_lemma_sts(is_e_unitary(corpus.pair_groupoid(2)))
+    assert check_lemma_sts(is_e_unitary(corpus.chain2()))
 
 
 def test_lemma_sts_requires_e_unitary():
     with pytest.raises(ValidationError) as err:
-        check_lemma_sts(corpus.brandt_b2())
+        check_lemma_sts(is_e_unitary(corpus.brandt_b2()))
     assert err.value.code == "NotEUnitary"
 
 
 def test_lemma_sts_exhaustive_small(small_structures):
     for s in small_structures:
         if is_e_unitary(s).verdict:
-            assert check_lemma_sts(s)
+            assert check_lemma_sts(is_e_unitary(s))
 
 
 def test_validate_congruence_rejects_bad_partition():

@@ -20,7 +20,7 @@ from semigroupoids.actions import (
     validate_partial_action_E,
     validate_partial_action_P,
 )
-from semigroupoids.congruences import sigma
+from semigroupoids.congruences import is_e_unitary, sigma
 from semigroupoids.core import UnionFind
 from semigroupoids.errors import ValidationError, Violation
 from semigroupoids.globalization import (
@@ -56,7 +56,7 @@ def test_global_input_embeds_bijectively():
 
 def test_chain2_induced_action_globalizes():
     c2 = corpus.chain2()
-    alpha = induced_sigma_action(c2, munn_action(c2))
+    alpha = induced_sigma_action(is_e_unitary(c2), munn_action(c2))
     r = globalize(alpha)
     assert orbit(r.envelope, set(r.embed)) == frozenset(range(r.n_classes))
     assert check_lemma_tec(r) == []
@@ -144,7 +144,7 @@ def test_universal_map_to_self_is_identity():
 
 def test_universal_map_to_point_is_constant():
     c2 = corpus.chain2()
-    alpha = induced_sigma_action(c2, munn_action(c2))
+    alpha = induced_sigma_action(is_e_unitary(c2), munn_action(c2))
     r = globalize(alpha)
     target = point_action(alpha.actor)
     k = universal_map(r, target, tuple(0 for _ in range(alpha.carrier_size)))
@@ -519,7 +519,7 @@ def test_self_checks_and_public_validators_always_compute(monkeypatch):
     assert [runs[id(m)] for m in munns] == [2, 2]
     restricted = [restrict_global(theta, {1}) for _ in range(2)]
     assert [runs[id(b)] for b in restricted] == [1, 1]
-    glued = [induced_sigma_action(c2, theta) for _ in range(2)]
+    glued = [induced_sigma_action(is_e_unitary(c2), theta) for _ in range(2)]
     assert [runs[id(g)] for g in glued] == [2, 2]
     # the input checks read the verdicts the validators stored on theta
     assert runs[id(theta)] == 6

@@ -11,6 +11,7 @@ from semigroupoids.actions import (
     check_equivariant,
     restrict_global,
 )
+from semigroupoids.congruences import is_e_unitary
 from semigroupoids.globalization import globalize, universal_map
 from semigroupoids.ptheorem import induced_sigma_action, munn_action
 
@@ -85,7 +86,7 @@ def naive_class_leq(a, r, c1, c2):
 def oracle_cases():
     cases = [a for _n, a in corpus.action_corpus() if len(a.domains) <= 8][:25]
     c2 = corpus.chain2()
-    cases.append(induced_sigma_action(c2, munn_action(c2)))
+    cases.append(induced_sigma_action(is_e_unitary(c2), munn_action(c2)))
     return cases
 
 

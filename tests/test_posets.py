@@ -47,6 +47,13 @@ def test_order_ideal_edge_cases():
     assert not is_order_ideal(order, {0})
 
 
+def test_order_ideal_rejects_points_outside_the_poset():
+    order = corpus.chain2().order
+    assert not is_order_ideal(order, {5})
+    # -1 must not wrap round to the last point
+    assert not is_order_ideal(order, {-1, 0, 1})
+
+
 def test_downsets_are_ideals():
     p = chain_poset(4)
     for y in p.elements():

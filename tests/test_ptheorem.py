@@ -2,6 +2,7 @@
 products, McAlister triples, and the reconstruction isomorphism."""
 
 from collections import Counter
+from functools import wraps
 
 import pytest
 
@@ -116,7 +117,7 @@ def test_munn_is_tight(structures):
 def test_induced_action_on_groupoid_is_theta():
     pg = corpus.pair_groupoid(2)
     theta = munn_action(pg)
-    alpha = induced_sigma_action(pg, theta)
+    alpha = induced_sigma_action(is_e_unitary(pg), theta)
     # sigma is equality on a groupoid, so nothing is glued
     assert alpha.domains == theta.domains
     assert alpha.maps == theta.maps
@@ -124,7 +125,7 @@ def test_induced_action_on_groupoid_is_theta():
 
 def test_induced_action_chain2():
     c2 = corpus.chain2()
-    alpha = induced_sigma_action(c2, munn_action(c2))
+    alpha = induced_sigma_action(is_e_unitary(c2), munn_action(c2))
     assert alpha.actor.n_arrows == 1
     assert alpha.domains == (frozenset({0, 1}),)
     assert alpha.maps[0] == {0: 0, 1: 1}
@@ -133,7 +134,7 @@ def test_induced_action_chain2():
 def test_induced_action_requires_e_unitary():
     b2 = corpus.brandt_b2()
     with pytest.raises(ValidationError) as err:
-        induced_sigma_action(b2, munn_action(b2))
+        induced_sigma_action(is_e_unitary(b2), munn_action(b2))
     assert err.value.code == "NotEUnitary"
 
 
@@ -141,7 +142,7 @@ def test_induced_action_validates_small(small_structures):
     for s in small_structures:
         if not is_e_unitary(s).verdict:
             continue
-        alpha = induced_sigma_action(s, munn_action(s))
+        alpha = induced_sigma_action(is_e_unitary(s), munn_action(s))
         assert validate_partial_action_E(alpha) is None
         assert validate_partial_action_P(alpha) is None
 
@@ -287,6 +288,7 @@ def test_ptheorem_bundle_runs_each_self_check_once(structures, monkeypatch):
     def counting(module, name):
         fn = getattr(module, name)
 
+        @wraps(fn)
         def wrapper(*args):
             calls[name] += 1
             return fn(*args)
@@ -346,7 +348,7 @@ def test_lemma_sts_on_e_unitary_fixtures(structures):
 
     for name, s in structures:
         if is_e_unitary(s).verdict:
-            assert check_lemma_sts(s), name
+            assert check_lemma_sts(is_e_unitary(s)), name
 
 
 def test_ptheorem_inverse_map_is_morphism(small_structures):

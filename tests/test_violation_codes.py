@@ -9,7 +9,7 @@ from semigroupoids.actions import (
     validate_partial_action_E,
     validate_partial_action_P,
 )
-from semigroupoids.congruences import universal_groupoid_property
+from semigroupoids.congruences import is_e_unitary, universal_groupoid_property
 from semigroupoids.core import (
     compose_morphisms,
     validate_morphism,
@@ -30,6 +30,12 @@ def test_duplicate_product():
             [0, 0], [0, 0], [(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1)]
         )
     assert err.value.code == "DuplicateProduct"
+
+
+def test_empty_semigroupoid():
+    with pytest.raises(ValidationError) as err:
+        validate_semigroupoid([], [], [])
+    assert err.value.code == "EmptySemigroupoid"
 
 
 def test_malformed_table():
@@ -350,7 +356,7 @@ def test_actor_mismatch_gates():
     c2 = corpus.chain2()
     other = munn_action(corpus.cyclic_group(2))
     with pytest.raises(ValidationError) as err:
-        induced_sigma_action(c2, other)
+        induced_sigma_action(is_e_unitary(c2), other)
     assert err.value.code == "MalformedAction"
 
     theta = munn_action(corpus.chain2())
