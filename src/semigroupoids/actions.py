@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import ValidationError, Violation
 from .inverse import InverseSemigroupoid
-from .posets import FinitePoset, is_order_ideal
+from .posets import FinitePoset, discrete_poset, is_order_ideal
 
 
 @dataclass(frozen=True)
@@ -410,8 +410,6 @@ def check_equivariant(
 
 def point_action(actor: InverseSemigroupoid, name: str = "pt") -> PartialActionData:
     """The one-point global ordered action; every arrow fixes the point."""
-    from .posets import discrete_poset
-
     return make_action(
         actor,
         (name,),

@@ -39,7 +39,7 @@ from .errors import (
 )
 from .globalization import check_lemma_tec, globalize
 from .inverse import InverseSemigroupoid, is_groupoid, promote_to_inverse
-from .posets import FinitePoset, semilatticeoid_from_poset
+from .posets import FinitePoset, Semilatticeoid, semilatticeoid_from_poset
 from .ptheorem import (
     McAlisterTriple,
     _bundle_from_certificate,
@@ -214,18 +214,25 @@ def cmd_munn(args) -> int:
     return 0
 
 
-def cmd_semidirect(args) -> int:
+def _checked_action_and_lattice(args) -> tuple[PartialActionData, Semilatticeoid]:
+    """The input action, validated (its stored verdict is what the input
+    checks read), then the semilatticeoid of its carrier order."""
     action = _as_action(_load(args), args.seed)
-    latt = semilatticeoid_from_poset(_carrier_order(action))
-    product = semidirect_product(action, latt)
+    order = _carrier_order(action)
+    v = validate_partial_action_E(action)
+    if v is not None:
+        raise ValidationError(v.code, v.witness)
+    return action, semilatticeoid_from_poset(order)
+
+
+def cmd_semidirect(args) -> int:
+    product = semidirect_product(*_checked_action_and_lattice(args))
     _emit_doc(io.semigroupoid_to_doc(product.product.base), args)
     return 0
 
 
 def cmd_triple(args) -> int:
-    action = _as_action(_load(args), args.seed)
-    latt = semilatticeoid_from_poset(_carrier_order(action))
-    triple = mcalister_from_action(action, latt)
+    triple = mcalister_from_action(*_checked_action_and_lattice(args))
     _emit_doc(io.triple_to_doc(triple), args)
     return 0
 
@@ -418,17 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "command",
-        choices=(
-            "validate",
-            "analyze",
-            "globalize",
-            "munn",
-            "semidirect",
-            "triple",
-            "ptheorem",
-            "enumerate",
-            "export-dot",
-        ),
+        choices=tuple(_COMMANDS),
     )
     return parser
 

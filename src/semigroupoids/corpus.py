@@ -15,9 +15,9 @@ from typing import Iterator, Sequence
 
 from .actions import PartialActionData, make_action, restrict_global
 from .core import validate_semigroupoid
-from .errors import ValidationError
-from .inverse import InverseSemigroupoid, promote_to_inverse
-from .posets import FinitePoset, discrete_poset, is_order_ideal
+from .errors import InternalInconsistencyError, ValidationError
+from .inverse import InverseSemigroupoid, is_groupoid, promote_to_inverse
+from .posets import FinitePoset, discrete_poset, is_order_ideal, validate_poset
 from .ptheorem import munn_action
 
 
@@ -397,15 +397,11 @@ def _complete_tables(dom, cod, inv) -> Iterator[tuple[tuple[int, ...], ...]]:
 @lru_cache(maxsize=None)
 def _enumerate_cached(max_arrows: int, max_objects: int) -> tuple[InverseSemigroupoid, ...]:
     found: list[InverseSemigroupoid] = []
-    seen: set[tuple] = set()
     for n in range(1, max_arrows + 1):
         for m in range(1, min(n, max_objects) + 1):
             for dom, cod in _canonical_patterns(n, m):
                 for inv in _involutions(dom, cod):
                     for table in _complete_tables(dom, cod, inv):
-                        key = (dom, cod, table)
-                        if key in seen:
-                            continue
                         triples = [
                             (s, t, table[s][t])
                             for s in range(n)
@@ -420,8 +416,11 @@ def _enumerate_cached(max_arrows: int, max_objects: int) -> tuple[InverseSemigro
                         except ValidationError:
                             continue
                         if inv_sg.inv != inv:
-                            continue
-                        seen.add(key)
+                            # the search forces s s* s = s and s* s s* = s*,
+                            # and pseudoinverses are unique
+                            raise InternalInconsistencyError(
+                                "EnumeratedInvolutionMismatch", (dom, cod, inv)
+                            )
                         found.append(inv_sg)
     return tuple(found)
 
@@ -486,7 +485,7 @@ def random_ideal(order: FinitePoset, rng: random.Random) -> frozenset[int]:
         return frozenset(ideal)
 
 
-def action_corpus(max_ideals: int = 6) -> list[tuple[str, PartialActionData]]:
+def action_corpus() -> list[tuple[str, PartialActionData]]:
     """Ordered partial actions used by the globalization and triple
     suites: Munn actions of the fixtures plus their ideal restrictions."""
     out: list[tuple[str, PartialActionData]] = []
@@ -498,7 +497,7 @@ def action_corpus(max_ideals: int = 6) -> list[tuple[str, PartialActionData]]:
             for ideal in all_order_ideals(theta.order)
             if ideal and len(ideal) < theta.carrier_size
         ]
-        for ideal in ideals[:max_ideals]:
+        for ideal in ideals[:6]:
             out.append(
                 (
                     f"munn[{name}]|{sorted(ideal)}",
@@ -566,8 +565,6 @@ def groupoid_action_corpus() -> list[tuple[str, PartialActionData]]:
         ("top_swap", top_swap_action()),
     ]
     for name, s in structure_corpus():
-        from .inverse import is_groupoid
-
         if is_groupoid(s):
             seeds.append((f"munn[{name}]", munn_action(s)))
     for name, a in seeds:
@@ -609,17 +606,8 @@ def random_action_candidate(
     else:
         perm = list(range(carrier_size))
         rng.shuffle(perm)
-        leq = [[i == j for j in range(carrier_size)] for i in range(carrier_size)]
-        for i in range(carrier_size - 1):
-            if rng.random() < 0.5:
-                leq[perm[i]][perm[i + 1]] = True
-        closed = [[leq[i][j] for j in range(carrier_size)] for i in range(carrier_size)]
-        for a in range(carrier_size):
-            for i in range(carrier_size):
-                for j in range(carrier_size):
-                    if closed[i][a] and closed[a][j]:
-                        closed[i][j] = True
-        order = FinitePoset(tuple(tuple(row) for row in closed), names)
+        links = [(a, b) for a, b in zip(perm, perm[1:]) if rng.random() < 0.5]
+        order = validate_poset(links, carrier_size, names=names, auto_close=True)
     return make_action(actor, names, domains, maps, order=order)
 
 

@@ -15,65 +15,57 @@ def _quote(name: str) -> str:
     return '"%s"' % name.replace('"', '\\"')
 
 
-def semigroupoid_to_dot(sg: FiniteSemigroupoid) -> str:
-    lines = ["digraph semigroupoid {"]
-    for u in range(sg.n_objects):
-        lines.append(f"  {_quote(sg.object_names[u])} [shape=circle];")
+def _arrow_graph_lines(sg: FiniteSemigroupoid, indent: str, prefix: str) -> list[str]:
+    """Object nodes and labeled arrow edges, object names prefixed."""
+
+    def obj(u: int) -> str:
+        return _quote(prefix + sg.object_names[u])
+
+    lines = [f"{indent}{obj(u)} [shape=circle];" for u in range(sg.n_objects)]
     for s in sg.arrows():
-        lines.append(
-            "  %s -> %s [label=%s];"
-            % (
-                _quote(sg.object_names[sg.dom[s]]),
-                _quote(sg.object_names[sg.cod[s]]),
-                _quote(sg.arrow_names[s]),
-            )
-        )
-    lines.append("}")
+        label = _quote(sg.arrow_names[s])
+        lines.append(f"{indent}{obj(sg.dom[s])} -> {obj(sg.cod[s])} [label={label}];")
+    return lines
+
+
+def _hasse_lines(poset: FinitePoset, indent: str, highlight: set[int]) -> list[str]:
+    """Bottom-to-top layout, element boxes (highlighted ones filled) and
+    covering edges."""
+    lines = [f"{indent}rankdir=BT;"]
+    for x in poset.elements():
+        style = ' style=filled fillcolor="lightblue"' if x in highlight else ""
+        lines.append(f"{indent}{_quote(poset.names[x])} [shape=box{style}];")
+    for x, y in poset.hasse_edges():
+        lines.append(f"{indent}{_quote(poset.names[x])} -> {_quote(poset.names[y])};")
+    return lines
+
+
+def semigroupoid_to_dot(sg: FiniteSemigroupoid) -> str:
+    lines = ["digraph semigroupoid {", *_arrow_graph_lines(sg, "  ", ""), "}"]
     return "\n".join(lines) + "\n"
 
 
 def poset_to_dot(poset: FinitePoset, highlight: set[int] | None = None) -> str:
     """Hasse diagram, lower elements below (edges point upward)."""
-    highlight = highlight or set()
-    lines = ["digraph hasse {", "  rankdir=BT;"]
-    for x in poset.elements():
-        style = ' style=filled fillcolor="lightblue"' if x in highlight else ""
-        lines.append(f"  {_quote(poset.names[x])} [shape=box{style}];")
-    for x, y in poset.hasse_edges():
-        lines.append(f"  {_quote(poset.names[x])} -> {_quote(poset.names[y])};")
-    lines.append("}")
+    lines = ["digraph hasse {", *_hasse_lines(poset, "  ", highlight or set()), "}"]
     return "\n".join(lines) + "\n"
 
 
 def inverse_semigroupoid_to_dot(inv_sg: InverseSemigroupoid) -> str:
     """Arrow graph and the Hasse diagram of the natural order, side by
     side as two clusters."""
-    sg = inv_sg.base
-    lines = ["digraph inverse_semigroupoid {"]
-    lines.append("  subgraph cluster_arrows {")
-    lines.append('    label="arrows";')
-    for u in range(sg.n_objects):
-        lines.append(f"    {_quote('obj:' + sg.object_names[u])} [shape=circle];")
-    for s in sg.arrows():
-        lines.append(
-            "    %s -> %s [label=%s];"
-            % (
-                _quote("obj:" + sg.object_names[sg.dom[s]]),
-                _quote("obj:" + sg.object_names[sg.cod[s]]),
-                _quote(sg.arrow_names[s]),
-            )
-        )
-    lines.append("  }")
-    lines.append("  subgraph cluster_order {")
-    lines.append('    label="natural partial order";')
-    lines.append("    rankdir=BT;")
-    order = inv_sg.order
-    for s in order.elements():
-        lines.append(f"    {_quote(order.names[s])} [shape=box];")
-    for x, y in order.hasse_edges():
-        lines.append(f"    {_quote(order.names[x])} -> {_quote(order.names[y])};")
-    lines.append("  }")
-    lines.append("}")
+    lines = [
+        "digraph inverse_semigroupoid {",
+        "  subgraph cluster_arrows {",
+        '    label="arrows";',
+        *_arrow_graph_lines(inv_sg.base, "    ", "obj:"),
+        "  }",
+        "  subgraph cluster_order {",
+        '    label="natural partial order";',
+        *_hasse_lines(inv_sg.order, "    ", set()),
+        "  }",
+        "}",
+    ]
     return "\n".join(lines) + "\n"
 
 

@@ -29,8 +29,8 @@ class SemigroupoidError(Exception):
     """Base class for all package errors."""
 
 
-class ValidationError(SemigroupoidError):
-    """Raised when raw data fails a structural axiom."""
+class _CodedError(SemigroupoidError):
+    """An error carrying a violation code, its witness and a detail."""
 
     def __init__(self, code: str, witness: tuple = (), detail: str = ""):
         self.code = code
@@ -40,20 +40,15 @@ class ValidationError(SemigroupoidError):
         if detail:
             msg = f"{msg}: {detail}"
         super().__init__(msg)
+
+
+class ValidationError(_CodedError):
+    """Raised when raw data fails a structural axiom."""
 
 
 class ParseError(SemigroupoidError):
     """Raised on malformed input files or documents."""
 
 
-class InternalInconsistencyError(SemigroupoidError):
+class InternalInconsistencyError(_CodedError):
     """A theorem-backed invariant failed; signals a bug, not bad input."""
-
-    def __init__(self, code: str, witness: tuple = (), detail: str = ""):
-        self.code = code
-        self.witness = tuple(witness)
-        self.detail = detail
-        msg = str(Violation(code, self.witness))
-        if detail:
-            msg = f"{msg}: {detail}"
-        super().__init__(msg)

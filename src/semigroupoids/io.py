@@ -12,7 +12,7 @@ from typing import Any
 
 from .actions import PartialActionData, make_action
 from .core import FiniteSemigroupoid, semigroupoid_triples, validate_semigroupoid
-from .errors import ParseError
+from .errors import ParseError, ValidationError
 from .inverse import InverseSemigroupoid, promote_to_inverse
 from .posets import FinitePoset, validate_poset
 from .ptheorem import McAlisterTriple, validate_mcalister_triple
@@ -204,8 +204,6 @@ def action_from_doc(doc: dict) -> PartialActionData:
                 raise ParseError(f"bad order pair {pair!r}")
             pairs.append((carrier_index[pair[0]], carrier_index[pair[1]]))
         order = validate_poset(pairs, len(carrier), names=carrier)
-
-    from .errors import ValidationError
 
     try:
         return make_action(

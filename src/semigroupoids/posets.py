@@ -88,17 +88,14 @@ def validate_poset(
     if auto_close:
         for x in range(size):
             leq[x][x] = True
-        changed = True
-        while changed:
-            changed = False
+        # Warshall: after pass y, x <= z for every path from x to z whose
+        # inner points are all at most y
+        for y in range(size):
             for x in range(size):
-                for y in range(size):
-                    if not leq[x][y]:
-                        continue
+                if leq[x][y]:
                     for z in range(size):
-                        if leq[y][z] and not leq[x][z]:
+                        if leq[y][z]:
                             leq[x][z] = True
-                            changed = True
     else:
         for x in range(size):
             if not leq[x][x]:

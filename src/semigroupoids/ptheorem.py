@@ -194,21 +194,10 @@ def semidirect_product(
     def theta(s: int, x: int) -> int:
         return action.maps[s][x]
 
-    objects: list[tuple[int, int]] = []
-    obj_index: dict[tuple[int, int], int] = {}
-    dom_list = []
-    cod_list = []
-    for s, x in pairs:
-        d = (sg.dom[s], fiber(x))
-        c = (sg.cod[s], fiber(theta(s, x)))
-        for o in (d, c):
-            if o not in obj_index:
-                obj_index[o] = len(objects)
-                objects.append(o)
-        dom_list.append(d)
-        cod_list.append(c)
-    objects_sorted = sorted(objects)
-    obj_index = {o: i for i, o in enumerate(objects_sorted)}
+    dom_list = [(sg.dom[s], fiber(x)) for s, x in pairs]
+    cod_list = [(sg.cod[s], fiber(theta(s, x))) for s, x in pairs]
+    objects = sorted(set(dom_list) | set(cod_list))
+    obj_index = {o: i for i, o in enumerate(objects)}
 
     triples = []
     for i, (s, x) in enumerate(pairs):
@@ -233,13 +222,13 @@ def semidirect_product(
     )
     object_names = tuple(
         f"({sg.object_names[u]},{latt.base.base.object_names[c]})"
-        for u, c in objects_sorted
+        for u, c in objects
     )
     base = validate_semigroupoid(
         [obj_index[d] for d in dom_list],
         [obj_index[c] for c in cod_list],
         triples,
-        n_objects=len(objects_sorted),
+        n_objects=len(objects),
         arrow_names=arrow_names,
         object_names=object_names,
     )
@@ -256,7 +245,7 @@ def semidirect_product(
         action=action,
         product=product,
         arrow_pairs=tuple(pairs),
-        object_pairs=tuple(objects_sorted),
+        object_pairs=tuple(objects),
     )
 
 

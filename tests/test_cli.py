@@ -190,6 +190,18 @@ def test_enumerate_command(tmp_path):
     assert len(doc["structures"]) == 6
 
 
+def test_enumerate_max_objects_keeps_the_one_object_structures(tmp_path):
+    out = tmp_path / "enum.json"
+    assert cli(
+        ["enumerate", "--max-arrows", "3", "--max-objects", "1",
+         "--output", str(out)]
+    ) == 0
+    one_object = [
+        s for s in corpus.enumerate_inverse_semigroupoids(3) if s.n_objects == 1
+    ]
+    assert json.load(open(out))["count"] == len(one_object)
+
+
 def test_export_dot_semigroupoid(files, tmp_path):
     out = tmp_path / "g.dot"
     assert cli(["--input", files["chain2"], "export-dot", "--output", str(out)]) == 0
@@ -562,3 +574,21 @@ def test_command_needing_an_order_rejects_an_unordered_action(
     capsys.readouterr()
     assert cli(["--input", str(unordered), *argv]) == 2
     assert capsys.readouterr().err == "parse error: action has no carrier order\n"
+
+
+@pytest.mark.parametrize("command", ["semidirect", "triple"])
+def test_action_commands_report_an_empty_carrier(files, tmp_path, capsys, command):
+    # the action is checked before the lattice of its (empty) order is
+    # built, so the report names the carrier, as validate and globalize do
+    munn = tmp_path / "munn.json"
+    cli(["--input", files["chain2"], "munn", "--output", str(munn)])
+    doc = json.load(open(munn))
+    doc["carrier"] = []
+    doc["order"] = []
+    doc["domains"] = {name: [] for name in doc["domains"]}
+    doc["maps"] = {name: [] for name in doc["maps"]}
+    empty = tmp_path / "empty.json"
+    json.dump(doc, open(empty, "w"))
+    capsys.readouterr()
+    assert cli(["--input", str(empty), command]) == 1
+    assert capsys.readouterr().out == "INVALID: EmptyCarrier\n"

@@ -1,6 +1,7 @@
 """Generators, exhaustive enumeration against naive oracles, and
 canonical serialization round-trips."""
 
+import dataclasses
 import itertools
 import json
 
@@ -9,7 +10,11 @@ import pytest
 from semigroupoids import corpus, io
 from semigroupoids.congruences import sigma
 from semigroupoids.core import validate_semigroupoid
-from semigroupoids.errors import ParseError, ValidationError
+from semigroupoids.errors import (
+    InternalInconsistencyError,
+    ParseError,
+    ValidationError,
+)
 from semigroupoids.inverse import is_groupoid, promote_to_inverse
 from semigroupoids.ptheorem import munn_action
 
@@ -113,6 +118,23 @@ def test_enumerate_duplicate_free():
     structs = list(corpus.enumerate_inverse_semigroupoids(4))
     keys = {(s.base.dom, s.base.cod, s.base.mul) for s in structs}
     assert len(keys) == len(structs)
+
+
+def test_enumerate_raises_on_an_involution_mismatch(monkeypatch):
+    real_promote = corpus.promote_to_inverse
+
+    def permuted(sg):
+        inv_sg = real_promote(sg)
+        return dataclasses.replace(inv_sg, inv=tuple(reversed(inv_sg.inv)))
+
+    monkeypatch.setattr(corpus, "promote_to_inverse", permuted)
+    corpus._enumerate_cached.cache_clear()
+    try:
+        with pytest.raises(InternalInconsistencyError) as err:
+            list(corpus.enumerate_inverse_semigroupoids(2))
+        assert err.value.code == "EnumeratedInvolutionMismatch"
+    finally:
+        corpus._enumerate_cached.cache_clear()
 
 
 def test_enumerate_cap():
