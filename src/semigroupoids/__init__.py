@@ -45,6 +45,7 @@ from .congruences import (
     quotient,
     sigma,
     sigma_by_equations,
+    sigma_by_lower_bounds,
     universal_groupoid_property,
 )
 from .actions import (

@@ -29,6 +29,7 @@ from .congruences import (
     is_idempotent_pure,
     quotient,
     sigma_by_equations,
+    sigma_by_lower_bounds,
 )
 from .core import FiniteSemigroupoid
 from .errors import (
@@ -324,7 +325,11 @@ def cross_checks(obj) -> list[tuple[str, bool, str]]:
         note("idempotents-commute", commuting_idempotents)
         note(
             "sigma-three-way",
-            lambda: _assert(certificate().sigma.rep == by_equations().rep),
+            lambda: _assert(
+                certificate().sigma.rep
+                == by_equations().rep
+                == sigma_by_lower_bounds(inv_sg).rep
+            ),
         )
         note(
             "sigma-quotient-groupoid",
@@ -443,9 +448,15 @@ _COMMANDS = {
 }
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """One parser per process: building it costs several times a parse,
+    and parsing leaves it unchanged."""
+    return build_parser()
+
+
 def cli(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         code = _COMMANDS[args.command](args)
         if code == 0 and args.verify_all and args.input is not None:

@@ -1,8 +1,9 @@
 """Graphed congruences, quotients, the minimal groupoid congruence sigma,
 idempotent-pure tests, and E-unitarity.
 
-Sigma is computed by a direct definitional scan and cross-validated by
-two equational forms; redundancy is the test strategy throughout, so the
+Sigma is computed from the least idempotent at each object, and
+independently by its definition (a common lower bound) and by two
+equational forms; redundancy is the test strategy throughout, so the
 different routes never share their core loops.
 """
 from __future__ import annotations
@@ -181,28 +182,70 @@ def congruence_closure(
 
 
 def sigma(inv_sg: InverseSemigroupoid) -> GraphedCongruence:
-    """The minimal groupoid congruence: s ~ t iff some r lies below both."""
-    sg = inv_sg.base
-    n = sg.n_arrows
-    order = inv_sg.order
-    uf = UnionFind(n)
-    raw = set()
-    for s in range(n):
-        for t in range(n):
-            if not sg.parallel(s, t):
-                continue
-            if any(order.leq[r][s] and order.leq[r][t] for r in range(n)):
-                raw.add((s, t))
-                uf.union(s, t)
+    """The minimal groupoid congruence, by least idempotents: s ~ t iff
+    s z = t z, where z is the least idempotent at dom s.
 
-    cong = GraphedCongruence(base=inv_sg, rep=uf.reps())
-    # the scanned relation is an equivalence outright; the partition is
-    # not allowed to silently close it
-    if cong.pairs() != frozenset(raw):
-        raise InternalInconsistencyError("SigmaNotEquivalence", ())
+    The idempotents at an object commute, so their product z lies below
+    all of them.  If s e = t e for an idempotent e then
+    s z = s e z = t e z = t z.  The arrow s z has the domain and
+    codomain of s, so it alone names the class of s: one pass over the
+    arrows, O(n), before the congruence and groupoid self-checks.
+    """
+    sg = inv_sg.base
+    dom, mul = sg.dom, sg.mul
+    least: dict[int, int] = {}
+    for e in inv_sg.idempotents:
+        u = dom[e]
+        least[u] = mul[least[u]][e] if u in least else e
+    first: dict[int, int] = {}
+    rep = tuple(first.setdefault(mul[s][least[dom[s]]], s) for s in sg.arrows())
+
+    cong = GraphedCongruence(base=inv_sg, rep=rep)
     validate_congruence(cong)
     if not is_groupoid(quotient(inv_sg, cong)[0]):
         raise InternalInconsistencyError("SigmaQuotientNotGroupoid", ())
+    return cong
+
+
+def sigma_by_lower_bounds(inv_sg: InverseSemigroupoid) -> GraphedCongruence:
+    """Sigma by its definition: s ~ t iff s and t are parallel and some
+    arrow lies below both.
+
+    It reads only the natural order and the arrows' ends.  Each downset
+    is an int bitmask, so the scan is O(n^2) big-int ANDs, and the
+    scanned relation must already be an equivalence: each arrow's
+    related set must be exactly its class.
+    """
+    sg = inv_sg.base
+    n = sg.n_arrows
+    leq = inv_sg.order.leq
+    down = [0] * n
+    for r in range(n):
+        row = leq[r]
+        for s in range(n):
+            if row[s]:
+                down[s] |= 1 << r
+    parallel: dict[tuple[int, int], list[int]] = {}
+    for s in range(n):
+        parallel.setdefault((sg.dom[s], sg.cod[s]), []).append(s)
+    related = [0] * n
+    uf = UnionFind(n)
+    for arrows in parallel.values():
+        for s in arrows:
+            for t in arrows:
+                if down[s] & down[t]:
+                    related[s] |= 1 << t
+                    uf.union(s, t)
+
+    cong = GraphedCongruence(base=inv_sg, rep=uf.reps())
+    members = [0] * n
+    for s, r in enumerate(cong.rep):
+        members[r] |= 1 << s
+    # the scanned relation is an equivalence outright; the partition is
+    # not allowed to silently close it
+    if any(related[s] != members[r] for s, r in enumerate(cong.rep)):
+        raise InternalInconsistencyError("SigmaNotEquivalence", ())
+    validate_congruence(cong)
     return cong
 
 

@@ -20,7 +20,13 @@ from semigroupoids.actions import (
     validate_partial_action_E,
     validate_partial_action_P,
 )
-from semigroupoids.congruences import is_e_unitary, quotient, sigma, sigma_by_equations
+from semigroupoids.congruences import (
+    is_e_unitary,
+    quotient,
+    sigma,
+    sigma_by_equations,
+    sigma_by_lower_bounds,
+)
 from semigroupoids.globalization import check_lemma_tec, globalize, universal_map
 from semigroupoids.inverse import is_groupoid, is_strong_morphism
 from semigroupoids.posets import is_order_ideal, semilatticeoid_from_poset
@@ -68,7 +74,9 @@ def test_criterion_2_sigma_three_way_agreement():
     for s in pool:
         direct = sigma(s)
         equational = sigma_by_equations(s)
+        definitional = sigma_by_lower_bounds(s)
         assert direct.rep == equational.rep
+        assert direct.rep == definitional.rep
         q, _ = quotient(s, direct)
         assert is_groupoid(q)
     _report(2, f"sigma computations coincide on {len(pool)} structures", t0, 120)

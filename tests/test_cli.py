@@ -370,6 +370,42 @@ def test_scripts_run_from_a_source_checkout(tmp_path):
     assert (tmp_path / "out" / "chain2.json").exists()
 
 
+def test_one_parser_serves_every_call_without_leaking_state(files, tmp_path, capsys):
+    # in-process calls share one parser; each must read exactly like a
+    # fresh interpreter given the same arguments, so no flag of an
+    # earlier call (--verify-all, --seed, --output) reaches a later one
+    src = os.path.dirname(os.path.dirname(semigroupoids.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    runs = [
+        (files["chain2"], ["analyze", "--verify-all"]),
+        (files["chain2"], ["analyze"]),
+        (files["b2"], ["globalize", "--seed", "1"]),
+        (files["b2"], ["globalize"]),
+        (files["b2"], ["munn", "--output", "{out}"]),
+        (files["b2"], ["munn"]),
+        (files["b2"], ["validate", "--verify-all"]),
+    ]
+    for k, (path, args) in enumerate(runs):
+        outputs = []
+        for where in ("shared", "fresh"):
+            out = tmp_path / f"{where}{k}.json"
+            argv = ["--input", path] + [a.format(out=out) for a in args]
+            if where == "shared":
+                code = cli(argv)
+                captured = capsys.readouterr()
+                stdout, stderr = captured.out, captured.err
+            else:
+                done = subprocess.run(
+                    [sys.executable, "-m", "semigroupoids", *argv],
+                    env=env, capture_output=True, text=True,
+                )
+                code, stdout, stderr = done.returncode, done.stdout, done.stderr
+            written = out.read_text() if out.exists() else None
+            outputs.append((code, stdout, stderr, written))
+        assert outputs[0] == outputs[1], args
+    assert cli_module._parser() is cli_module._parser()
+
+
 def test_verify_all_on_action(files, tmp_path, capsys):
     munn = tmp_path / "munn.json"
     cli(["--input", files["b2"], "munn", "--output", str(munn)])

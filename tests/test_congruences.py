@@ -1,5 +1,6 @@
 """Congruence closure, sigma, quotients, idempotent purity, E-unitarity."""
 
+import dataclasses
 import random
 from collections import Counter
 
@@ -16,12 +17,14 @@ from semigroupoids.congruences import (
     quotient,
     sigma,
     sigma_by_equations,
+    sigma_by_lower_bounds,
     universal_groupoid_property,
     validate_congruence,
 )
 from semigroupoids.core import validate_morphism
-from semigroupoids.errors import ValidationError
+from semigroupoids.errors import InternalInconsistencyError, ValidationError
 from semigroupoids.inverse import is_groupoid, promote_to_inverse
+from semigroupoids.posets import validate_poset
 
 
 def naive_closure_pairs(inv_sg, seed):
@@ -179,9 +182,21 @@ def test_sigma_and_e_unitarity_on_i4():
     cong = sigma(i4)
     assert cong.classes() == (tuple(i4.arrows()),)
     assert cong.rep == sigma_by_equations(i4).rep
+    assert cong.rep == sigma_by_lower_bounds(i4).rep
     cert = is_e_unitary(i4)
     assert cert.conditions == (False,) * 5
     assert not cert.verdict
+
+
+def test_sigma_by_lower_bounds_rejects_a_non_equivalence():
+    # on b2's five parallel arrows, an order where 3 lies below 0 and 1
+    # and 4 below 1 and 2 relates 0 to 1 and 1 to 2 but not 0 to 2
+    b2 = corpus.brandt_b2()
+    below = [(3, 0), (3, 1), (4, 1), (4, 2)] + [(x, x) for x in b2.arrows()]
+    bent = dataclasses.replace(b2, order=validate_poset(below, 5))
+    with pytest.raises(InternalInconsistencyError) as err:
+        sigma_by_lower_bounds(bent)
+    assert err.value.code == "SigmaNotEquivalence"
 
 
 @given(st.data())
@@ -223,8 +238,13 @@ def test_sigma_on_b2_is_universal():
 
 def test_sigma_equational_forms_agree(structures, small_structures):
     pool = [s for _n, s in structures] + small_structures
+    # the ladder benchmark's Jpi rungs
+    pis = ([0, 0], [0, 1, 1], [0, 0, 1, 1], [0, 0, 0], [0, 1, 1, 1])
+    pool += [corpus.gen_Jpi(pi) for pi in pis]
     for s in pool:
-        assert sigma(s).rep == sigma_by_equations(s).rep
+        direct = sigma(s).rep
+        assert direct == sigma_by_equations(s).rep
+        assert direct == sigma_by_lower_bounds(s).rep
 
 
 def test_quotient_by_equality_is_isomorphic_copy():

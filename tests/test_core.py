@@ -5,8 +5,10 @@ import pytest
 from semigroupoids import corpus
 from semigroupoids.core import (
     NOT_COMPOSABLE,
+    _generators,
     compose_morphisms,
     identity_morphism,
+    semigroupoid_triples,
     validate_morphism,
     validate_semigroupoid,
 )
@@ -131,3 +133,93 @@ def test_mul_sentinel_matches_graph(structures):
         for a in sg.arrows():
             for b in sg.arrows():
                 assert (sg.mul[a][b] == NOT_COMPOSABLE) == (sg.dom[a] != sg.cod[b])
+
+
+def _cubic_verdict(dom, cod, triples):
+    """Oracle for tables that differ from a valid one in one defined
+    cell: the least DomCodMismatch, else the least failing triple by a
+    scan of every composable (r, s, t), else None."""
+    n = len(dom)
+    table = [[NOT_COMPOSABLE] * n for _ in range(n)]
+    for s, t, r in triples:
+        table[s][t] = r
+    for s in range(n):
+        for t in range(n):
+            r = table[s][t]
+            if r != NOT_COMPOSABLE and (dom[r] != dom[t] or cod[r] != cod[s]):
+                return ("DomCodMismatch", (s, t))
+    for r in range(n):
+        for s in range(n):
+            for t in range(n):
+                if dom[r] != cod[s] or dom[s] != cod[t]:
+                    continue
+                if table[table[r][s]][t] != table[r][table[s][t]]:
+                    return ("AssociativityFailure", (r, s, t))
+    return None
+
+
+def _verdict(dom, cod, triples, n_objects):
+    try:
+        validate_semigroupoid(dom, cod, triples, n_objects=n_objects)
+    except ValidationError as exc:
+        return (exc.code, exc.witness)
+    return None
+
+
+def test_light_test_matches_cubic_oracle_on_every_perturbation(structures):
+    # every defined cell of every table, set to every other arrow
+    pool = [s.base for s in corpus.enumerate_inverse_semigroupoids(4)]
+    pool += [s.base for _name, s in structures]
+    seen = {"DomCodMismatch": 0, "AssociativityFailure": 0, None: 0}
+    for sg in pool:
+        triples = semigroupoid_triples(sg)
+        for i, (s, t, r) in enumerate(triples):
+            for other in sg.arrows():
+                if other == r:
+                    continue
+                changed = triples[:i] + [(s, t, other)] + triples[i + 1:]
+                expected = _cubic_verdict(sg.dom, sg.cod, changed)
+                assert _verdict(sg.dom, sg.cod, changed, sg.n_objects) == expected
+                seen[expected and expected[0]] += 1
+    assert seen["AssociativityFailure"] > 5000 and seen[None] > 0, seen
+
+
+def _closure(sg, gens):
+    """Oracle: products of members added until nothing new appears."""
+    members = set(gens)
+    while True:
+        new = {
+            sg.mul[a][b] for a in members for b in members if sg.composable(a, b)
+        } - members
+        if not new:
+            return members
+        members |= new
+
+
+def _generators_of(sg):
+    return _generators(sg.dom, sg.cod, sg.mul, sg.n_objects)
+
+
+def test_generators_generate_every_arrow(structures):
+    pool = [s.base for _name, s in structures]
+    pool += [corpus.gen_Jpi(pi).base for pi in ([0, 0, 0], [0, 0, 1, 1], [0, 1, 1, 1])]
+    for sg in pool:
+        gens = _generators_of(sg)
+        assert _closure(sg, gens) == set(sg.arrows())
+        # greedy in index order: no generator lies in the closure of the
+        # earlier ones
+        for k, g in enumerate(gens):
+            assert g not in _closure(sg, gens[:k])
+
+
+def test_least_failing_triple_with_middle_outside_generators():
+    # the cyclic group a = 0, a^2 = 1, e = 2 with e e changed to a^2; the
+    # test on the middle a fails at (e, a, a^2), but the least failing
+    # triple (a, a^2, e) has the middle a^2, which is not a generator
+    table = [[1, 2, 0], [2, 0, 1], [0, 1, 1]]
+    assert _generators([0] * 3, [0] * 3, table, 1) == [0]
+    triples = [(s, t, table[s][t]) for s in range(3) for t in range(3)]
+    with pytest.raises(ValidationError) as err:
+        validate_semigroupoid([0] * 3, [0] * 3, triples)
+    assert err.value.code == "AssociativityFailure"
+    assert err.value.witness == (0, 1, 2)
