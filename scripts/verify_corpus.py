@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
-"""Run the full cross-check battery over the fixture corpus and the
-exhaustively enumerated small structures, printing one row per check.
+"""Run the full cross-check battery over the fixture corpus, the
+exhaustively enumerated small structures, the action corpus and the
+groupoid action corpus with the McAlister triple of each of its actions,
+printing each failed check.
 
 Usage: python3 scripts/verify_corpus.py [--max-arrows N]
 """
@@ -15,6 +17,18 @@ sys.path.insert(
 
 from semigroupoids import corpus
 from semigroupoids.cli import cross_checks
+from semigroupoids.posets import semilatticeoid_from_poset
+from semigroupoids.ptheorem import mcalister_from_action
+
+
+def failed_rows(name: str, obj) -> int:
+    """Run the battery on one object, print each failed row, count them."""
+    failures = 0
+    for check, ok, msg in cross_checks(obj):
+        if not ok:
+            failures += 1
+            print(f"FAIL {name}/{check}: {msg}")
+    return failures
 
 
 def main() -> int:
@@ -26,27 +40,27 @@ def main() -> int:
     t0 = time.time()
 
     for name, s in corpus.structure_corpus():
-        for check, ok, msg in cross_checks(s.base):
-            if not ok:
-                failures += 1
-                print(f"FAIL {name}/{check}: {msg}")
+        failures += failed_rows(name, s.base)
         print(f"ok   {name} ({s.n_arrows} arrows)")
 
     structs = list(corpus.enumerate_inverse_semigroupoids(args.max_arrows))
     print(f"enumerated {len(structs)} structures with <= {args.max_arrows} arrows")
     for i, s in enumerate(structs):
-        rows = cross_checks(s.base)
-        for check, ok, msg in rows:
-            if not ok:
-                failures += 1
-                print(f"FAIL enumerated[{i}]/{check}: {msg}")
+        failures += failed_rows(f"enumerated[{i}]", s.base)
 
     for name, a in corpus.action_corpus():
-        for check, ok, msg in cross_checks(a):
-            if not ok:
-                failures += 1
-                print(f"FAIL {name}/{check}: {msg}")
+        failures += failed_rows(name, a)
     print(f"checked action corpus ({len(corpus.action_corpus())} actions)")
+
+    groupoid_actions = corpus.groupoid_action_corpus()
+    for name, a in groupoid_actions:
+        failures += failed_rows(name, a)
+        triple = mcalister_from_action(a, semilatticeoid_from_poset(a.order))
+        failures += failed_rows(f"triple[{name}]", triple)
+    print(
+        f"checked groupoid action corpus ({len(groupoid_actions)} actions"
+        f" and their McAlister triples)"
+    )
 
     print(f"done in {time.time() - t0:.1f}s, {failures} failure(s)")
     return 1 if failures else 0

@@ -51,11 +51,13 @@ from .congruences import (
 from .actions import (
     EquivariantMap,
     PartialActionData,
+    check_built,
     check_equivariant,
     disjoint_union_actions,
     make_action,
     orbit,
     point_action,
+    require_valid,
     restrict_global,
     validate_partial_action_E,
     validate_partial_action_P,
@@ -70,6 +72,7 @@ from .ptheorem import (
     McAlisterTriple,
     PTheoremBundle,
     SemidirectProduct,
+    bundle_from_certificate,
     check_e_unitary_preservation,
     idempotent_semilatticeoid,
     induced_sigma_action,

@@ -5,15 +5,17 @@ The two validators check genuinely different axiom lists (the bijection/
 containment/monotone-domain route versus the identity-on-idempotents/
 composition-domain route).  Their verdicts agreeing on every input is a
 theorem, exercised by the acceptance suite, so their core loops are kept
-independent.
+independent.  Other modules reach them through two gates: ``require_valid``
+checks an input by E's verdict, stored on the action; ``check_built``
+runs both afresh on an action a construction built.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, wraps
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ValidationError, Violation
+from .errors import InternalInconsistencyError, ValidationError, Violation
 from .inverse import InverseSemigroupoid
 from .posets import FinitePoset, discrete_poset, is_order_ideal
 
@@ -90,37 +92,22 @@ def make_action(
     )
 
 
-def _stores_verdict(validator):
-    """Run ``validator`` on every call and store its result on the action
-    under the validator's name, for ``_input_verdict`` to read."""
-
-    key = validator.__name__
-
-    @wraps(validator)
-    def run(a: PartialActionData) -> Violation | None:
-        v = validator(a)
-        a.__dict__[key] = v
-        return v
-
-    return run
+# the key under which validate_partial_action_E stores its verdict on an
+# action, read by require_valid; P stores nothing
+_VERDICT = "validate_partial_action_E"
 
 
-_NOT_STORED = object()
-
-
-def _input_verdict(a: PartialActionData, validator) -> Violation | None:
-    """For input checks only: the verdict ``validator`` stored on ``a``,
-    or a fresh run of ``validator`` when none is stored.  Self-checks call
-    the validator itself."""
-    stored = a.__dict__.get(validator.__name__, _NOT_STORED)
-    return validator(a) if stored is _NOT_STORED else stored
-
-
-@_stores_verdict
 def validate_partial_action_E(a: PartialActionData) -> Violation | None:
     """Bijection/containment/monotone-domain axioms, plus the order and
     exact-composition clauses when the carrier is ordered or the action
-    claims to be global.  Returns the first violation or None."""
+    claims to be global.  Returns the first violation or None, computed
+    on every call and stored on the action for ``require_valid``."""
+    v = a.__dict__[_VERDICT] = _first_violation_E(a)
+    return v
+
+
+def _first_violation_E(a: PartialActionData) -> Violation | None:
+    """The clauses of validate_partial_action_E, in order."""
     actor = a.actor
     sg = actor.base
     if a.carrier_size == 0:
@@ -190,7 +177,6 @@ def validate_partial_action_E(a: PartialActionData) -> Violation | None:
     return None
 
 
-@_stores_verdict
 def validate_partial_action_P(a: PartialActionData) -> Violation | None:
     """Identity-on-idempotents/domain-containment/composition-domain
     axioms; the independent route to the same class of valid actions."""
@@ -257,6 +243,29 @@ def validate_partial_action_P(a: PartialActionData) -> Violation | None:
             if domains[s] != domains[mul[s][inv[s]]]:
                 return Violation("GlobalEqualityFailure", (s,))
     return None
+
+
+def require_valid(a: PartialActionData) -> None:
+    """The input gate: raise ValidationError with E's first violation.
+
+    Reads the verdict ``validate_partial_action_E`` stored on ``a`` and
+    runs E only when none is stored.  P is not asked: where the two
+    disagree there is a bug, which ``check_built`` and the CLI's
+    comparisons report as one."""
+    stored = a.__dict__
+    v = stored[_VERDICT] if _VERDICT in stored else validate_partial_action_E(a)
+    if v is not None:
+        raise ValidationError(v.code, v.witness)
+
+
+def check_built(a: PartialActionData, code: str) -> None:
+    """The self-check on an action a construction built: E and then P,
+    both run afresh; the first violation v raises
+    InternalInconsistencyError(code, (v.code, v.witness))."""
+    for validator in (validate_partial_action_E, validate_partial_action_P):
+        v = validator(a)
+        if v is not None:
+            raise InternalInconsistencyError(code, (v.code, v.witness))
 
 
 def _ordered_clauses(a: PartialActionData) -> Violation | None:

@@ -18,6 +18,7 @@ from .actions import (
     PartialActionData,
     check_equivariant,
     EquivariantMap,
+    require_valid,
     restrict_global,
     validate_partial_action_E,
     validate_partial_action_P,
@@ -43,7 +44,7 @@ from .inverse import InverseSemigroupoid, is_groupoid, promote_to_inverse
 from .posets import FinitePoset, Semilatticeoid, semilatticeoid_from_poset
 from .ptheorem import (
     McAlisterTriple,
-    _bundle_from_certificate,
+    bundle_from_certificate,
     mcalister_from_action,
     munn_action,
     semidirect_product,
@@ -216,13 +217,12 @@ def cmd_munn(args) -> int:
 
 
 def _checked_action_and_lattice(args) -> tuple[PartialActionData, Semilatticeoid]:
-    """The input action, validated (its stored verdict is what the input
-    checks read), then the semilatticeoid of its carrier order."""
+    """The input action through the input gate, which stores E's verdict
+    for the construction's own gate to read, then the semilatticeoid of
+    its carrier order."""
     action = _as_action(_load(args), args.seed)
     order = _carrier_order(action)
-    v = validate_partial_action_E(action)
-    if v is not None:
-        raise ValidationError(v.code, v.witness)
+    require_valid(action)
     return action, semilatticeoid_from_poset(order)
 
 
@@ -245,7 +245,7 @@ def cmd_ptheorem(args) -> int:
         print("INVALID: structure is not E-unitary")
         print(io.canonical_dumps(_certificate_doc(inv_sg, cert)), end="")
         return 1
-    bundle = _bundle_from_certificate(cert, munn_action(inv_sg))
+    bundle = bundle_from_certificate(cert, munn_action(inv_sg))
     sg = inv_sg.base
     product = bundle.semidirect.product.base
     doc = {
@@ -354,7 +354,7 @@ def cross_checks(obj) -> list[tuple[str, bool, str]]:
             )
             note(
                 "ptheorem-isomorphism",
-                lambda: _bundle_from_certificate(certificate(), theta()),
+                lambda: bundle_from_certificate(certificate(), theta()),
             )
     elif isinstance(obj, PartialActionData):
         ve = validate_partial_action_E(obj)

@@ -16,12 +16,11 @@ from typing import Sequence
 from .actions import (
     EquivariantMap,
     PartialActionData,
-    _input_verdict,
+    check_built,
     check_equivariant,
     make_action,
     orbit,
-    validate_partial_action_E,
-    validate_partial_action_P,
+    require_valid,
 )
 from .core import UnionFind
 from .errors import InternalInconsistencyError, ValidationError, Violation
@@ -59,16 +58,14 @@ class GlobalizationResult:
 def globalize(a: PartialActionData) -> GlobalizationResult:
     """Construct the universal globalization of a valid partial action.
 
-    The input check reuses a verdict already stored on the action; the
-    construction-time self-checks all run.  Pairs are indexed by arrow
-    and arrows by codomain, so the transport rule and the envelope
-    domains pair each arrow s only with the pairs whose arrow has
-    codomain cod s: O(sum over objects u of n_u P_u) for n_u arrows and
-    P_u pairs with codomain u, at most O(n P).
+    The input gate ``require_valid`` reuses a verdict already stored on
+    the action; the construction-time self-checks all run.  Pairs are
+    indexed by arrow and arrows by codomain, so the transport rule and
+    the envelope domains pair each arrow s only with the pairs whose
+    arrow has codomain cod s: O(sum over objects u of n_u P_u) for n_u
+    arrows and P_u pairs with codomain u, at most O(n P).
     """
-    violation = _input_verdict(a, validate_partial_action_E)
-    if violation is not None:
-        raise ValidationError(violation.code, violation.witness)
+    require_valid(a)
     actor = a.actor
     sg = actor.base
     inv, mul, cod = actor.inv, sg.mul, sg.cod
@@ -179,10 +176,7 @@ def globalize(a: PartialActionData) -> GlobalizationResult:
     # construction-time self-checks backed by the globalization theorem
     if len(set(embed)) != a.carrier_size:
         raise InternalInconsistencyError("EmbeddingNotInjective", ())
-    for validator in (validate_partial_action_E, validate_partial_action_P):
-        v = validator(envelope)
-        if v is not None:
-            raise InternalInconsistencyError("EnvelopeNotGlobal", (v.code, v.witness))
+    check_built(envelope, "EnvelopeNotGlobal")
     v = check_equivariant(
         EquivariantMap(a, envelope, tuple(embed)), ordered=a.order is not None
     )
@@ -314,10 +308,7 @@ def universal_map(
     """
     if target.order is None or not target.global_flag:
         raise ValidationError("NotGlobalOrdered", ())
-    for validator in (validate_partial_action_E, validate_partial_action_P):
-        violation = _input_verdict(target, validator)
-        if violation is not None:
-            raise ValidationError(violation.code, violation.witness)
+    require_valid(target)
     jmap = tuple(j)
     violation = check_equivariant(
         EquivariantMap(r.action, target, jmap), ordered=True

@@ -28,6 +28,23 @@ def _require(doc: Any, key: str, kind: type = object):
     return doc[key]
 
 
+def _flag(doc: dict, key: str) -> bool:
+    """An optional boolean field; absent reads as False."""
+    value = doc.get(key, False)
+    if not isinstance(value, bool):
+        raise ParseError(f"field {key!r} is not a boolean")
+    return value
+
+
+def _check_version(doc: Any) -> None:
+    """A document, nested ones included, that names a version names the
+    integer FORMAT_VERSION (``true`` is not an integer here)."""
+    if isinstance(doc, dict) and "version" in doc:
+        version = doc["version"]
+        if type(version) is not int or version != FORMAT_VERSION:
+            raise ParseError(f"unsupported version {version!r}")
+
+
 def _known(name: Any, index: dict[str, int]) -> bool:
     return isinstance(name, str) and name in index
 
@@ -72,6 +89,7 @@ def semigroupoid_to_doc(sg: FiniteSemigroupoid) -> dict:
 
 
 def semigroupoid_from_doc(doc: dict) -> FiniteSemigroupoid:
+    _check_version(doc)
     objects = _require(doc, "objects", list)
     arrows = _require(doc, "arrows", list)
     mul = _require(doc, "mul", list)
@@ -124,6 +142,7 @@ def poset_to_doc(poset: FinitePoset) -> dict:
 
 
 def poset_from_doc(doc: dict) -> FinitePoset:
+    _check_version(doc)
     elements = _require(doc, "elements", list)
     index = _unique_names(elements, "element")
     pairs = []
@@ -132,7 +151,7 @@ def poset_from_doc(doc: dict) -> FinitePoset:
             raise ParseError(f"bad order pair {pair!r}")
         pairs.append((index[pair[0]], index[pair[1]]))
     return validate_poset(
-        pairs, len(elements), names=elements, auto_close=bool(doc.get("auto_close"))
+        pairs, len(elements), names=elements, auto_close=_flag(doc, "auto_close")
     )
 
 
@@ -169,6 +188,7 @@ def action_to_doc(a: PartialActionData) -> dict:
 
 
 def action_from_doc(doc: dict) -> PartialActionData:
+    _check_version(doc)
     actor = promote_to_inverse(semigroupoid_from_doc(_require(doc, "actor")))
     carrier = _require(doc, "carrier", list)
     carrier_index = _unique_names(carrier, "carrier point")
@@ -193,6 +213,8 @@ def action_from_doc(doc: dict) -> PartialActionData:
         for pair in pairs:
             if not _known_pair(pair, carrier_index):
                 raise ParseError(f"bad map pair {pair!r}")
+            if carrier_index[pair[0]] in m:
+                raise ParseError(f"point {pair[0]!r} mapped twice by {name!r}")
             m[carrier_index[pair[0]]] = carrier_index[pair[1]]
         maps[arrow_index[name]] = m
 
@@ -212,7 +234,7 @@ def action_from_doc(doc: dict) -> PartialActionData:
             domains,
             maps,
             order=order,
-            global_flag=bool(doc.get("global")),
+            global_flag=_flag(doc, "global"),
         )
     except ValidationError as exc:
         raise ParseError(f"malformed action: {exc}") from exc
@@ -232,6 +254,7 @@ def triple_to_doc(t: McAlisterTriple) -> dict:
 
 
 def triple_from_doc(doc: dict) -> McAlisterTriple:
+    _check_version(doc)
     groupoid = promote_to_inverse(semigroupoid_from_doc(_require(doc, "groupoid")))
     space = poset_from_doc(_require(doc, "space"))
     action = action_from_doc(_require(doc, "action"))
@@ -284,10 +307,23 @@ def canonical_dumps(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _object_without_repeats(pairs: list[tuple[str, Any]]) -> dict:
+    """A JSON object as a dict; a key given twice is a parse error, not
+    a silent choice of its last value."""
+    doc = dict(pairs)
+    if len(doc) != len(pairs):
+        seen = set()
+        for key, _value in pairs:
+            if key in seen:
+                raise ParseError(f"repeated key {key!r}")
+            seen.add(key)
+    return doc
+
+
 def load_structure(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_object_without_repeats)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:

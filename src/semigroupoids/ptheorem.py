@@ -9,12 +9,11 @@ from functools import cached_property
 
 from .actions import (
     PartialActionData,
-    _input_verdict,
+    check_built,
     make_action,
     orbit,
+    require_valid,
     restrict_global,
-    validate_partial_action_E,
-    validate_partial_action_P,
 )
 from .congruences import EUnitarityCertificate, is_e_unitary
 from .core import SemigroupoidMorphism, validate_morphism, validate_semigroupoid
@@ -64,10 +63,7 @@ def munn_action(inv_sg: InverseSemigroupoid) -> PartialActionData:
         order=order,
         global_flag=True,
     )
-    for validator in (validate_partial_action_E, validate_partial_action_P):
-        v = validator(action)
-        if v is not None:
-            raise InternalInconsistencyError("MunnActionInvalid", (v.code, v.witness))
+    check_built(action, "MunnActionInvalid")
     return action
 
 
@@ -88,10 +84,7 @@ def induced_sigma_action(
     sig = cert.sigma
     if theta.actor != sig.base:
         raise ValidationError("MalformedAction", (), "action actor differs")
-    for validator in (validate_partial_action_E, validate_partial_action_P):
-        v = _input_verdict(theta, validator)
-        if v is not None:
-            raise ValidationError(v.code, v.witness)
+    require_valid(theta)
     if theta.order is None or not theta.global_flag:
         raise ValidationError("NotGlobalOrdered", ())
 
@@ -129,10 +122,7 @@ def induced_sigma_action(
         order=theta.order,
         global_flag=False,
     )
-    for validator in (validate_partial_action_E, validate_partial_action_P):
-        v = validator(alpha)
-        if v is not None:
-            raise InternalInconsistencyError("InducedActionInvalid", (v.code, v.witness))
+    check_built(alpha, "InducedActionInvalid")
     return alpha
 
 
@@ -174,9 +164,7 @@ def semidirect_product(
     """
     actor = action.actor
     _check_action_matches_lattice(action, latt)
-    v = _input_verdict(action, validate_partial_action_E)
-    if v is not None:
-        raise ValidationError(v.code, v.witness)
+    require_valid(action)
     for s in actor.arrows():
         if not action.domains[s]:
             raise ValidationError("EmptyDomain", (s,))
@@ -275,10 +263,7 @@ def validate_mcalister_triple(t: McAlisterTriple) -> McAlisterTriple:
         raise ValidationError("MalformedAction", (), "action actor differs")
     if t.action.order is None or t.action.order.leq != t.space.leq:
         raise ValidationError("MalformedAction", (), "order differs from space")
-    for validator in (validate_partial_action_E, validate_partial_action_P):
-        v = _input_verdict(t.action, validator)
-        if v is not None:
-            raise ValidationError(v.code, v.witness)
+    require_valid(t.action)
     if not t.action.global_flag:
         raise ValidationError("NotGlobalOrdered", ())
 
@@ -370,10 +355,10 @@ def ptheorem_bundle(inv_sg: InverseSemigroupoid) -> PTheoremBundle:
     cert = is_e_unitary(inv_sg)
     if not cert.verdict:
         raise ValidationError("NotEUnitary", ())
-    return _bundle_from_certificate(cert, munn_action(inv_sg))
+    return bundle_from_certificate(cert, munn_action(inv_sg))
 
 
-def _bundle_from_certificate(
+def bundle_from_certificate(
     cert: EUnitarityCertificate, theta: PartialActionData
 ) -> PTheoremBundle:
     """The reconstruction step of ptheorem_bundle, for a caller that

@@ -1,5 +1,6 @@
 """Partial action validators, orbits, restriction, equivariant maps."""
 
+import dataclasses
 import random
 from collections import Counter
 
@@ -9,16 +10,22 @@ from hypothesis import given, settings, strategies as st
 from semigroupoids import actions, corpus
 from semigroupoids.actions import (
     EquivariantMap,
+    check_built,
     check_equivariant,
     disjoint_union_actions,
     make_action,
     orbit,
     point_action,
+    require_valid,
     restrict_global,
     validate_partial_action_E,
     validate_partial_action_P,
 )
-from semigroupoids.errors import ValidationError, Violation
+from semigroupoids.errors import (
+    InternalInconsistencyError,
+    ValidationError,
+    Violation,
+)
 from semigroupoids.posets import (
     chain_poset,
     check_order_iso,
@@ -352,3 +359,83 @@ def test_ordered_clauses_match_restrict_oracle(monkeypatch):
     for route in (0, 1):
         codes = Counter(pair[route].code for pair in new if pair[route] is not None)
         assert codes["NotIdeal"] and codes["NotOrderIso"], codes
+
+
+# ------------------------------------------------------------------ gates
+
+def test_require_valid_raises_the_first_violation_of_E():
+    invalid = 0
+    for a in corpus.action_candidates(seed=0):
+        fresh = dataclasses.replace(a)
+        v = validate_partial_action_E(a)
+        for b in (a, fresh):
+            if v is None:
+                require_valid(b)
+                continue
+            with pytest.raises(ValidationError) as err:
+                require_valid(b)
+            assert (err.value.code, err.value.witness) == (v.code, v.witness)
+        invalid += v is not None
+    assert invalid > 50, invalid
+
+
+def test_require_valid_reads_the_stored_verdict(monkeypatch):
+    runs = []
+    real = actions.validate_partial_action_E
+
+    def counting(a):
+        runs.append(a)
+        return real(a)
+
+    monkeypatch.setattr(actions, "validate_partial_action_E", counting)
+    # munn_action's self-check stores a passing verdict on a
+    a = munn_action(corpus.chain2())
+    bad = dataclasses.replace(a, domains=a.domains[::-1])
+    runs.clear()
+    for _ in range(3):
+        require_valid(a)
+    assert runs == []
+    # the first gate on bad runs E, the next ones read what it stored
+    for _ in range(3):
+        with pytest.raises(ValidationError):
+            require_valid(bad)
+    assert runs == [bad]
+    # a stored verdict is what the gate reports, whatever the action
+    bad.__dict__[actions._VERDICT] = None
+    require_valid(bad)
+    assert runs == [bad]
+
+
+def test_check_built_reports_the_first_violation_under_its_code():
+    failing = 0
+    for a in corpus.action_candidates(seed=0):
+        ve, vp = validate_partial_action_E(a), validate_partial_action_P(a)
+        assert (ve is None) == (vp is None)
+        # a stored passing verdict does not stand in for a fresh run
+        a.__dict__[actions._VERDICT] = None
+        if ve is None:
+            check_built(a, "BuiltActionInvalid")
+            continue
+        with pytest.raises(InternalInconsistencyError) as err:
+            check_built(a, "BuiltActionInvalid")
+        assert err.value.code == "BuiltActionInvalid"
+        assert err.value.witness == (ve.code, ve.witness)
+        failing += 1
+    assert failing > 50, failing
+
+
+def test_check_built_runs_both_validators_afresh(monkeypatch):
+    runs = Counter()
+    for name in ("validate_partial_action_E", "validate_partial_action_P"):
+        real = getattr(actions, name)
+
+        def counting(a, real=real, name=name):
+            runs[name] += 1
+            return real(a)
+
+        monkeypatch.setattr(actions, name, counting)
+    a = munn_action(corpus.chain2())
+    runs.clear()
+    for _ in range(2):
+        check_built(a, "BuiltActionInvalid")
+    assert runs == {"validate_partial_action_E": 2, "validate_partial_action_P": 2}

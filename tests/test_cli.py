@@ -9,10 +9,10 @@ import pytest
 
 import semigroupoids
 from semigroupoids import (
+    actions,
     cli as cli_module,
     congruences,
     corpus,
-    globalization,
     io,
     ptheorem,
 )
@@ -104,14 +104,13 @@ def test_globalize_validates_its_input_once(files, tmp_path, monkeypatch):
     munn = tmp_path / "munn.json"
     cli(["--input", files["b2"], "munn", "--output", str(munn)])
     seen = []
-    real_validate = globalization.validate_partial_action_E
+    real_validate = actions.validate_partial_action_E
 
     def recording(a):
         seen.append(a)
         return real_validate(a)
 
-    monkeypatch.setattr(cli_module, "validate_partial_action_E", recording)
-    monkeypatch.setattr(globalization, "validate_partial_action_E", recording)
+    monkeypatch.setattr(actions, "validate_partial_action_E", recording)
     assert cli(["--input", str(munn), "globalize"]) == 0
     # the command checks its input; the construction checks only its
     # envelope
@@ -288,7 +287,13 @@ print(sorted(name for name, ok, _msg in rows if not ok))
     assert "'sigma-quotient-groupoid'" in out
 
 
-# documents that once escaped as tracebacks, built from a valid chain2 file
+def _chain2_action(fields):
+    """The Munn action of chain2 as a document, with ``fields`` replaced."""
+    return dict(io.action_to_doc(ptheorem.munn_action(corpus.chain2())), **fields)
+
+
+# documents that once escaped as tracebacks or were silently misread,
+# built from a valid chain2 file; a string is written as it stands
 MALFORMED = {
     "objects-int": lambda d: dict(d, objects=3),
     "arrows-int": lambda d: dict(d, arrows=3),
@@ -299,6 +304,17 @@ MALFORMED = {
         "kind": "poset", "version": 1, "elements": ["x"], "leq": [[["x"], "x"]]
     },
     "not-utf8": None,
+    "map-point-twice": lambda d: _chain2_action(
+        {"maps": {"e": [["e", "f"], ["e", "e"], ["f", "f"]], "f": [["f", "f"]]}}
+    ),
+    "repeated-key": lambda d: json.dumps(d).replace("{", '{"objects": [], ', 1),
+    "global-string": lambda d: _chain2_action({"global": "false"}),
+    "auto-close-string": lambda d: {
+        "kind": "poset", "version": 1, "elements": ["x"], "leq": [], "auto_close": "no"
+    },
+    "version-99": lambda d: dict(d, version=99),
+    "version-true": lambda d: dict(d, version=True),
+    "nested-version-99": lambda d: _chain2_action({"actor": dict(d, version=99)}),
 }
 
 
@@ -308,7 +324,8 @@ def test_malformed_document_exits_2(files, tmp_path, capsys, case):
     if MALFORMED[case] is None:
         bad.write_bytes(b'{"kind": "semigroupoid", "objects": ["\xff"]}')
     else:
-        bad.write_text(json.dumps(MALFORMED[case](json.load(open(files["chain2"])))))
+        doc = MALFORMED[case](json.load(open(files["chain2"])))
+        bad.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     assert cli(["--input", str(bad), "validate"]) == 2
     assert "parse error:" in capsys.readouterr().err
 
@@ -541,7 +558,7 @@ def test_verify_all_rows_take_the_batterys_certificate(files, monkeypatch):
         return wrapper
 
     monkeypatch.setattr(cli_module, "is_e_unitary", certifying)
-    for name in ("check_lemma_sts", "_bundle_from_certificate"):
+    for name in ("check_lemma_sts", "bundle_from_certificate"):
         monkeypatch.setattr(cli_module, name, taking(getattr(cli_module, name)))
     assert cli(["--input", files["chain2"], "ptheorem", "--verify-all"]) == 0
     command_cert, battery_cert = made

@@ -457,8 +457,7 @@ def _counting_validators(monkeypatch, module):
 
 
 def test_universal_map_checks_only_targets_without_verdicts(actions, monkeypatch):
-    calls = _counting_validators(monkeypatch, globalization)
-    both = {"validate_partial_action_E", "validate_partial_action_P"}
+    calls = _counting_validators(monkeypatch, actions_module)
     checked = 0
     for _, a in actions:
         r = globalize(a)
@@ -468,23 +467,23 @@ def test_universal_map_checks_only_targets_without_verdicts(actions, monkeypatch
         universal_map(r, r.envelope, r.embed)
         # globalize's self-check has just validated the envelope
         assert not calls
+        # the input gate runs E alone on a target without a verdict
         universal_map(r, point, (0,) * a.carrier_size)
-        assert calls == {(name, id(point)): 1 for name in both}
+        assert calls == {("validate_partial_action_E", id(point)): 1}
         calls.clear()
         universal_map(r, union, r.embed)
-        assert calls == {(name, id(union)): 1 for name in both}
+        assert calls == {("validate_partial_action_E", id(union)): 1}
         checked += 1
     assert checked == len(actions)
 
 
 def _presetting(make):
-    """``make_action`` whose result already claims to pass both
-    validators, so a self-check that read stored verdicts would skip."""
+    """``make_action`` whose result already carries the passing verdict
+    the input gate reads, so a self-check that read it would skip."""
 
     def wrapper(*args, **kwargs):
         a = make(*args, **kwargs)
-        a.__dict__["validate_partial_action_E"] = None
-        a.__dict__["validate_partial_action_P"] = None
+        a.__dict__[actions_module._VERDICT] = None
         return a
 
     return wrapper
@@ -521,7 +520,7 @@ def test_self_checks_and_public_validators_always_compute(monkeypatch):
     assert [runs[id(b)] for b in restricted] == [1, 1]
     glued = [induced_sigma_action(is_e_unitary(c2), theta) for _ in range(2)]
     assert [runs[id(g)] for g in glued] == [2, 2]
-    # the input checks read the verdicts the validators stored on theta
+    # the input checks read the verdict E stored on theta
     assert runs[id(theta)] == 6
 
 

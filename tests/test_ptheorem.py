@@ -6,7 +6,7 @@ from functools import wraps
 
 import pytest
 
-from semigroupoids import congruences, corpus, ptheorem
+from semigroupoids import actions, congruences, corpus
 from semigroupoids.actions import (
     EquivariantMap,
     check_equivariant,
@@ -296,8 +296,8 @@ def test_ptheorem_bundle_runs_each_self_check_once(structures, monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     counting(congruences, "validate_congruence")
-    counting(ptheorem, "validate_partial_action_E")
-    counting(ptheorem, "validate_partial_action_P")
+    counting(actions, "validate_partial_action_E")
+    counting(actions, "validate_partial_action_P")
     for name, s in structures:
         if not is_e_unitary(s).verdict:
             continue
