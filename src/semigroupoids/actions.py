@@ -101,7 +101,26 @@ def validate_partial_action_E(a: PartialActionData) -> Violation | None:
     """Bijection/containment/monotone-domain axioms, plus the order and
     exact-composition clauses when the carrier is ordered or the action
     claims to be global.  Returns the first violation or None, computed
-    on every call and stored on the action for ``require_valid``."""
+    on every call and stored on the action for ``require_valid``.
+
+    On a global action the composition clauses are first tested on the
+    actor's generating set G only: theta_s theta_g = theta_{sg}, as
+    partial maps, for every g in G and every s with dom s = cod g.  This
+    costs O(n |G| k) for n arrows and k carrier points, against
+    O(c k) for the c composable pairs of the full scans.
+
+    Lemma: if the test passes, theta_s theta_t = theta_{st} for every
+    composable pair.  Every arrow t is g or t' g with g in G and t'
+    shorter as a word over G.  The case t = g is the test.  Otherwise
+    theta_{t'g} = theta_{t'} theta_g by the test, so
+    theta_s theta_t = (theta_s theta_{t'}) theta_g = theta_{st'} theta_g
+    = theta_{(st')g} = theta_{st}, by induction on the word, the test
+    at (st', g), and associativity of composing partial maps and of the
+    actor.  That equality is the ``GlobalEqualityFailure`` clause and
+    implies the ``CompositionNotContained`` one, so a passing test skips
+    both scans and no other clause moves.  A failing test runs every
+    clause in order, so the first violation and its witness are the
+    full scans'."""
     v = a.__dict__[_VERDICT] = _first_violation_E(a)
     return v
 
@@ -142,15 +161,17 @@ def _first_violation_E(a: PartialActionData) -> Violation | None:
     into: list[list[int]] = [[] for _ in range(sg.n_objects)]
     for t in arrows:
         into[cod[t]].append(t)
-    for s in arrows:
-        theta_s = maps[s]
-        for t in into[dom[s]]:
-            theta_st = maps[mul[s][t]]
-            for x, y in maps[t].items():
-                if y not in theta_s:
-                    continue
-                if x not in theta_st or theta_st[x] != theta_s[y]:
-                    return Violation("CompositionNotContained", (s, t, x))
+    exact = a.global_flag and _composes_on_generators(a)
+    if not exact:
+        for s in arrows:
+            theta_s = maps[s]
+            for t in into[dom[s]]:
+                theta_st = maps[mul[s][t]]
+                for x, y in maps[t].items():
+                    if y not in theta_s:
+                        continue
+                    if x not in theta_st or theta_st[x] != theta_s[y]:
+                        return Violation("CompositionNotContained", (s, t, x))
 
     # domains grow along the natural order of the actor
     leq = actor.order.leq
@@ -165,7 +186,7 @@ def _first_violation_E(a: PartialActionData) -> Violation | None:
         if v is not None:
             return v
 
-    if a.global_flag:
+    if a.global_flag and not exact:
         for s in arrows:
             theta_s = maps[s]
             for t in into[dom[s]]:
@@ -175,6 +196,24 @@ def _first_violation_E(a: PartialActionData) -> Violation | None:
                 if composite != maps[mul[s][t]]:
                     return Violation("GlobalEqualityFailure", (s, t))
     return None
+
+
+def _composes_on_generators(a: PartialActionData) -> bool:
+    """Whether theta_s theta_g = theta_{sg} as partial maps for every g
+    in the actor's generating set and every s with dom s = cod g."""
+    sg = a.actor.base
+    out_of: list[list[int]] = [[] for _ in range(sg.n_objects)]
+    for s in a.actor.arrows():
+        out_of[sg.dom[s]].append(s)
+    maps = a.maps
+    for g in sg.generators:
+        theta_g = maps[g].items()
+        for s in out_of[sg.cod[g]]:
+            theta_s = maps[s]
+            composite = {x: theta_s[y] for x, y in theta_g if y in theta_s}
+            if composite != maps[sg.mul[s][g]]:
+                return False
+    return True
 
 
 def validate_partial_action_P(a: PartialActionData) -> Violation | None:

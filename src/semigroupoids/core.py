@@ -7,7 +7,7 @@ pattern matches the dom/cod graph exactly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -26,7 +26,10 @@ class FiniteSemigroupoid:
 
     ``mul[s][t]`` is the product arrow when ``dom[s] == cod[t]`` and
     ``-1`` otherwise.  Instances are immutable after validation; build
-    them through :func:`validate_semigroupoid`.
+    them through :func:`validate_semigroupoid`.  ``generators`` is the
+    generating set G that validation found for Light's test: every arrow
+    is a product (..((g1 g2) g3)..) gk of arrows in G.  It is derived
+    from the table, so it takes no part in equality.
     """
 
     n_objects: int
@@ -35,6 +38,7 @@ class FiniteSemigroupoid:
     mul: tuple[tuple[int, ...], ...]
     arrow_names: tuple[str, ...]
     object_names: tuple[str, ...]
+    generators: tuple[int, ...] = field(compare=False, repr=False)
 
     @property
     def n_arrows(self) -> int:
@@ -108,7 +112,8 @@ def validate_semigroupoid(
             if dom[r] != dom[t] or cod[r] != cod[s]:
                 raise ValidationError("DomCodMismatch", (s, t))
 
-    if not _light_associative(dom, cod, table, n_objects):
+    generators = _generators(dom, cod, table, n_objects)
+    if not _light_associative(dom, cod, table, n_objects, generators):
         witness = _least_non_associative(dom, cod, table)
         raise ValidationError("AssociativityFailure", witness)
 
@@ -131,6 +136,7 @@ def validate_semigroupoid(
         mul=tuple(tuple(row) for row in table),
         arrow_names=tuple(arrow_names),
         object_names=tuple(object_names),
+        generators=tuple(generators),
     )
 
 
@@ -164,7 +170,7 @@ def _generators(dom, cod, table, n_objects: int) -> list[int]:
     return gens
 
 
-def _light_associative(dom, cod, table, n_objects: int) -> bool:
+def _light_associative(dom, cod, table, n_objects: int, generators) -> bool:
     """Light's associativity test (Clifford & Preston, *The Algebraic
     Theory of Semigroups* I, section 1.2), exact on a table that obeys
     the dom/cod law.
@@ -180,7 +186,7 @@ def _light_associative(dom, cod, table, n_objects: int) -> bool:
     for s in range(len(dom)):
         into[cod[s]].append(s)
         out_of[dom[s]].append(s)
-    for g in _generators(dom, cod, table, n_objects):
+    for g in generators:
         row_g = table[g]
         right = into[dom[g]]  # the y with g y defined
         if not right:

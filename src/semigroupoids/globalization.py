@@ -60,10 +60,38 @@ def globalize(a: PartialActionData) -> GlobalizationResult:
 
     The input gate ``require_valid`` reuses a verdict already stored on
     the action; the construction-time self-checks all run.  Pairs are
-    indexed by arrow and arrows by codomain, so the transport rule and
-    the envelope domains pair each arrow s only with the pairs whose
-    arrow has codomain cod s: O(sum over objects u of n_u P_u) for n_u
-    arrows and P_u pairs with codomain u, at most O(n P).
+    indexed by arrow and arrows by codomain, so the envelope domains
+    pair each arrow s only with the pairs whose arrow has codomain
+    cod s: O(sum over objects u of n_u P_u) for n_u arrows and P_u pairs
+    with codomain u, at most O(n P).
+
+    The transport rule makes one union for a pair (s, x) with x in the
+    domain of theta_s, the one with t = s s* (then t* s = s and s* t = s*),
+    which joins (s, x) to (s s*, theta_s x).  Only the pairs with x
+    outside that domain try every t with cod t = cod s.  So the rule
+    makes O(P) unions when every x lies in the domain of theta_s, as on
+    a global action, and O(sum over u of n_u P_u) at worst.
+
+    Lemma: the other instances at such a pair join nothing new.  Write
+    D_a for the range of theta_a, which maps D_{a*} onto D_a.  Let x lie
+    in D_{s*}, and let (s, x) ~ (t, y) be an instance: x in D_{s* t} and
+    y = theta_{t* s} x.
+    (1) y lies in D_{t* s}, inside D_{t*} by D_{ab} <= D_a, so theta_t y
+        is defined, and theta_a theta_b <= theta_{ab} gives
+        theta_t y = theta_{t t* s} x.
+    (2) a <= b in the natural order gives theta_a <= theta_b.  For x in
+        D_{a*}, monotone domains (a* <= b*) put x in D_{b*}, and
+        D_{ab} <= D_a with a* = (a* a) a* puts x in D_{a* a}, where the
+        idempotent a* a acts as the identity (theta_e theta_e <= theta_e,
+        and theta_e is injective).  So theta_b x = theta_b theta_{a* a} x
+        = theta_{b a* a} x = theta_a x, by theta_a theta_b <= theta_{ab}.
+    (3) t t* s <= s, so theta_t y = theta_s x; call it z.  The pair
+        (t, y) has y in D_{t*}, so it is joined to (t t*, z) as (s, x)
+        is to (s s*, z), and the idempotent rule joins those two tags on
+        the one point z.
+    Every instance with an end outside its domain is still made, from
+    that end's loop, as the rule is symmetric (theta_{s* t} inverts
+    theta_{t* s}).
     """
     require_valid(a)
     actor = a.actor
@@ -87,8 +115,13 @@ def globalize(a: PartialActionData) -> GlobalizationResult:
 
     uf = UnionFind(len(pairs))
     # transport rule: (s, x) ~ (t, theta_{t* s}(x)) whenever cod t = cod s
-    # and x lies in the domain at s* t
+    # and x lies in the domain at s* t; with x in the domain of theta_s
+    # the instance t = s s* stands for all of them (see the lemma above)
     for i, (s, x) in enumerate(pairs):
+        theta_s = maps[s]
+        if x in theta_s:
+            uf.union(i, index[(mul[s][inv[s]], theta_s[x])])
+            continue
         row = mul[inv[s]]
         for t in into[cod[s]]:
             if x not in domains[row[t]]:

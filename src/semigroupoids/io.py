@@ -36,13 +36,20 @@ def _flag(doc: dict, key: str) -> bool:
     return value
 
 
-def _check_version(doc: Any) -> None:
+def _check_header(doc: Any, kind: str) -> None:
     """A document, nested ones included, that names a version names the
-    integer FORMAT_VERSION (``true`` is not an integer here)."""
-    if isinstance(doc, dict) and "version" in doc:
+    integer FORMAT_VERSION (``true`` is not an integer here), and one
+    that names a kind names ``kind``, the one its place calls for."""
+    if not isinstance(doc, dict):
+        return
+    if "version" in doc:
         version = doc["version"]
         if type(version) is not int or version != FORMAT_VERSION:
             raise ParseError(f"unsupported version {version!r}")
+    if doc.get("kind", kind) != kind:
+        raise ParseError(
+            f"document of kind {doc['kind']!r} where {kind!r} is expected"
+        )
 
 
 def _known(name: Any, index: dict[str, int]) -> bool:
@@ -89,7 +96,7 @@ def semigroupoid_to_doc(sg: FiniteSemigroupoid) -> dict:
 
 
 def semigroupoid_from_doc(doc: dict) -> FiniteSemigroupoid:
-    _check_version(doc)
+    _check_header(doc, "semigroupoid")
     objects = _require(doc, "objects", list)
     arrows = _require(doc, "arrows", list)
     mul = _require(doc, "mul", list)
@@ -142,7 +149,7 @@ def poset_to_doc(poset: FinitePoset) -> dict:
 
 
 def poset_from_doc(doc: dict) -> FinitePoset:
-    _check_version(doc)
+    _check_header(doc, "poset")
     elements = _require(doc, "elements", list)
     index = _unique_names(elements, "element")
     pairs = []
@@ -188,7 +195,7 @@ def action_to_doc(a: PartialActionData) -> dict:
 
 
 def action_from_doc(doc: dict) -> PartialActionData:
-    _check_version(doc)
+    _check_header(doc, "action")
     actor = promote_to_inverse(semigroupoid_from_doc(_require(doc, "actor")))
     carrier = _require(doc, "carrier", list)
     carrier_index = _unique_names(carrier, "carrier point")
@@ -254,7 +261,7 @@ def triple_to_doc(t: McAlisterTriple) -> dict:
 
 
 def triple_from_doc(doc: dict) -> McAlisterTriple:
-    _check_version(doc)
+    _check_header(doc, "triple")
     groupoid = promote_to_inverse(semigroupoid_from_doc(_require(doc, "groupoid")))
     space = poset_from_doc(_require(doc, "space"))
     action = action_from_doc(_require(doc, "action"))

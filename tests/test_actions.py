@@ -1,6 +1,9 @@
 """Partial action validators, orbits, restriction, equivariant maps."""
 
+import ast
 import dataclasses
+import inspect
+import itertools
 import random
 from collections import Counter
 
@@ -32,6 +35,7 @@ from semigroupoids.posets import (
     discrete_poset,
     is_order_ideal,
 )
+from semigroupoids.globalization import globalize
 from semigroupoids.ptheorem import munn_action
 
 
@@ -439,3 +443,133 @@ def test_check_built_runs_both_validators_afresh(monkeypatch):
     for _ in range(2):
         check_built(a, "BuiltActionInvalid")
     assert runs == {"validate_partial_action_E": 2, "validate_partial_action_P": 2}
+
+
+# ------------------------------------------- composition on generators
+
+def full_scan_E(a):
+    """Oracle: the clauses of validate_partial_action_E in E's order,
+    with both composition clauses scanned over every composable pair."""
+    actor = a.actor
+    sg = actor.base
+    if a.carrier_size == 0:
+        return Violation("EmptyCarrier")
+    arrows = actor.arrows()
+    maps, domains, inv = a.maps, a.domains, actor.inv
+    for s in arrows:
+        values = list(maps[s].values())
+        if set(maps[s]) != domains[inv[s]]:
+            return Violation("NotBijective", (s,))
+        if len(set(values)) != len(values) or set(values) != domains[s]:
+            return Violation("NotBijective", (s,))
+    for s in arrows:
+        if any(maps[inv[s]].get(y) != x for x, y in maps[s].items()):
+            return Violation("InverseMismatch", (s,))
+    if set().union(*domains) != set(a.carrier()):
+        return Violation("NotCovering", ())
+    composable = [(s, t) for s in arrows for t in arrows if sg.composable(s, t)]
+    for s, t in composable:
+        theta_s, theta_st = maps[s], maps[sg.mul[s][t]]
+        for x, y in maps[t].items():
+            if y in theta_s and theta_st.get(x, -1) != theta_s[y]:
+                return Violation("CompositionNotContained", (s, t, x))
+    for s in arrows:
+        for t in arrows:
+            if s != t and actor.order.leq[s][t] and not domains[s] <= domains[t]:
+                return Violation("MonotoneDomainFailure", (s, t))
+    if a.order is not None:
+        v = actions._ordered_clauses(a)
+        if v is not None:
+            return v
+    if a.global_flag:
+        for s, t in composable:
+            composite = {
+                x: maps[s][y] for x, y in maps[t].items() if y in maps[s]
+            }
+            if composite != maps[sg.mul[s][t]]:
+                return Violation("GlobalEqualityFailure", (s, t))
+    return None
+
+
+def global_corpus():
+    """The Munn actions of the 4-arrow corpus and of the fixtures, and
+    the envelopes of the action corpus."""
+    out = [munn_action(s) for s in corpus.enumerate_inverse_semigroupoids(4)]
+    out += [munn_action(s) for _name, s in corpus.structure_corpus()]
+    out += [globalize(a).envelope for _name, a in corpus.action_corpus()]
+    return out
+
+
+def single_cell_mutants(a):
+    """Every action one map cell away from ``a`` that keeps the maps
+    bijective (a value changed into one outside theta_s's range, or onto
+    another point's, stops at NotBijective before any composition
+    clause): a cell x -> theta_s x removed, with its inverse cell, and
+    the values of two cells of theta_s exchanged, with theta_{s*} kept
+    the inverse of theta_s."""
+    inv = a.actor.inv
+
+    def build(domains, maps):
+        return make_action(
+            a.actor, a.carrier_names, domains, maps, order=a.order,
+            global_flag=a.global_flag,
+        )
+
+    for s in a.actor.arrows():
+        cells = sorted(a.maps[s].items())
+        for x, y in cells:
+            domains = [set(d) for d in a.domains]
+            maps = [dict(m) for m in a.maps]
+            domains[s].discard(y)
+            domains[inv[s]].discard(x)
+            maps[s].pop(x)
+            maps[inv[s]].pop(y, None)
+            yield build(domains, maps)
+        for (x1, _y1), (x2, _y2) in itertools.combinations(cells, 2):
+            maps = [dict(m) for m in a.maps]
+            maps[s][x1], maps[s][x2] = maps[s][x2], maps[s][x1]
+            if inv[s] != s:
+                maps[inv[s]] = {y: x for x, y in maps[s].items()}
+            yield build(a.domains, maps)
+
+
+def test_E_on_generators_matches_the_full_scans():
+    valid = global_corpus()
+    inputs = valid + [m for a in valid for m in single_cell_mutants(a)]
+    # partial actions that claim to be global fail the generator test
+    inputs += [
+        dataclasses.replace(a, global_flag=True)
+        for _name, a in corpus.action_corpus() if not a.global_flag
+    ]
+    codes = Counter()
+    reduced = 0
+    for a in inputs:
+        v = validate_partial_action_E(a)
+        assert v == full_scan_E(a), a
+        codes[v.code if v else None] += 1
+        reduced += a.global_flag and actions._composes_on_generators(a)
+    assert all(a.global_flag for a in inputs)
+    assert codes[None] > 500 and reduced >= codes[None], (codes, reduced)
+    # global mutants that pass the earlier clauses and fail composition
+    assert codes["CompositionNotContained"] > 100, codes
+    assert codes["GlobalEqualityFailure"] > 100, codes
+    assert codes["MonotoneDomainFailure"], codes
+
+
+def _names_in(function):
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(function)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+
+
+def test_P_does_not_use_E_generator_test():
+    tree = ast.parse(inspect.getsource(actions))
+    functions = {
+        node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)
+    }
+    assert "_composes_on_generators" in _names_in(functions["_first_violation_E"])
+    p_names = _names_in(functions["validate_partial_action_P"])
+    assert "_composes_on_generators" not in p_names
+    assert "_first_violation_E" not in p_names

@@ -292,6 +292,17 @@ def _chain2_action(fields):
     return dict(io.action_to_doc(ptheorem.munn_action(corpus.chain2())), **fields)
 
 
+def _pair2_triple(part, kind):
+    """The McAlister triple of the pair groupoid's Munn action over its
+    idempotents, as a document whose nested ``part`` names ``kind``."""
+    pg = corpus.pair_groupoid(2)
+    triple = ptheorem.mcalister_from_action(
+        ptheorem.munn_action(pg), ptheorem.idempotent_semilatticeoid(pg)
+    )
+    doc = io.triple_to_doc(triple)
+    return dict(doc, **{part: dict(doc[part], kind=kind)})
+
+
 # documents that once escaped as tracebacks or were silently misread,
 # built from a valid chain2 file; a string is written as it stands
 MALFORMED = {
@@ -315,6 +326,13 @@ MALFORMED = {
     "version-99": lambda d: dict(d, version=99),
     "version-true": lambda d: dict(d, version=True),
     "nested-version-99": lambda d: _chain2_action({"actor": dict(d, version=99)}),
+    "nested-actor-kind-poset": lambda d: _chain2_action({"actor": dict(d, kind="poset")}),
+    "nested-actor-kind-list": lambda d: _chain2_action(
+        {"actor": dict(d, kind=["semigroupoid"])}
+    ),
+    "nested-groupoid-kind-poset": lambda d: _pair2_triple("groupoid", "poset"),
+    "nested-space-kind-semigroupoid": lambda d: _pair2_triple("space", "semigroupoid"),
+    "nested-action-kind-triple": lambda d: _pair2_triple("action", "triple"),
 }
 
 

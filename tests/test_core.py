@@ -1,5 +1,7 @@
 """Validated multiplication tables and semigroupoid morphisms."""
 
+import dataclasses
+
 import pytest
 
 from semigroupoids import corpus
@@ -210,6 +212,18 @@ def test_generators_generate_every_arrow(structures):
         # earlier ones
         for k, g in enumerate(gens):
             assert g not in _closure(sg, gens[:k])
+
+
+def test_stored_generators_generate_every_arrow(structures):
+    pool = [s.base for _name, s in structures]
+    pool += [s.base for s in corpus.enumerate_inverse_semigroupoids(4)]
+    for sg in pool:
+        assert sg.generators == tuple(_generators_of(sg))
+        assert _closure(sg, sg.generators) == set(sg.arrows())
+    # derived from the table, so equality and repr ignore it
+    sg = pool[0]
+    assert dataclasses.replace(sg, generators=()) == sg
+    assert "generators" not in repr(sg)
 
 
 def test_least_failing_triple_with_middle_outside_generators():

@@ -416,9 +416,17 @@ def scan_globalize_oracle(a):
     )
 
 
-def test_globalize_matches_scan_oracle(actions):
+def test_globalize_matches_scan_oracle(actions, structures):
     rng = random.Random(7)
     inputs = [a for _, a in actions]
+    # Munn actions restricted to ideals leave pairs (s, x) with x outside
+    # the domain of theta_s, which take the full transport loop
+    for _name, s in structures:
+        theta = munn_action(s)
+        inputs += [
+            restrict_global(theta, ideal)
+            for ideal in corpus.all_order_ideals(theta.order) if ideal
+        ]
     inputs += [
         a for a in corpus.action_candidates(seed=9)
         if validate_partial_action_E(a) is None
@@ -428,9 +436,10 @@ def test_globalize_matches_scan_oracle(actions):
         theta = munn_action(corpus.gen_SA(s, size))
         inputs += [restrict_global(theta, corpus.random_ideal(theta.order, rng))
                    for _ in range(4)]
-    multi_object = 0
+    multi_object = outside = 0
     for a in inputs:
         r = globalize(a)
+        outside += sum(x not in a.maps[s] for s, x in r.pairs)
         expected = scan_globalize_oracle(a)
         # every field: pairs, classes, class names, envelope domains,
         # maps and order, the embedding
@@ -439,6 +448,35 @@ def test_globalize_matches_scan_oracle(actions):
         assert r.envelope.maps == expected.envelope.maps
         multi_object += a.actor.n_objects > 1
     assert multi_object > 20, multi_object
+    assert outside > 100, outside
+
+
+def test_globalize_unions_once_per_pair_in_its_domain(monkeypatch):
+    # on a global action every pair (s, x) has x in the domain of
+    # theta_s, so the transport rule makes one union per pair, not one
+    # per arrow with the same codomain
+    calls = Counter()
+
+    class CountingUnionFind(UnionFind):
+        def union(self, a, b):
+            calls["union"] += 1
+            return super().union(a, b)
+
+    monkeypatch.setattr(globalization, "UnionFind", CountingUnionFind)
+    a = munn_action(corpus.gen_SA(corpus.chain2(), 3))
+    actor, sg = a.actor, a.actor.base
+    r = globalize(a)
+    tags = [sum(x in a.domains[e] for e in actor.idempotents) for x in a.carrier()]
+    idempotent_rule = sum(n - 1 for n in tags)
+    assert calls["union"] <= len(r.pairs) + idempotent_rule
+    # what trying every arrow t with cod t = cod s would make
+    transport = sum(
+        x in a.domains[sg.mul[actor.inv[s]][t]]
+        for s, x in r.pairs
+        for t in actor.arrows()
+        if sg.cod[t] == sg.cod[s]
+    )
+    assert transport > 2 * (len(r.pairs) + idempotent_rule), transport
 
 
 def _counting_validators(monkeypatch, module):
