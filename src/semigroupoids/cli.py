@@ -56,8 +56,11 @@ def _write_output(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParseError(f"cannot write {path}: {exc}") from exc
 
 
 def _emit_doc(doc: dict, args) -> None:
@@ -408,6 +411,17 @@ def _run_verify_all(obj) -> int:
 
 # ------------------------------------------------------------------- main
 
+def _count(text: str) -> int:
+    """A non-negative integer argument; anything else exits 2."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="semigroupoids",
@@ -418,8 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--format", choices=("json", "dot"), default="json", help="output format"
     )
-    parser.add_argument("--max-arrows", type=int, default=3)
-    parser.add_argument("--max-objects", type=int, default=None)
+    parser.add_argument("--max-arrows", type=_count, default=3)
+    parser.add_argument("--max-objects", type=_count, default=None)
     parser.add_argument(
         "--seed", type=int, default=None, help="randomized action generation"
     )

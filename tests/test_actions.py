@@ -556,6 +556,95 @@ def test_E_on_generators_matches_the_full_scans():
     assert codes["MonotoneDomainFailure"], codes
 
 
+def full_scan_P(a):
+    """Oracle: the clauses of validate_partial_action_P in P's order,
+    with both composition clauses scanned over every composable pair."""
+    actor = a.actor
+    sg = actor.base
+    if a.carrier_size == 0:
+        return Violation("EmptyCarrier")
+    arrows = actor.arrows()
+    maps, domains, inv, mul = a.maps, a.domains, actor.inv, sg.mul
+    for s in arrows:
+        if set(maps[s]) != domains[inv[s]]:
+            return Violation("MalformedDomain", (s,))
+    for e in actor.idempotents:
+        if any(maps[e][x] != x for x in maps[e]):
+            return Violation("NotIdentityOnIdempotent", (e,))
+    for x in a.carrier():
+        if not any(x in domains[e] for e in actor.idempotents):
+            return Violation("IdempotentCoverageFailure", (x,))
+    for s in arrows:
+        if not domains[s] <= domains[mul[s][inv[s]]]:
+            return Violation("DomainContainmentFailure", (s,))
+    composable = [(s, t) for s in arrows for t in arrows if sg.composable(s, t)]
+    for s, t in composable:
+        theta_s, theta_t, st = maps[s], maps[t], mul[s][t]
+        preimage = {
+            x for x, y in theta_t.items()
+            if y in domains[t] and y in domains[inv[s]]
+        }
+        expected = domains[inv[st]] & domains[inv[t]]
+        if preimage != expected:
+            return Violation("CompositionDomainMismatch", (s, t))
+        for x in sorted(expected):
+            y = theta_t[x]
+            if x not in maps[st] or y not in theta_s or maps[st][x] != theta_s[y]:
+                return Violation("CompositionValueMismatch", (s, t, x))
+    if a.order is not None:
+        v = actions._ordered_clauses(a)
+        if v is not None:
+            return v
+    if a.global_flag:
+        for s in arrows:
+            if domains[s] != domains[mul[s][inv[s]]]:
+                return Violation("GlobalEqualityFailure", (s,))
+    return None
+
+
+def values_moved_out_of_range(a):
+    """For every cell x -> theta_t x, the action with that value moved to
+    the least carrier point outside D_t, and to the least one in
+    D_{tt*} outside D_t where that differs; theta_{t*} is kept."""
+    mul, inv = a.actor.base.mul, a.actor.inv
+    for t in a.actor.arrows():
+        outside = sorted(set(a.carrier()) - a.domains[t])
+        same_object = [z for z in outside if z in a.domains[mul[t][inv[t]]]]
+        targets = sorted(set(outside[:1] + same_object[:1]))
+        for x in sorted(a.maps[t]):
+            for z in targets:
+                maps = [dict(m) for m in a.maps]
+                maps[t][x] = z
+                yield make_action(
+                    a.actor, a.carrier_names, a.domains, maps, order=a.order,
+                    global_flag=a.global_flag,
+                )
+
+
+def test_P_on_generators_matches_the_full_scan():
+    valid = global_corpus()
+    inputs = valid + [m for a in valid for m in single_cell_mutants(a)]
+    inputs += [m for a in valid for m in values_moved_out_of_range(a)]
+    # partial actions that claim to be global: some are, the rest fail
+    # the generator test and reach GlobalEqualityFailure through the scan
+    inputs += [
+        dataclasses.replace(a, global_flag=True)
+        for _name, a in corpus.action_corpus() if not a.global_flag
+    ]
+    codes = Counter()
+    for a in inputs:
+        v = validate_partial_action_P(a)
+        assert v == full_scan_P(a), a
+        codes[v.code if v else None] += 1
+        # every valid input takes the reduced path
+        assert v is not None or actions._composes_from_the_left(a), a
+    assert all(a.global_flag for a in inputs)
+    assert codes[None] > 500, codes
+    assert codes["CompositionDomainMismatch"] > 100, codes
+    assert codes["CompositionValueMismatch"] > 100, codes
+    assert codes["GlobalEqualityFailure"], codes
+
+
 def _names_in(function):
     return {
         node.id if isinstance(node, ast.Name) else node.attr
@@ -565,11 +654,19 @@ def _names_in(function):
 
 
 def test_P_does_not_use_E_generator_test():
+    """Each validator reduces composition with its own helper: neither
+    route names the other's helper or loop."""
     tree = ast.parse(inspect.getsource(actions))
     functions = {
         node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)
     }
-    assert "_composes_on_generators" in _names_in(functions["_first_violation_E"])
+    e_names = _names_in(functions["_first_violation_E"])
+    e_names |= _names_in(functions["_composes_on_generators"])
     p_names = _names_in(functions["validate_partial_action_P"])
+    p_names |= _names_in(functions["_composes_from_the_left"])
+    assert "_composes_on_generators" in e_names
+    assert "_composes_from_the_left" in p_names
     assert "_composes_on_generators" not in p_names
     assert "_first_violation_E" not in p_names
+    assert "_composes_from_the_left" not in e_names
+    assert "validate_partial_action_P" not in e_names

@@ -201,6 +201,14 @@ def test_enumerate_max_objects_keeps_the_one_object_structures(tmp_path):
     assert json.load(open(out))["count"] == len(one_object)
 
 
+@pytest.mark.parametrize("flag", ["--max-arrows", "--max-objects"])
+def test_negative_cap_exits_2(flag, capsys):
+    with pytest.raises(SystemExit) as err:
+        cli(["enumerate", flag, "-3"])
+    assert err.value.code == 2
+    assert "must be non-negative" in capsys.readouterr().err
+
+
 def test_export_dot_semigroupoid(files, tmp_path):
     out = tmp_path / "g.dot"
     assert cli(["--input", files["chain2"], "export-dot", "--output", str(out)]) == 0
@@ -453,6 +461,13 @@ def test_output_defaults_to_stdout(files, capsys):
     assert cli(["--input", files["chain2"], "munn"]) == 0
     out = capsys.readouterr().out
     assert '"kind": "action"' in out
+
+
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+def test_unwritable_output_exits_2(files, tmp_path, capsys, target):
+    path = tmp_path / "nope" / "x.json" if target == "missing-directory" else tmp_path
+    assert cli(["--input", files["b2"], "munn", "--output", str(path)]) == 2
+    assert "cannot write" in capsys.readouterr().err
 
 
 def test_missing_input_exits_2(capsys):
