@@ -33,7 +33,14 @@ def failed_rows(name: str, obj) -> int:
 
 def main() -> int:
     parser = argparse.ArgumentParser()
-    parser.add_argument("--max-arrows", type=int, default=4)
+    parser.add_argument(
+        "--max-arrows",
+        type=int,
+        choices=range(corpus.HARD_CAP + 1),
+        default=4,
+        metavar="N",
+        help=f"enumerate structures with at most N arrows, 0 <= N <= {corpus.HARD_CAP}",
+    )
     args = parser.parse_args()
 
     failures = 0

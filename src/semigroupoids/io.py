@@ -8,6 +8,7 @@ structures.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from typing import Any
 
 from .actions import PartialActionData, make_action
@@ -65,6 +66,92 @@ def _known_pair(pair: Any, index: dict[str, int]) -> bool:
     )
 
 
+# Each reader of an array below checks the whole array at once first
+# (the set of its entries' types, of their lengths, and its names as a
+# subset of the index), and runs its per-entry scan only when that check
+# fails, so that the first bad entry names the error.  The whole-array
+# checks accept only exact list, int and str instances; the scan also
+# takes instances of their subclasses.
+
+def _all_known(names: list, index: dict[str, int]) -> bool:
+    """Whether every item of names is a string in index."""
+    return set(map(type, names)) <= {str} and index.keys() >= set(names)
+
+
+def _index_pairs(pairs: list, index: dict[str, int]) -> list[tuple[int, int]] | None:
+    """The index pairs of a list of two-name lists of names in index;
+    None when pairs has another shape."""
+    if not (set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}):
+        return None
+    names = list(chain.from_iterable(pairs))
+    if not _all_known(names, index):
+        return None
+    ids = list(map(index.__getitem__, names))
+    return list(zip(ids[::2], ids[1::2]))
+
+
+def _triples(mul: list) -> list[tuple[int, int, int]]:
+    """The product triples of a ``mul`` array."""
+    if (
+        set(map(type, mul)) <= {list}
+        and set(map(len, mul)) <= {3}
+        and set(map(type, chain.from_iterable(mul))) <= {int}
+    ):
+        return list(map(tuple, mul))
+    triples = []
+    for t in mul:
+        if not (
+            isinstance(t, list)
+            and len(t) == 3
+            and all(isinstance(a, int) and not isinstance(a, bool) for a in t)
+        ):
+            raise ParseError(f"bad product triple {t!r}")
+        triples.append(tuple(t))
+    return triples
+
+
+def _order_pairs(pairs: list, index: dict[str, int]) -> list[tuple[int, int]]:
+    """The index pairs of an order's ``[lower, upper]`` name pairs."""
+    ids = _index_pairs(pairs, index)
+    if ids is not None:
+        return ids
+    ids = []
+    for pair in pairs:
+        if not _known_pair(pair, index):
+            raise ParseError(f"bad order pair {pair!r}")
+        ids.append((index[pair[0]], index[pair[1]]))
+    return ids
+
+
+def _domain(pts: Any, index: dict[str, int], name: str) -> frozenset[int]:
+    """The points of the domain of arrow name."""
+    if not (
+        (type(pts) is list and _all_known(pts, index))
+        or (isinstance(pts, list) and all(_known(p, index) for p in pts))
+    ):
+        raise ParseError(f"bad domain {pts!r} of arrow {name!r}")
+    return frozenset(map(index.__getitem__, pts))
+
+
+def _point_map(pairs: Any, index: dict[str, int], name: str) -> dict[int, int]:
+    """The map of arrow name from its ``[point, image]`` pairs."""
+    if not isinstance(pairs, list):
+        raise ParseError(f"map of {name!r} is not a list")
+    ids = _index_pairs(pairs, index)
+    if ids is not None:
+        m = dict(ids)
+        if len(m) == len(ids):
+            return m
+    m = {}
+    for pair in pairs:
+        if not _known_pair(pair, index):
+            raise ParseError(f"bad map pair {pair!r}")
+        if index[pair[0]] in m:
+            raise ParseError(f"point {pair[0]!r} mapped twice by {name!r}")
+        m[index[pair[0]]] = index[pair[1]]
+    return m
+
+
 def _unique_names(names, what: str) -> dict[str, int]:
     index = {}
     for i, name in enumerate(names):
@@ -113,15 +200,7 @@ def semigroupoid_from_doc(doc: dict) -> FiniteSemigroupoid:
         dom.append(obj_index[d])
         cod.append(obj_index[c])
     _unique_names(names, "arrow")
-    triples = []
-    for t in mul:
-        if not (
-            isinstance(t, list)
-            and len(t) == 3
-            and all(isinstance(a, int) and not isinstance(a, bool) for a in t)
-        ):
-            raise ParseError(f"bad product triple {t!r}")
-        triples.append(tuple(t))
+    triples = _triples(mul)
     return validate_semigroupoid(
         dom,
         cod,
@@ -152,11 +231,7 @@ def poset_from_doc(doc: dict) -> FinitePoset:
     _check_header(doc, "poset")
     elements = _require(doc, "elements", list)
     index = _unique_names(elements, "element")
-    pairs = []
-    for pair in _require(doc, "leq", list):
-        if not _known_pair(pair, index):
-            raise ParseError(f"bad order pair {pair!r}")
-        pairs.append((index[pair[0]], index[pair[1]]))
+    pairs = _order_pairs(_require(doc, "leq", list), index)
     return validate_poset(
         pairs, len(elements), names=elements, auto_close=_flag(doc, "auto_close")
     )
@@ -208,30 +283,15 @@ def action_from_doc(doc: dict) -> PartialActionData:
     for name, pts in raw_domains.items():
         if name not in arrow_index:
             raise ParseError(f"unknown arrow {name!r} in domains")
-        if not (isinstance(pts, list) and all(_known(p, carrier_index) for p in pts)):
-            raise ParseError(f"bad domain {pts!r} of arrow {name!r}")
-        domains[arrow_index[name]] = frozenset(carrier_index[p] for p in pts)
+        domains[arrow_index[name]] = _domain(pts, carrier_index, name)
     for name, pairs in raw_maps.items():
         if name not in arrow_index:
             raise ParseError(f"unknown arrow {name!r} in maps")
-        if not isinstance(pairs, list):
-            raise ParseError(f"map of {name!r} is not a list")
-        m = {}
-        for pair in pairs:
-            if not _known_pair(pair, carrier_index):
-                raise ParseError(f"bad map pair {pair!r}")
-            if carrier_index[pair[0]] in m:
-                raise ParseError(f"point {pair[0]!r} mapped twice by {name!r}")
-            m[carrier_index[pair[0]]] = carrier_index[pair[1]]
-        maps[arrow_index[name]] = m
+        maps[arrow_index[name]] = _point_map(pairs, carrier_index, name)
 
     order = None
     if "order" in doc:
-        pairs = []
-        for pair in _require(doc, "order", list):
-            if not _known_pair(pair, carrier_index):
-                raise ParseError(f"bad order pair {pair!r}")
-            pairs.append((carrier_index[pair[0]], carrier_index[pair[1]]))
+        pairs = _order_pairs(_require(doc, "order", list), carrier_index)
         order = validate_poset(pairs, len(carrier), names=carrier)
 
     try:
@@ -310,8 +370,69 @@ def parse_document(doc: Any):
     return _FROM_DOC[kind](doc)
 
 
+_escape = json.encoder.encode_basestring_ascii
+# the JSON text of one leaf, for the leaf types formatted in bulk
+_LEAF_TEXT = {int: int.__repr__, str: _escape}
+
+
+def _leaf_type(items: list) -> type | None:
+    """int when all items are ints, str when all are strings (``bool``
+    is neither), None otherwise."""
+    kinds = set(map(type, items))
+    return kinds.pop() if kinds == {int} or kinds == {str} else None
+
+
+def _rows_text(rows: list, pad: str) -> str | None:
+    """The items of an array of equal-width rows of leaves of one type,
+    each row indented below pad, joined through one template; None when
+    rows has another shape."""
+    if not set(map(type, rows)) <= {list, tuple}:
+        return None
+    widths = set(map(len, rows))
+    if len(widths) != 1 or 0 in widths:
+        return None
+    leaves = list(chain.from_iterable(rows))
+    kind = _leaf_type(leaves)
+    if kind is None:
+        return None
+    inner = pad + "  "
+    row = "[\n" + inner + (",\n" + inner).join(["%s"] * widths.pop()) + "\n" + pad + "]"
+    # "%s" writes an int as int.__repr__ does
+    texts = tuple(leaves) if kind is int else tuple(map(_escape, leaves))
+    return (",\n" + pad).join([row] * len(rows)) % texts
+
+
+def _dumps(value: Any, pad: str) -> str:
+    """value as ``json.dumps(value, indent=2, sort_keys=True)`` writes it
+    at indentation pad."""
+    if isinstance(value, dict) and value:
+        inner = pad + "  "
+        items = [
+            # _escape raises TypeError on a key that is not a string
+            _escape(key) + ": " + _dumps(item, inner)
+            for key, item in sorted(value.items())
+        ]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if isinstance(value, (list, tuple)) and value:
+        inner = pad + "  "
+        kind = _leaf_type(value)
+        if kind is not None:
+            body = (",\n" + inner).join(map(_LEAF_TEXT[kind], value))
+        else:
+            body = _rows_text(value, inner)
+            if body is None:
+                body = (",\n" + inner).join([_dumps(item, inner) for item in value])
+        return "[\n" + inner + body + "\n" + pad + "]"
+    # a scalar or an empty container: its text does not depend on pad
+    return json.dumps(value)
+
+
 def canonical_dumps(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """The canonical text of a document with string keys: the text of
+    ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, ASCII escapes
+    included, built with one C-level join or template per array of
+    leaves or of equal-width rows of leaves."""
+    return _dumps(doc, "") + "\n"
 
 
 def _object_without_repeats(pairs: list[tuple[str, Any]]) -> dict:

@@ -56,7 +56,9 @@ def test_validate_invalid_table_exits_1(files, capsys):
     assert "UndefinedOnComposablePair" in out
 
 
-@pytest.mark.parametrize("row", [[0, 0, "z"], [0.5, 0, 0], [1, 1, True]])
+@pytest.mark.parametrize(
+    "row", [[0, 0, "z"], [0.5, 0, 0], [1, 1, True], [0, 0, 0, 0], [0, 0]]
+)
 def test_validate_malformed_product_triple_exits_2(files, capsys, row):
     doc = json.load(open(files["chain2"]))
     doc["mul"][-1] = row
@@ -678,3 +680,17 @@ def test_action_commands_report_an_empty_carrier(files, tmp_path, capsys, comman
     capsys.readouterr()
     assert cli(["--input", str(empty), command]) == 1
     assert capsys.readouterr().out == "INVALID: EmptyCarrier\n"
+
+
+@pytest.mark.parametrize("value", ["-3", "6"])
+def test_verify_corpus_rejects_an_arrow_bound_out_of_range(value):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run(
+        [sys.executable, os.path.join(root, "scripts", "verify_corpus.py"),
+         "--max-arrows", value],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert f"invalid choice: {value}" in proc.stderr
+    # rejected before any check ran
+    assert proc.stdout == ""

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 from semigroupoids import cli as cli_module, corpus, io
 from semigroupoids.actions import restrict_global
 from semigroupoids.cli import cli
-from semigroupoids.errors import SemigroupoidError
+from semigroupoids.errors import ParseError, SemigroupoidError
 from semigroupoids.posets import semilatticeoid_from_poset, validate_poset
 from semigroupoids.ptheorem import mcalister_from_action, munn_action
 
@@ -121,3 +121,125 @@ def test_every_command_survives_a_mutated_document(path, site, value):
     text = io.canonical_dumps(io.structure_to_doc(obj))
     again = io.parse_document(json.loads(text))
     assert io.canonical_dumps(io.structure_to_doc(again)) == text
+
+
+# ----------------------------------------------- whole-array reads, oracle
+# The reader checks each array of a document as a whole and scans it
+# entry by entry only when that check fails.  These per-entry scans are
+# the oracle: every error they report, and every object read, must be
+# the same.
+
+
+def _triples_scan(mul):
+    triples = []
+    for t in mul:
+        if not (
+            isinstance(t, list)
+            and len(t) == 3
+            and all(isinstance(a, int) and not isinstance(a, bool) for a in t)
+        ):
+            raise ParseError(f"bad product triple {t!r}")
+        triples.append(tuple(t))
+    return triples
+
+
+def _known_pair(pair, index):
+    return (
+        isinstance(pair, list)
+        and len(pair) == 2
+        and all(isinstance(x, str) and x in index for x in pair)
+    )
+
+
+def _order_pairs_scan(pairs, index):
+    ids = []
+    for pair in pairs:
+        if not _known_pair(pair, index):
+            raise ParseError(f"bad order pair {pair!r}")
+        ids.append((index[pair[0]], index[pair[1]]))
+    return ids
+
+
+def _domain_scan(pts, index, name):
+    if not (isinstance(pts, list) and all(isinstance(p, str) and p in index for p in pts)):
+        raise ParseError(f"bad domain {pts!r} of arrow {name!r}")
+    return frozenset(index[p] for p in pts)
+
+
+def _point_map_scan(pairs, index, name):
+    if not isinstance(pairs, list):
+        raise ParseError(f"map of {name!r} is not a list")
+    m = {}
+    for pair in pairs:
+        if not _known_pair(pair, index):
+            raise ParseError(f"bad map pair {pair!r}")
+        if index[pair[0]] in m:
+            raise ParseError(f"point {pair[0]!r} mapped twice by {name!r}")
+        m[index[pair[0]]] = index[pair[1]]
+    return m
+
+
+SCANS = {
+    "_triples": _triples_scan,
+    "_order_pairs": _order_pairs_scan,
+    "_domain": _domain_scan,
+    "_point_map": _point_map_scan,
+}
+ARRAY_FIELDS = {"mul", "leq", "order", "maps", "domains"}
+
+
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _List(list):
+    pass
+
+
+def _same_value_of_a_subclass(value) -> list:
+    """value as an instance of a subclass of str, int or list, which the
+    whole-array checks leave to the per-entry scan; none for a bool or
+    any other value."""
+    if isinstance(value, bool):
+        return []
+    return [sub(value) for sub in (_Str, _Int, _List) if isinstance(value, sub.__base__)]
+
+
+# replacements for one entry of an array, or for one leaf of an entry
+ENTRY_VALUES = [
+    DELETE, None, True, False, 0, 2, 7, -1, 0.0, "x", "e", "f", "u0",
+    [], {}, [0, 0], [0, 0, 0, 0], [0, True, 0], ["e", "e"], ["e", "f", "e"],
+]
+
+
+def _outcome(doc):
+    try:
+        return io.parse_document(doc)
+    except SemigroupoidError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("name", sorted(DOCUMENTS))
+def test_whole_array_reads_match_the_per_entry_scan(name, monkeypatch):
+    mutated = [DOCUMENTS[name]]
+    for site in _sites(DOCUMENTS[name]):
+        if not ARRAY_FIELDS & {key for key in site[:-1] if isinstance(key, str)}:
+            continue
+        original = DOCUMENTS[name]
+        for key in site:
+            original = original[key]
+        for value in [*ENTRY_VALUES, *_same_value_of_a_subclass(original)]:
+            mutated.append(_mutated(name, site, value))
+    assert len(mutated) > 300
+    fast = [_outcome(doc) for doc in mutated]
+    for helper, scan in SCANS.items():
+        monkeypatch.setattr(io, helper, scan)
+    scanned = [_outcome(doc) for doc in mutated]
+    kinds = {type(out) for out in fast}
+    assert tuple in kinds and len(kinds) == 2
+    for doc, got, want in zip(mutated, fast, scanned):
+        assert got == want, doc
