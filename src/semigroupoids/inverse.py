@@ -1,13 +1,15 @@
 """Inverse structure: pseudoinverses, idempotents, the natural partial order.
 
-Pseudoinverses are found by exhaustive search and their uniqueness is
-enforced, not assumed.  The natural partial order is materialized as a
-poset on the arrow set; all four standard characterizations are computed
-independently and must coincide.
+Pseudoinverses are found by exhaustive search of the one hom-set that
+can hold them, and their uniqueness is enforced, not assumed.  The
+natural partial order is materialized as a poset on the arrow set; all
+four standard characterizations are computed independently and must
+coincide.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Sequence
 
 from .core import FiniteSemigroupoid, SemigroupoidMorphism, NOT_COMPOSABLE
@@ -45,16 +47,17 @@ class InverseSemigroupoid:
         return self.order.leq[s][t]
 
 
-def _pseudoinverses(sg: FiniteSemigroupoid, s: int) -> list[int]:
+def _pseudoinverses(sg: FiniteSemigroupoid, s: int, homs: dict) -> list[int]:
+    """Every t in the hom-set from cod s to dom s with sts = s and tst = t,
+    in increasing order; ``homs`` maps (dom, cod) to its arrows, increasing."""
+    mul = sg.mul
     out = []
-    for t in sg.arrows():
-        if sg.dom[t] != sg.cod[s] or sg.cod[t] != sg.dom[s]:
-            continue
-        st = sg.mul[s][t]
-        ts = sg.mul[t][s]
+    for t in homs.get((sg.cod[s], sg.dom[s]), ()):
+        st = mul[s][t]
+        ts = mul[t][s]
         if st == NOT_COMPOSABLE or ts == NOT_COMPOSABLE:
             continue
-        if sg.mul[st][s] == s and sg.mul[ts][t] == t:
+        if mul[st][s] == s and mul[ts][t] == t:
             out.append(t)
     return out
 
@@ -70,7 +73,21 @@ def _order_matrix(sg: FiniteSemigroupoid, inv: Sequence[int], idems: Sequence[in
 
     The sets {t e} and {f t} over the idempotents e at dom t and f at
     cod t are built once per arrow t, so the two existential votes are
-    set lookups and the whole matrix costs O(n |E| + n^2).
+    set lookups.  The votes run only on the candidate pairs (s, t) with
+    s in {t e} or {f t}, in row-major order, so the matrix costs
+    O(n |E|) steps past its allocation.
+
+    That skips no vote that could be true.  A guard first checks, for
+    every s, that s*s is one of ``idems`` at dom s and ss* one at cod s.
+    Given the guard, take a parallel pair (s, t) outside the candidates.
+    Votes 1 and 3 are false by definition.  Vote 2 (s = t (s*s)) would
+    put s in {t e} with e = s*s, an idempotent at dom s = dom t; vote 4
+    (s = (ss*) t) would put s in {f t} with f = ss* at cod s = cod t.  So
+    all four are false there and agree.  Skipped pairs therefore agree,
+    and the first disagreeing pair in row-major order is the first
+    candidate that disagrees.  Only a wrong ``inv`` or ``idems`` can fail
+    the guard; then every parallel pair is voted on, as the definition
+    reads, so the first disagreeing pair is found the same way.
     """
     n = sg.n_arrows
     by_object = {}
@@ -98,9 +115,24 @@ def _order_matrix(sg: FiniteSemigroupoid, inv: Sequence[int], idems: Sequence[in
         f = sg.mul[s][inv[s]]
         return sg.mul[f][t] == s
 
+    idem_dom = {e: sg.dom[e] for e in idems}
+    guarded = all(
+        idem_dom.get(mul[inv[s]][s]) == sg.dom[s]
+        and idem_dom.get(mul[s][inv[s]]) == sg.cod[s]
+        for s in range(n)
+    )
+    if guarded:
+        columns = [[] for _ in range(n)]
+        for t in range(n):
+            for s in right[t] | left[t]:
+                if s != NOT_COMPOSABLE:
+                    columns[s].append(t)
+    else:
+        columns = [range(n)] * n
+
     matrix = [[False] * n for _ in range(n)]
     for s in range(n):
-        for t in range(n):
+        for t in columns[s]:
             if not sg.parallel(s, t):
                 continue
             votes = (
@@ -119,9 +151,12 @@ def _order_matrix(sg: FiniteSemigroupoid, inv: Sequence[int], idems: Sequence[in
 
 def promote_to_inverse(sg: FiniteSemigroupoid) -> InverseSemigroupoid:
     """Find the pseudoinverse of every arrow; fail on zero or several."""
+    homs = {}
+    for t in sg.arrows():
+        homs.setdefault((sg.dom[t], sg.cod[t]), []).append(t)
     inv = []
     for s in sg.arrows():
-        candidates = _pseudoinverses(sg, s)
+        candidates = _pseudoinverses(sg, s, homs)
         if not candidates:
             raise ValidationError("NoInverse", (s,))
         if len(candidates) > 1:
@@ -136,6 +171,19 @@ def promote_to_inverse(sg: FiniteSemigroupoid) -> InverseSemigroupoid:
     )
 
 
+def _order_is_equality(inv_sg: InverseSemigroupoid) -> bool:
+    """True iff s <= t exactly when s = t, over the parallel pairs: each
+    row's true entries hold s itself and no other arrow parallel to s."""
+    arrows = inv_sg.arrows()
+    for s, row in zip(arrows, inv_sg.order.leq):
+        if not row[s]:
+            return False
+        for t in compress(arrows, row):
+            if t != s and inv_sg.parallel(s, t):
+                return False
+    return True
+
+
 def is_groupoid(inv_sg: InverseSemigroupoid) -> bool:
     """Exactly one idempotent per object; cross-checked against the
     order-coincides-with-equality test."""
@@ -144,12 +192,7 @@ def is_groupoid(inv_sg: InverseSemigroupoid) -> bool:
         per_object[inv_sg.base.dom[e]] += 1
     by_count = all(k == 1 for k in per_object)
 
-    by_order = all(
-        (s == t) == inv_sg.order.leq[s][t]
-        for s in inv_sg.arrows()
-        for t in inv_sg.arrows()
-        if inv_sg.parallel(s, t)
-    )
+    by_order = _order_is_equality(inv_sg)
     if by_count != by_order:
         raise InternalInconsistencyError("GroupoidTestMismatch", (), f"{by_count} vs {by_order}")
     return by_count

@@ -12,7 +12,7 @@ from itertools import chain
 from typing import Any
 
 from .actions import PartialActionData, make_action
-from .core import FiniteSemigroupoid, semigroupoid_triples, validate_semigroupoid
+from .core import NOT_COMPOSABLE, FiniteSemigroupoid, validate_semigroupoid
 from .errors import ParseError, ValidationError
 from .inverse import InverseSemigroupoid, promote_to_inverse
 from .posets import FinitePoset, validate_poset
@@ -178,7 +178,13 @@ def semigroupoid_to_doc(sg: FiniteSemigroupoid) -> dict:
             }
             for s in sg.arrows()
         ],
-        "mul": [list(t) for t in semigroupoid_triples(sg)],
+        # the (s, t, s*t) rows of core.semigroupoid_triples, built as lists
+        "mul": [
+            [s, t, r]
+            for s, row in enumerate(sg.mul)
+            for t, r in enumerate(row)
+            if r != NOT_COMPOSABLE
+        ],
     }
 
 

@@ -7,6 +7,7 @@ one per object, with the product realizing greatest lower bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Sequence, TYPE_CHECKING
 
 from .errors import ValidationError
@@ -41,13 +42,14 @@ class FinitePoset:
     def hasse_edges(self) -> list[tuple[int, int]]:
         """Covering pairs (x, y) with x < y and nothing strictly between."""
         edges = []
-        for x in self.elements():
-            for y in self.elements():
-                if not self.lt(x, y):
-                    continue
-                if any(self.lt(x, z) and self.lt(z, y) for z in self.elements()):
-                    continue
-                edges.append((x, y))
+        leq = self.leq
+        points = self.elements()
+        for x in points:
+            # a point strictly between x and y is strictly above x
+            above = [z for z in compress(points, leq[x]) if z != x]
+            for y in above:
+                if not any(z != y and leq[z][y] for z in above):
+                    edges.append((x, y))
         return edges
 
     def restrict(self, elems: Sequence[int]) -> "FinitePoset":
@@ -79,6 +81,7 @@ def validate_poset(
     otherwise a missing reflexive loop or transitive edge is an error.
     Antisymmetry failures are always errors.
     """
+    points = range(size)
     leq = [[False] * size for _ in range(size)]
     for x, y in pairs:
         if not (0 <= x < size and 0 <= y < size):
@@ -100,17 +103,16 @@ def validate_poset(
         for x in range(size):
             if not leq[x][x]:
                 raise ValidationError("ReflexivityFailure", (x,))
-        for x in range(size):
-            for y in range(size):
-                if not leq[x][y]:
-                    continue
-                for z in range(size):
-                    if leq[y][z] and not leq[x][z]:
+        for x in points:
+            row = leq[x]
+            for y in compress(points, row):
+                for z in compress(points, leq[y]):
+                    if not row[z]:
                         raise ValidationError("TransitivityFailure", (x, y, z))
 
-    for x in range(size):
-        for y in range(x + 1, size):
-            if leq[x][y] and leq[y][x]:
+    for x in points:
+        for y in compress(points, leq[x]):
+            if y > x and leq[y][x]:
                 raise ValidationError("AntisymmetryFailure", (x, y))
 
     if names is None:
@@ -120,7 +122,8 @@ def validate_poset(
 
 def poset_from_matrix(matrix: Sequence[Sequence[bool]], names: Sequence[str] | None = None) -> FinitePoset:
     size = len(matrix)
-    pairs = [(x, y) for x in range(size) for y in range(size) if matrix[x][y]]
+    points = range(size)
+    pairs = [(x, y) for x in points for y in compress(points, matrix[x])]
     return validate_poset(pairs, size, names=names)
 
 

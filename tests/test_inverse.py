@@ -240,3 +240,60 @@ def test_order_matrix_reports_disagreeing_votes(inv, idems, witness):
     with pytest.raises(InternalInconsistencyError) as err:
         _order_matrix(sg, inv, idems)
     assert (err.value.code, err.value.witness) == ("OrderCharacterizationMismatch", witness)
+
+
+def _replacements(values, n):
+    """Each way to change one entry of ``values`` to another arrow of n."""
+    values = tuple(values)
+    for i, old in enumerate(values):
+        for new in range(n):
+            if new != old:
+                yield values[:i] + (new,) + values[i + 1 :]
+
+
+def test_order_matrix_matches_any_loop_oracle_on_mutated_inputs(structures, small_structures):
+    # a wrong inv or idems can break the guard that lets the matrix skip
+    # non-candidate pairs, or pass it and still split the votes; either
+    # way the matrix or the first disagreeing pair must be the oracle's
+    cases = 0
+    for s in [s for _, s in structures] + small_structures:
+        n = s.n_arrows
+        idems = s.idempotents
+        inputs = [(inv, idems) for inv in _replacements(s.inv, n)]
+        inputs += [(s.inv, wrong) for wrong in _replacements(idems, n)]
+        # one idempotent dropped, or one arrow appended
+        inputs += [(s.inv, idems[:i] + idems[i + 1 :]) for i in range(len(idems))]
+        inputs += [(s.inv, idems + (e,)) for e in range(n)]
+        for inv, some_idems in inputs:
+            cases += 1
+            expected = any_loop_order_votes(s.base, inv, some_idems)
+            if isinstance(expected, tuple):
+                with pytest.raises(InternalInconsistencyError) as err:
+                    _order_matrix(s.base, inv, some_idems)
+                assert (err.value.code, err.value.witness) == (
+                    "OrderCharacterizationMismatch",
+                    expected,
+                )
+            else:
+                assert _order_matrix(s.base, inv, some_idems) == expected
+    assert cases > 1000
+
+
+def test_pseudoinverse_witness_on_a_multi_object_table():
+    # object 1 carries an identity loop (arrow 0); object 0 carries the
+    # left-zero semigroup on arrows 1, 2, 3 (p q = p), where every arrow
+    # is a pseudoinverse of every other: the witness names the first
+    # arrow and its two least pseudoinverses
+    left_zero = [(p, q, p) for p in (1, 2, 3) for q in (1, 2, 3)]
+    sg = validate_semigroupoid([1, 0, 0, 0], [1, 0, 0, 0], [(0, 0, 0)] + left_zero)
+    with pytest.raises(ValidationError) as err:
+        promote_to_inverse(sg)
+    assert (err.value.code, err.value.witness) == ("NonUniqueInverse", (1, 1, 2))
+
+    # identities at objects 0 and 1, and s: 0 -> 1 with nothing back
+    sg = validate_semigroupoid(
+        [0, 1, 0], [0, 1, 1], [(0, 0, 0), (1, 1, 1), (2, 0, 2), (1, 2, 2)]
+    )
+    with pytest.raises(ValidationError) as err:
+        promote_to_inverse(sg)
+    assert (err.value.code, err.value.witness) == ("NoInverse", (2,))

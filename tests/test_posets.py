@@ -1,7 +1,7 @@
 """Posets, ideals, order isomorphisms, semilatticeoids."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from semigroupoids import corpus
 from semigroupoids.errors import ValidationError
@@ -154,3 +154,90 @@ def test_semilatticeoid_from_poset_rejects_missing_meets():
 def test_discrete_poset_components():
     p = discrete_poset(3)
     assert comparability_components(p) == [[0], [1], [2]]
+
+
+def triple_loop_poset(pairs, size, auto_close):
+    """``validate_poset`` by full loops over every point: ("ok", leq), or
+    the first failure as (code, witness)."""
+    leq = [[False] * size for _ in range(size)]
+    for x, y in pairs:
+        if not (0 <= x < size and 0 <= y < size):
+            return ("MalformedRelation", (x, y))
+        leq[x][y] = True
+    if auto_close:
+        for x in range(size):
+            leq[x][x] = True
+        for y in range(size):
+            for x in range(size):
+                for z in range(size):
+                    if leq[x][y] and leq[y][z]:
+                        leq[x][z] = True
+    else:
+        for x in range(size):
+            if not leq[x][x]:
+                return ("ReflexivityFailure", (x,))
+        for x in range(size):
+            for y in range(size):
+                for z in range(size):
+                    if leq[x][y] and leq[y][z] and not leq[x][z]:
+                        return ("TransitivityFailure", (x, y, z))
+    for x in range(size):
+        for y in range(size):
+            if x < y and leq[x][y] and leq[y][x]:
+                return ("AntisymmetryFailure", (x, y))
+    return ("ok", tuple(tuple(row) for row in leq))
+
+
+@st.composite
+def relations(draw):
+    size = draw(st.integers(0, 6))
+    point = st.integers(0, size - 1) if size else st.nothing()
+    pairs = draw(st.lists(st.tuples(point, point), max_size=3 * size))
+    if draw(st.booleans()):
+        pairs += [(x, x) for x in range(size)]
+    if draw(st.booleans()):
+        # the diagonal and one composition step, so that antisymmetry
+        # failures and valid posets come up often
+        pairs = [
+            (x, z)
+            for x in range(size)
+            for z in range(size)
+            if x == z or (x, z) in pairs
+            or any((x, y) in pairs and (y, z) in pairs for y in range(size))
+        ]
+    if size and draw(st.integers(0, 9)) == 0:
+        pairs.insert(draw(st.integers(0, len(pairs))), (size, 0))
+    return pairs, size, draw(st.booleans())
+
+
+@settings(max_examples=300)
+@given(relations())
+def test_validate_poset_matches_the_triple_loop(relation):
+    pairs, size, auto_close = relation
+    code, expected = triple_loop_poset(pairs, size, auto_close)
+    if code == "ok":
+        assert validate_poset(pairs, size, auto_close=auto_close).leq == expected
+    else:
+        with pytest.raises(ValidationError) as err:
+            validate_poset(pairs, size, auto_close=auto_close)
+        assert (err.value.code, err.value.witness) == (code, expected)
+
+
+def brute_force_hasse(poset):
+    leq = poset.leq
+    points = range(poset.size)
+    return [
+        (x, y)
+        for x in points
+        for y in points
+        if x != y
+        and leq[x][y]
+        and not any(x != z != y and leq[x][z] and leq[z][y] for z in points)
+    ]
+
+
+def test_hasse_edges_match_a_brute_force_scan(structures):
+    orders = [s.order for _, s in structures]
+    orders.append(corpus.gen_Jpi([0, 0, 0, 0]).order)
+    for order in orders:
+        assert order.hasse_edges() == brute_force_hasse(order)
