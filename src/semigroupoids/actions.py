@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
+from .core import arrows_by_end
 from .errors import InternalInconsistencyError, ValidationError, Violation
 from .inverse import InverseSemigroupoid
 from .posets import FinitePoset, discrete_poset, is_order_ideal
@@ -162,9 +163,7 @@ def _first_violation_E(a: PartialActionData) -> Violation | None:
 
     # composition containment on composable pairs; into[u] lists the
     # arrows with codomain u, so into[dom s] is every t composable with s
-    into: list[list[int]] = [[] for _ in range(sg.n_objects)]
-    for t in arrows:
-        into[cod[t]].append(t)
+    into = arrows_by_end(cod, sg.n_objects)
     exact = a.global_flag and _composes_on_generators(a)
     if not exact:
         for s in arrows:
@@ -206,9 +205,7 @@ def _composes_on_generators(a: PartialActionData) -> bool:
     """Whether theta_s theta_g = theta_{sg} as partial maps for every g
     in the actor's generating set and every s with dom s = cod g."""
     sg = a.actor.base
-    out_of: list[list[int]] = [[] for _ in range(sg.n_objects)]
-    for s in a.actor.arrows():
-        out_of[sg.dom[s]].append(s)
+    out_of = arrows_by_end(sg.dom, sg.n_objects)
     maps = a.maps
     for g in sg.generators:
         theta_g = maps[g].items()
@@ -283,9 +280,7 @@ def validate_partial_action_P(a: PartialActionData) -> Violation | None:
     # (s, t) with t in into[dom s], the arrows with codomain dom s; a
     # global action that composes exactly from the left skips the scan
     if not (a.global_flag and _composes_from_the_left(a)):
-        into: list[list[int]] = [[] for _ in range(sg.n_objects)]
-        for t in arrows:
-            into[cod[t]].append(t)
+        into = arrows_by_end(cod, sg.n_objects)
         for s in arrows:
             theta_s = maps[s]
             source_s = domains[inv[s]]
@@ -325,9 +320,7 @@ def _composes_from_the_left(a: PartialActionData) -> bool:
     """Whether theta_g theta_t = theta_{gt} as partial maps for every g
     in the actor's generating set and every t with cod t = dom g."""
     sg = a.actor.base
-    into: list[list[int]] = [[] for _ in range(sg.n_objects)]
-    for t in a.actor.arrows():
-        into[sg.cod[t]].append(t)
+    into = arrows_by_end(sg.cod, sg.n_objects)
     maps = a.maps
     for g in sg.generators:
         theta_g, row = maps[g], sg.mul[g]
@@ -375,8 +368,7 @@ def _ordered_clauses(a: PartialActionData) -> Violation | None:
     order = a.order
     assert order is not None
     leq = order.leq
-    k = order.size
-    down = [frozenset(x for x in range(k) if leq[x][y]) for y in range(k)]
+    down = [order.downset(y) for y in order.elements()]
     for s, sub in enumerate(a.domains):
         if any(not down[y] <= sub for y in sub):
             return Violation("NotIdeal", (s,))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
 from typing import Iterable
 
 from .core import (
@@ -211,40 +212,34 @@ def sigma_by_lower_bounds(inv_sg: InverseSemigroupoid) -> GraphedCongruence:
     """Sigma by its definition: s ~ t iff s and t are parallel and some
     arrow lies below both.
 
-    It reads only the natural order and the arrows' ends.  Each downset
-    is an int bitmask, so the scan is O(n^2) big-int ANDs, and the
-    scanned relation must already be an equivalence: each arrow's
-    related set must be exactly its class.
+    It reads only the order's row bitmasks and the arrows' ends: the OR
+    of the up-sets of the r <= s, ANDed with the hom-set of s, is the set
+    related to s, in O(|<=|) big-int ORs.  That relation must already be
+    an equivalence: each arrow's related set must be exactly its class.
     """
     sg = inv_sg.base
     n = sg.n_arrows
-    leq = inv_sg.order.leq
-    down = [0] * n
-    for r in range(n):
-        row = leq[r]
-        for s in range(n):
-            if row[s]:
-                down[s] |= 1 << r
-    parallel: dict[tuple[int, int], list[int]] = {}
-    for s in range(n):
-        parallel.setdefault((sg.dom[s], sg.cod[s]), []).append(s)
+    leq, up = inv_sg.order.leq, inv_sg.order.up
+    ends = list(zip(sg.dom, sg.cod))
+    hom: dict[tuple[int, int], int] = {}
+    for s, key in enumerate(ends):
+        hom[key] = hom.get(key, 0) | 1 << s
     related = [0] * n
-    uf = UnionFind(n)
-    for arrows in parallel.values():
-        for s in arrows:
-            for t in arrows:
-                if down[s] & down[t]:
-                    related[s] |= 1 << t
-                    uf.union(s, t)
-
-    cong = GraphedCongruence(base=inv_sg, rep=uf.reps())
+    for r in range(n):
+        for s in compress(range(n), leq[r]):
+            related[s] |= up[r]
+    rep = []
     members = [0] * n
-    for s, r in enumerate(cong.rep):
-        members[r] |= 1 << s
+    for s in range(n):
+        related[s] &= hom[ends[s]]
+        # s <= s, so related[s] holds s and its least bit is at most s
+        rep.append((related[s] & -related[s]).bit_length() - 1)
+        members[rep[s]] |= 1 << s
     # the scanned relation is an equivalence outright; the partition is
     # not allowed to silently close it
-    if any(related[s] != members[r] for s, r in enumerate(cong.rep)):
+    if any(related[s] != members[r] for s, r in enumerate(rep)):
         raise InternalInconsistencyError("SigmaNotEquivalence", ())
+    cong = GraphedCongruence(base=inv_sg, rep=tuple(rep))
     validate_congruence(cong)
     return cong
 

@@ -140,6 +140,15 @@ def validate_semigroupoid(
     )
 
 
+def arrows_by_end(ends: Sequence[int], n_objects: int) -> list[list[int]]:
+    """The arrows s with ``ends[s] == u`` at index u, each list increasing:
+    pass ``cod`` for the arrows into each object, ``dom`` for those out."""
+    by_end: list[list[int]] = [[] for _ in range(n_objects)]
+    for s, u in enumerate(ends):
+        by_end[u].append(s)
+    return by_end
+
+
 def _generators(dom, cod, table, n_objects: int) -> list[int]:
     """Arrows, picked greedily in index order, from which every arrow is
     reached by multiplying on the right by picked arrows.
@@ -181,11 +190,7 @@ def _light_associative(dom, cod, table, n_objects: int, generators) -> bool:
     So checking the middles in a generating set covers every middle, at
     O(n^2 |G|) instead of O(n^3).
     """
-    into = [[] for _ in range(n_objects)]  # arrows by codomain
-    out_of = [[] for _ in range(n_objects)]  # arrows by domain
-    for s in range(len(dom)):
-        into[cod[s]].append(s)
-        out_of[dom[s]].append(s)
+    into, out_of = arrows_by_end(cod, n_objects), arrows_by_end(dom, n_objects)
     for g in generators:
         row_g = table[g]
         right = into[dom[g]]  # the y with g y defined

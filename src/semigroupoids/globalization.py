@@ -22,7 +22,7 @@ from .actions import (
     orbit,
     require_valid,
 )
-from .core import UnionFind
+from .core import UnionFind, arrows_by_end
 from .errors import InternalInconsistencyError, ValidationError, Violation
 from .posets import FinitePoset, validate_poset
 
@@ -101,11 +101,10 @@ def globalize(a: PartialActionData) -> GlobalizationResult:
 
     # into[u]: the arrows with codomain u; pairs_of[p]: (index, point) of
     # the pairs (p, x), both in increasing order
-    into: list[list[int]] = [[] for _ in range(sg.n_objects)]
+    into = arrows_by_end(cod, sg.n_objects)
     pairs: list[tuple[int, int]] = []
     pairs_of: list[list[tuple[int, int]]] = []
     for s in actor.arrows():
-        into[cod[s]].append(s)
         row = []
         for x in sorted(domains[mul[inv[s]][s]]):
             row.append((len(pairs), x))

@@ -7,6 +7,7 @@ one per object, with the product realizing greatest lower bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
 from typing import Iterable, Sequence, TYPE_CHECKING
 
@@ -22,6 +23,12 @@ class FinitePoset:
 
     leq: tuple[tuple[bool, ...], ...]
     names: tuple[str, ...]
+
+    @cached_property
+    def up(self) -> tuple[int, ...]:
+        """Row bitmasks: bit y of ``up[x]`` is set iff x <= y."""
+        bits = [1 << y for y in self.elements()]
+        return tuple(sum(compress(bits, row)) for row in self.leq)
 
     @property
     def size(self) -> int:
@@ -83,10 +90,12 @@ def validate_poset(
     """
     points = range(size)
     leq = [[False] * size for _ in range(size)]
+    up = [0] * size  # row bitmasks of the relation as given
     for x, y in pairs:
         if not (0 <= x < size and 0 <= y < size):
             raise ValidationError("MalformedRelation", (x, y))
         leq[x][y] = True
+        up[x] |= 1 << y
 
     if auto_close:
         for x in range(size):
@@ -103,12 +112,14 @@ def validate_poset(
         for x in range(size):
             if not leq[x][x]:
                 raise ValidationError("ReflexivityFailure", (x,))
+        # the least z in up[y] but not up[x] is the first a scan would find
         for x in points:
-            row = leq[x]
-            for y in compress(points, row):
-                for z in compress(points, leq[y]):
-                    if not row[z]:
-                        raise ValidationError("TransitivityFailure", (x, y, z))
+            up_x = up[x]
+            for y in compress(points, leq[x]):
+                missing = up[y] & ~up_x
+                if missing:
+                    z = (missing & -missing).bit_length() - 1
+                    raise ValidationError("TransitivityFailure", (x, y, z))
 
     for x in points:
         for y in compress(points, leq[x]):
@@ -142,10 +153,7 @@ def is_order_ideal(poset: FinitePoset, subset: Iterable[int]) -> bool:
     inside = set(subset)
     points = poset.elements()
     return all(y in points for y in inside) and all(
-        x in inside
-        for y in inside
-        for x in points
-        if poset.leq[x][y]
+        poset.downset(y) <= inside for y in inside
     )
 
 

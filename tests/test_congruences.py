@@ -21,7 +21,7 @@ from semigroupoids.congruences import (
     universal_groupoid_property,
     validate_congruence,
 )
-from semigroupoids.core import validate_morphism
+from semigroupoids.core import UnionFind, validate_morphism
 from semigroupoids.errors import InternalInconsistencyError, ValidationError
 from semigroupoids.inverse import is_groupoid, promote_to_inverse
 from semigroupoids.posets import validate_poset
@@ -197,6 +197,76 @@ def test_sigma_by_lower_bounds_rejects_a_non_equivalence():
     with pytest.raises(InternalInconsistencyError) as err:
         sigma_by_lower_bounds(bent)
     assert err.value.code == "SigmaNotEquivalence"
+
+
+def pairwise_sigma_by_lower_bounds(inv_sg):
+    """Oracle: sigma by its definition, pair by pair.  Each arrow's
+    down-set is a bitmask, two arrows of one hom-set are related iff
+    their down-sets meet, and that relation must be an equivalence."""
+    sg = inv_sg.base
+    n = sg.n_arrows
+    leq = inv_sg.order.leq
+    down = [0] * n
+    for r in range(n):
+        for s in range(n):
+            if leq[r][s]:
+                down[s] |= 1 << r
+    parallel = {}
+    for s in range(n):
+        parallel.setdefault((sg.dom[s], sg.cod[s]), []).append(s)
+    related = [0] * n
+    uf = UnionFind(n)
+    for arrows in parallel.values():
+        for s in arrows:
+            for t in arrows:
+                if down[s] & down[t]:
+                    related[s] |= 1 << t
+                    uf.union(s, t)
+    rep = uf.reps()
+    members = [0] * n
+    for s, r in enumerate(rep):
+        members[r] |= 1 << s
+    if any(related[s] != members[r] for s, r in enumerate(rep)):
+        raise InternalInconsistencyError("SigmaNotEquivalence", ())
+    cong = GraphedCongruence(base=inv_sg, rep=rep)
+    validate_congruence(cong)
+    return cong
+
+
+def bent_orders(inv_sg, rng):
+    """Up to 6 orders: the natural order plus two random pairs, closed;
+    a closure that breaks antisymmetry is dropped."""
+    n = inv_sg.n_arrows
+    leq = inv_sg.order.leq
+    pairs = [(x, y) for x in range(n) for y in range(n) if leq[x][y]]
+    for _ in range(6):
+        extra = [(rng.randrange(n), rng.randrange(n)) for _ in range(2)]
+        try:
+            yield validate_poset(pairs + extra, n, auto_close=True)
+        except ValidationError:
+            continue
+
+
+def sigma_outcome(compute, inv_sg):
+    try:
+        return compute(inv_sg).rep
+    except (InternalInconsistencyError, ValidationError) as exc:
+        return (type(exc).__name__, exc.code, exc.witness)
+
+
+def test_sigma_by_lower_bounds_matches_the_pairwise_definition(structures):
+    rng = random.Random(17)
+    pool = parity_pool(structures)
+    outcomes = Counter()
+    for inv_sg in pool:
+        for order in [inv_sg.order, *bent_orders(inv_sg, rng)]:
+            bent = dataclasses.replace(inv_sg, order=order)
+            expected = sigma_outcome(pairwise_sigma_by_lower_bounds, bent)
+            assert sigma_outcome(sigma_by_lower_bounds, bent) == expected
+            outcomes[expected[1] if isinstance(expected[0], str) else "ok"] += 1
+    # the bent orders reach both failure routes, not only valid sigmas
+    assert outcomes["SigmaNotEquivalence"] and outcomes["NotCompatible"]
+    assert outcomes["ok"] > len(pool)
 
 
 @given(st.data())

@@ -1,5 +1,7 @@
 """Posets, ideals, order isomorphisms, semilatticeoids."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -221,6 +223,36 @@ def test_validate_poset_matches_the_triple_loop(relation):
         with pytest.raises(ValidationError) as err:
             validate_poset(pairs, size, auto_close=auto_close)
         assert (err.value.code, err.value.witness) == (code, expected)
+
+
+def wide_relation(seed):
+    """A random order on 31-130 points, most of them above the low
+    points, with part of one low point's up-set dropped: several z are
+    then missing at once, many of them past bit 30 of a row mask."""
+    rng = random.Random(seed)
+    size = rng.randint(31, 130)
+    order = validate_poset(
+        [(x, y) for x in range(size) for y in range(x + 1, size) if rng.random() < 0.1],
+        size,
+        auto_close=True,
+    )
+    x = rng.randrange(5)
+    above = [y for y in range(x + 1, size) if order.leq[x][y]]
+    dropped = {(x, y) for y in rng.sample(above, len(above) // 2)}
+    pairs = [
+        (x, y) for x in range(size) for y in range(size) if order.leq[x][y]
+    ]
+    return [p for p in pairs if p not in dropped], size
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_validate_poset_witness_on_wide_relations(seed):
+    pairs, size = wide_relation(seed)
+    code, expected = triple_loop_poset(pairs, size, False)
+    assert code == "TransitivityFailure"
+    with pytest.raises(ValidationError) as err:
+        validate_poset(pairs, size)
+    assert (err.value.code, err.value.witness) == (code, expected)
 
 
 def brute_force_hasse(poset):
