@@ -16,6 +16,7 @@ from typing import Iterable
 from .core import (
     SemigroupoidMorphism,
     UnionFind,
+    arrows_by_end,
     validate_morphism,
     validate_semigroupoid,
 )
@@ -95,37 +96,35 @@ def validate_congruence(cong: GraphedCongruence) -> None:
     the involution.
 
     Checks run in order NotGraphed, NotCompatible, InvolutionNotRespected,
-    each with its lexicographically least witness.  Compatibility is
-    tested class-wise in O(n^2): every arrow s and the least member r of
-    its class must satisfy s u ~ r u and u s ~ u r for each single arrow
-    u.  On a graphed partition that is equivalent to s1 s2 ~ t1 t2 for
-    all s1 ~ t1 and s2 ~ t2, since s1 s2 ~ t1 s2 ~ t1 t2 and parallel
-    arrows have the same composable partners.  Only a failing check pays
-    for the witness search.
+    each with its least witness, testing each arrow t only against the
+    least member r(t) of its class.  NotGraphed in O(n): a class with two
+    non-parallel members has one not parallel to its least member, and no
+    pair in it starts below r, so the least witness is the least such
+    (r(t), t); so too InvolutionNotRespected, with inv t not ~ inv r(t).
+    NotCompatible in O(n |G|): t g ~ r(t) g and g t ~ g r(t) for the
+    generators g.  An arrow is g or u' g for a shorter such product u'; for
+    parallel x ~ y, x u' ~ y u' by induction, so (x u') g ~ r g ~ (y u') g
+    for their class's least member r; and g x ~ g y gives u' (g x) ~
+    u' (g y) by induction on u'.  Then s1 s2 ~ t1 s2 ~ t1 t2.
+    Only a failing check pays for the witness search.
     """
     sg = cong.base.base
-    n = sg.n_arrows
-    for s in range(n):
-        for t in range(s + 1, n):
-            if cong.related(s, t) and not sg.parallel(s, t):
-                raise ValidationError("NotGraphed", (s, t))
-    rep = cong.rep
-    dom, cod, mul = sg.dom, sg.cod, sg.mul
-    least: dict[int, int] = {}
-    for s in range(n):
-        r = least.setdefault(rep[s], s)
-        if r == s:
-            continue
-        for u in range(n):
-            if dom[s] == cod[u] and rep[mul[s][u]] != rep[mul[r][u]]:
+    rep, inv, dom, cod, mul = cong.rep, cong.base.inv, sg.dom, sg.cod, sg.mul
+    first: dict[int, int] = {}
+    least = [first.setdefault(r, t) for t, r in enumerate(rep)]
+    moved = [(t, r) for t, r in enumerate(least) if t != r]
+    witness = min(((r, t) for t, r in moved if not sg.parallel(t, r)), default=None)
+    if witness:
+        raise ValidationError("NotGraphed", witness)
+    for g in sg.generators:
+        for t, r in moved:
+            if dom[t] == cod[g] and rep[mul[t][g]] != rep[mul[r][g]] or (
+                dom[g] == cod[t] and rep[mul[g][t]] != rep[mul[g][r]]
+            ):
                 raise ValidationError("NotCompatible", _least_incompatible(cong))
-            if dom[u] == cod[s] and rep[mul[u][s]] != rep[mul[u][r]]:
-                raise ValidationError("NotCompatible", _least_incompatible(cong))
-    inv = cong.base.inv
-    for s in range(n):
-        for t in range(n):
-            if cong.related(s, t) and not cong.related(inv[s], inv[t]):
-                raise ValidationError("InvolutionNotRespected", (s, t))
+    witness = min(((r, t) for t, r in moved if rep[inv[t]] != rep[inv[r]]), default=None)
+    if witness:
+        raise ValidationError("InvolutionNotRespected", witness)
 
 
 def _least_incompatible(cong: GraphedCongruence) -> tuple[int, int, int, int]:
@@ -155,14 +154,15 @@ def congruence_closure(
     """Smallest congruence containing the seed pairs.
 
     A worklist over union-find: every union that merges two classes is
-    queued, and popping (s, t) unites s u with t u and u s with u t for
-    each composable arrow u.  At most n - 1 merges at O(n) each make the
-    closure O(n^2) before the final validate_congruence.
+    queued, and popping (s, t) unites s u with t u for each u into dom s
+    and u s with u t for each u out of cod s, O(d) for d the most arrows at
+    one end of an object; at most n - 1 merges precede validate_congruence.
     """
     sg = inv_sg.base
-    n = sg.n_arrows
-    dom, cod, mul = sg.dom, sg.cod, sg.mul
-    uf = UnionFind(n)
+    mul = sg.mul
+    into = arrows_by_end(sg.cod, sg.n_objects)
+    out_of = arrows_by_end(sg.dom, sg.n_objects)
+    uf = UnionFind(sg.n_arrows)
     pending = []
     for s, t in seed:
         if not sg.parallel(s, t):
@@ -171,10 +171,11 @@ def congruence_closure(
             pending.append((s, t))
     while pending:
         s, t = pending.pop()
-        for u in range(n):
-            if dom[s] == cod[u] and uf.union(mul[s][u], mul[t][u]):
+        for u in into[sg.dom[s]]:
+            if uf.union(mul[s][u], mul[t][u]):
                 pending.append((mul[s][u], mul[t][u]))
-            if dom[u] == cod[s] and uf.union(mul[u][s], mul[u][t]):
+        for u in out_of[sg.cod[s]]:
+            if uf.union(mul[u][s], mul[u][t]):
                 pending.append((mul[u][s], mul[u][t]))
 
     cong = GraphedCongruence(base=inv_sg, rep=uf.reps())
@@ -208,14 +209,27 @@ def sigma(inv_sg: InverseSemigroupoid) -> GraphedCongruence:
     return cong
 
 
+def _partition(rows: list[int], code: str) -> tuple[int, ...]:
+    """The least member of each arrow's class, for the relation whose row
+    s is the bitmask of the arrows related to s.  The relation must already
+    be an equivalence, so every row must equal the class its least bit
+    induces: the partition may not silently close it (``code`` otherwise)."""
+    rep = [(row & -row).bit_length() - 1 for row in rows]
+    members = [0] * len(rows)
+    for s, r in enumerate(rep):
+        members[r] |= 1 << s
+    if any(row != members[r] for row, r in zip(rows, rep)):
+        raise InternalInconsistencyError(code, ())
+    return tuple(rep)
+
+
 def sigma_by_lower_bounds(inv_sg: InverseSemigroupoid) -> GraphedCongruence:
     """Sigma by its definition: s ~ t iff s and t are parallel and some
     arrow lies below both.
 
     It reads only the order's row bitmasks and the arrows' ends: the OR
     of the up-sets of the r <= s, ANDed with the hom-set of s, is the set
-    related to s, in O(|<=|) big-int ORs.  That relation must already be
-    an equivalence: each arrow's related set must be exactly its class.
+    related to s, in O(|<=|) big-int ORs, and must already be an equivalence.
     """
     sg = inv_sg.base
     n = sg.n_arrows
@@ -228,55 +242,41 @@ def sigma_by_lower_bounds(inv_sg: InverseSemigroupoid) -> GraphedCongruence:
     for r in range(n):
         for s in compress(range(n), leq[r]):
             related[s] |= up[r]
-    rep = []
-    members = [0] * n
-    for s in range(n):
-        related[s] &= hom[ends[s]]
-        # s <= s, so related[s] holds s and its least bit is at most s
-        rep.append((related[s] & -related[s]).bit_length() - 1)
-        members[rep[s]] |= 1 << s
-    # the scanned relation is an equivalence outright; the partition is
-    # not allowed to silently close it
-    if any(related[s] != members[r] for s, r in enumerate(rep)):
-        raise InternalInconsistencyError("SigmaNotEquivalence", ())
-    cong = GraphedCongruence(base=inv_sg, rep=tuple(rep))
+    rows = [row & hom[key] for row, key in zip(related, ends)]
+    cong = GraphedCongruence(base=inv_sg, rep=_partition(rows, "SigmaNotEquivalence"))
     validate_congruence(cong)
     return cong
 
 
 def sigma_by_equations(inv_sg: InverseSemigroupoid) -> GraphedCongruence:
     """Sigma via the equational forms: s e = t e for some idempotent e,
-    and independently f s = f t for some idempotent f.  Both must agree."""
+    and independently f s = f t for some idempotent f.  Both must agree.
+
+    It reads only the products, the ends and the idempotent list.  For
+    each listed e, the arrows s with s e defined are bucketed by s e, and
+    each bucket (parallel arrows, related) is ORed into its members' rows;
+    the left rows bucket by f s.  That is O(n |E|) big-int ORs.
+    """
     sg = inv_sg.base
-    n = sg.n_arrows
-    idems = inv_sg.idempotents
-
-    right = set()
-    left = set()
-    for s in range(n):
-        for t in range(n):
-            if not sg.parallel(s, t):
-                continue
-            for e in idems:
-                if sg.composable(s, e) and sg.mul[s][e] == sg.mul[t][e]:
-                    right.add((s, t))
-                    break
-            for f in idems:
-                if sg.composable(f, s) and sg.mul[f][s] == sg.mul[f][t]:
-                    left.add((s, t))
-                    break
-    if right != left:
-        raise InternalInconsistencyError(
-            "SigmaEquationMismatch", tuple(sorted(right ^ left))[:1]
-        )
-
-    uf = UnionFind(n)
-    for s, t in right:
-        uf.union(s, t)
-    cong = GraphedCongruence(base=inv_sg, rep=uf.reps())
-    # the raw relation must already have been an equivalence
-    if cong.pairs() != frozenset(right):
-        raise InternalInconsistencyError("SigmaEquationNotEquivalence", ())
+    n, mul = sg.n_arrows, sg.mul
+    out_of = arrows_by_end(sg.dom, sg.n_objects)
+    into = arrows_by_end(sg.cod, sg.n_objects)
+    right, left = [0] * n, [0] * n
+    for e in inv_sg.idempotents:
+        for rows, keyed in (
+            (right, [(mul[s][e], s) for s in out_of[sg.cod[e]]]),
+            (left, [(mul[e][s], s) for s in into[sg.dom[e]]]),
+        ):
+            buckets: dict[int, int] = {}
+            for value, s in keyed:
+                buckets[value] = buckets.get(value, 0) | 1 << s
+            for value, s in keyed:
+                rows[s] |= buckets[value]
+    for s, diff in enumerate(a ^ b for a, b in zip(right, left)):
+        if diff:
+            t = (diff & -diff).bit_length() - 1
+            raise InternalInconsistencyError("SigmaEquationMismatch", ((s, t),))
+    cong = GraphedCongruence(base=inv_sg, rep=_partition(right, "SigmaEquationNotEquivalence"))
     validate_congruence(cong)
     return cong
 

@@ -17,7 +17,7 @@ from .actions import PartialActionData, make_action, restrict_global
 from .core import validate_semigroupoid
 from .errors import InternalInconsistencyError, ValidationError
 from .inverse import InverseSemigroupoid, is_groupoid, promote_to_inverse
-from .posets import FinitePoset, discrete_poset, is_order_ideal, validate_poset
+from .posets import FinitePoset, discrete_poset, validate_poset
 from .ptheorem import munn_action
 
 
@@ -465,12 +465,11 @@ def structure_corpus() -> list[tuple[str, InverseSemigroupoid]]:
 
 
 def all_order_ideals(order: FinitePoset) -> list[frozenset[int]]:
-    out = []
-    for bits in itertools.product((False, True), repeat=order.size):
-        subset = frozenset(i for i, b in enumerate(bits) if b)
-        if is_order_ideal(order, subset):
-            out.append(subset)
-    return out
+    """Every order ideal, in itertools.product order; down-sets built once."""
+    downsets = [order.downset(y) for y in order.elements()]
+    masks = itertools.product((False, True), repeat=order.size)
+    subsets = (frozenset(itertools.compress(order.elements(), m)) for m in masks)
+    return [s for s in subsets if all(downsets[y] <= s for y in s)]
 
 
 def random_ideal(order: FinitePoset, rng: random.Random) -> frozenset[int]:

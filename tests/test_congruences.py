@@ -317,6 +317,101 @@ def test_sigma_equational_forms_agree(structures, small_structures):
         assert direct == sigma_by_lower_bounds(s).rep
 
 
+def pairwise_sigma_by_equations(inv_sg):
+    """Oracle: the equational forms pair by pair, over every parallel
+    pair and every listed idempotent; the two relations must agree, and
+    their union-find closure must add no pair."""
+    sg = inv_sg.base
+    n = sg.n_arrows
+    idems = inv_sg.idempotents
+    right = set()
+    left = set()
+    for s in range(n):
+        for t in range(n):
+            if not sg.parallel(s, t):
+                continue
+            for e in idems:
+                if sg.composable(s, e) and sg.mul[s][e] == sg.mul[t][e]:
+                    right.add((s, t))
+                    break
+            for f in idems:
+                if sg.composable(f, s) and sg.mul[f][s] == sg.mul[f][t]:
+                    left.add((s, t))
+                    break
+    if right != left:
+        raise InternalInconsistencyError(
+            "SigmaEquationMismatch", tuple(sorted(right ^ left))[:1]
+        )
+    uf = UnionFind(n)
+    for s, t in right:
+        uf.union(s, t)
+    cong = GraphedCongruence(base=inv_sg, rep=uf.reps())
+    if cong.pairs() != frozenset(right):
+        raise InternalInconsistencyError("SigmaEquationNotEquivalence", ())
+    validate_congruence(cong)
+    return cong
+
+
+def bent_idempotent_lists(inv_sg, rng):
+    """Four idempotent lists that are wrong on purpose: one idempotent
+    dropped, one other arrow added, a random subset of all arrows, and a
+    random subset of the idempotents plus one arrow."""
+    idems = list(inv_sg.idempotents)
+    arrows = list(inv_sg.arrows())
+    dropped = list(idems)
+    if dropped:
+        dropped.pop(rng.randrange(len(dropped)))
+    yield tuple(dropped)
+    yield tuple(sorted(set(idems) | {rng.choice(arrows)}))
+    yield tuple(s for s in arrows if rng.random() < 0.5)
+    yield tuple(e for e in idems if rng.random() < 0.5) + (rng.choice(arrows),)
+
+
+def test_sigma_by_equations_matches_the_pairwise_scan(structures):
+    rng = random.Random(31)
+    outcomes = Counter()
+    for inv_sg in parity_pool(structures):
+        lists = [inv_sg.idempotents, *bent_idempotent_lists(inv_sg, rng)]
+        for idems in lists:
+            bent = dataclasses.replace(inv_sg, idempotents=idems)
+            expected = sigma_outcome(pairwise_sigma_by_equations, bent)
+            assert sigma_outcome(sigma_by_equations, bent) == expected, idems
+            outcomes[expected[1] if isinstance(expected[0], str) else "ok"] += 1
+    # the bent lists reach both of the route's own failure codes
+    assert outcomes["SigmaEquationNotEquivalence"] and outcomes["SigmaEquationMismatch"]
+    assert outcomes["ok"] > len(structures)
+
+
+def bent_involution(inv_sg, rng):
+    """The structure with two entries of its involution swapped."""
+    inv = list(inv_sg.inv)
+    s, t = rng.sample(range(len(inv)), 2)
+    inv[s], inv[t] = inv[t], inv[s]
+    return dataclasses.replace(inv_sg, inv=tuple(inv))
+
+
+def test_validate_congruence_on_bent_involutions(structures):
+    # on a real inverse semigroupoid a compatible partition respects the
+    # involution, so only a bent one reaches InvolutionNotRespected
+    rng = random.Random(2718)
+    seen = Counter()
+    for inv_sg in parity_pool(structures):
+        if inv_sg.n_arrows < 2:
+            continue
+        bent = bent_involution(inv_sg, rng)
+        for rep in random_partitions(bent, rng, 36):
+            cong = GraphedCongruence(base=bent, rep=rep)
+            expected = quartic_congruence_check(cong)
+            try:
+                validate_congruence(cong)
+                got = None
+            except ValidationError as err:
+                got = (err.code, err.witness)
+            assert got == expected, (bent.inv, rep)
+            seen[expected and expected[0]] += 1
+    assert seen["InvolutionNotRespected"] and seen["NotCompatible"] and seen[None]
+
+
 def test_quotient_by_equality_is_isomorphic_copy():
     b2 = corpus.brandt_b2()
     cong = congruence_closure(b2, [])

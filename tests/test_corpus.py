@@ -16,6 +16,7 @@ from semigroupoids.errors import (
     ValidationError,
 )
 from semigroupoids.inverse import is_groupoid, promote_to_inverse
+from semigroupoids.posets import is_order_ideal
 from semigroupoids.ptheorem import munn_action
 
 
@@ -154,6 +155,17 @@ def test_enumerate_deterministic_order():
         for s in corpus.enumerate_inverse_semigroupoids(3)
     ]
     assert first == second
+
+
+def test_all_order_ideals_match_the_is_order_ideal_filter():
+    actions = corpus.action_corpus() + corpus.groupoid_action_corpus()
+    for _name, a in actions:
+        subsets = [
+            frozenset(i for i, b in enumerate(bits) if b)
+            for bits in itertools.product((False, True), repeat=a.order.size)
+        ]
+        expected = [s for s in subsets if is_order_ideal(a.order, s)]
+        assert corpus.all_order_ideals(a.order) == expected
 
 
 def test_gen_sa_counts():
