@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from typing import Iterable, Mapping, Sequence
 
 from .core import arrows_by_end
@@ -179,9 +180,8 @@ def _first_violation_E(a: PartialActionData) -> Violation | None:
     # domains grow along the natural order of the actor
     leq = actor.order.leq
     for s in arrows:
-        row = leq[s]
-        for t in arrows:
-            if s != t and row[t] and not domains[s] <= domains[t]:
+        for t in compress(arrows, leq[s]):
+            if s != t and not domains[s] <= domains[t]:
                 return Violation("MonotoneDomainFailure", (s, t))
 
     if a.order is not None:

@@ -68,12 +68,12 @@ class GraphedCongruence:
 
         dom = [sg.dom[r] for r in reps]
         cod = [sg.cod[r] for r in reps]
-        triples = []
-        for a, ra in enumerate(reps):
-            for b, rb in enumerate(reps):
-                if sg.dom[ra] != sg.cod[rb]:
-                    continue
-                triples.append((a, b, index[sg.mul[ra][rb]]))
+        into = arrows_by_end(cod, sg.n_objects)
+        triples = [
+            (a, b, index[sg.mul[ra][reps[b]]])
+            for a, ra in enumerate(reps)
+            for b in into[dom[a]]
+        ]
         names = tuple("[" + sg.arrow_names[r] + "]" for r in reps)
         qsg = validate_semigroupoid(
             dom,
@@ -154,14 +154,16 @@ def congruence_closure(
     """Smallest congruence containing the seed pairs.
 
     A worklist over union-find: every union that merges two classes is
-    queued, and popping (s, t) unites s u with t u for each u into dom s
-    and u s with u t for each u out of cod s, O(d) for d the most arrows at
-    one end of an object; at most n - 1 merges precede validate_congruence.
+    queued, and popping (s, t) unites s g with t g and g s with g t for
+    each g in the stored generating set G, O(|G|) per merge; at most n - 1
+    merges precede validate_congruence.  That closes under every product,
+    by the generator lemma in validate_congruence: an arrow u is g or u' g
+    for a shorter such product u', so s u = (s u') g ~ (t u') g = t u by
+    induction and associativity, and u s = u' (g s) ~ u' (g t) = u t.  The
+    closure is unique, so its least-member representatives are too.
     """
     sg = inv_sg.base
-    mul = sg.mul
-    into = arrows_by_end(sg.cod, sg.n_objects)
-    out_of = arrows_by_end(sg.dom, sg.n_objects)
+    dom, cod, mul = sg.dom, sg.cod, sg.mul
     uf = UnionFind(sg.n_arrows)
     pending = []
     for s, t in seed:
@@ -171,12 +173,11 @@ def congruence_closure(
             pending.append((s, t))
     while pending:
         s, t = pending.pop()
-        for u in into[sg.dom[s]]:
-            if uf.union(mul[s][u], mul[t][u]):
-                pending.append((mul[s][u], mul[t][u]))
-        for u in out_of[sg.cod[s]]:
-            if uf.union(mul[u][s], mul[u][t]):
-                pending.append((mul[u][s], mul[u][t]))
+        for g in sg.generators:
+            if dom[s] == cod[g] and uf.union(mul[s][g], mul[t][g]):
+                pending.append((mul[s][g], mul[t][g]))
+            if dom[g] == cod[s] and uf.union(mul[g][s], mul[g][t]):
+                pending.append((mul[g][s], mul[g][t]))
 
     cong = GraphedCongruence(base=inv_sg, rep=uf.reps())
     validate_congruence(cong)
@@ -326,12 +327,11 @@ def is_idempotent_pure(cong: GraphedCongruence) -> bool:
     sg = inv_sg.base
     idems = set(inv_sg.idempotents)
     n = sg.n_arrows
+    classes = cong.classes()
 
+    # every member of a class that holds an idempotent is idempotent
     by_definition = all(
-        s in idems
-        for s in range(n)
-        for e in idems
-        if cong.related(s, e)
+        idems.issuperset(cls) for cls in classes if not idems.isdisjoint(cls)
     )
 
     q, proj = cong.quotient
@@ -341,10 +341,7 @@ def is_idempotent_pure(cong: GraphedCongruence) -> bool:
     )
 
     by_equation = all(
-        sg.mul[inv_sg.inv[s]][t] in idems
-        for s in range(n)
-        for t in range(n)
-        if cong.related(s, t)
+        sg.mul[inv_sg.inv[s]][t] in idems for cls in classes for s in cls for t in cls
     )
 
     if not (by_definition == by_projection == by_equation):
@@ -380,13 +377,14 @@ def is_e_unitary(inv_sg: InverseSemigroupoid) -> EUnitarityCertificate:
     sg = inv_sg.base
     inv = inv_sg.inv
     idems = set(inv_sg.idempotents)
-    order = inv_sg.order
+    leq = inv_sg.order.leq
     n = sg.n_arrows
     sig = sigma(inv_sg)
+    classes = sig.classes()
 
     # (1) sigma relates no non-idempotent to an idempotent
     cond1 = all(
-        s in idems for s in range(n) for e in idems if sig.related(s, e)
+        s in idems for cls in classes if any(e in idems for e in cls) for s in cls
     )
 
     # (2) the projection onto the quotient groupoid is idempotent pure
@@ -400,33 +398,27 @@ def is_e_unitary(inv_sg: InverseSemigroupoid) -> EUnitarityCertificate:
             sg.mul[inv[s]][t] in idems and sg.mul[s][inv[t]] in idems
         )
 
-    cond3 = all(
-        _pair_idem(s, t)
-        for s in range(n)
-        for t in range(n)
-        if sig.related(s, t)
-    )
+    cond3 = all(_pair_idem(s, t) for cls in classes for s in cls for t in cls)
 
     # (4) the same, as an exact characterization of sigma on parallel pairs
+    homs: dict[tuple[int, int], list[int]] = {}
+    for s in range(n):
+        homs.setdefault((sg.dom[s], sg.cod[s]), []).append(s)
     cond4 = all(
         sig.related(s, t) == _pair_idem(s, t)
-        for s in range(n)
-        for t in range(n)
-        if sg.parallel(s, t)
+        for hom in homs.values()
+        for s in hom
+        for t in hom
     )
 
     # (5) an idempotent below s forces s idempotent
-    cond5 = True
     witness = None
     for e in sorted(idems):
-        for s in range(n):
-            if s not in idems and order.leq[e][s]:
-                cond5 = False
-                if witness is None:
-                    witness = (e, s)
-                break
-        if witness is not None:
+        s = next((s for s in compress(range(n), leq[e]) if s not in idems), None)
+        if s is not None:
+            witness = (e, s)
             break
+    cond5 = witness is None
 
     conditions = (cond1, cond2, cond3, cond4, cond5)
     if len(set(conditions)) != 1:
@@ -445,12 +437,11 @@ def check_lemma_sts(cert: EUnitarityCertificate) -> bool:
     inv_sg = sig.base
     sg = inv_sg.base
     inv = inv_sg.inv
-    for s in inv_sg.arrows():
-        for t in inv_sg.arrows():
-            if not sig.related(s, t):
-                continue
-            lhs = sg.mul[s][sg.mul[inv[t]][t]]
-            rhs = sg.mul[t][sg.mul[inv[s]][s]]
-            if lhs != rhs:
-                return False
+    for cls in sig.classes():
+        for s in cls:
+            for t in cls:
+                lhs = sg.mul[s][sg.mul[inv[t]][t]]
+                rhs = sg.mul[t][sg.mul[inv[s]][s]]
+                if lhs != rhs:
+                    return False
     return True

@@ -40,9 +40,6 @@ class FinitePoset:
     def le(self, x: int, y: int) -> bool:
         return self.leq[x][y]
 
-    def lt(self, x: int, y: int) -> bool:
-        return x != y and self.leq[x][y]
-
     def downset(self, y: int) -> frozenset[int]:
         return frozenset(x for x in self.elements() if self.leq[x][y])
 

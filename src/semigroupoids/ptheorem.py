@@ -16,7 +16,12 @@ from .actions import (
     restrict_global,
 )
 from .congruences import EUnitarityCertificate, is_e_unitary
-from .core import SemigroupoidMorphism, validate_morphism, validate_semigroupoid
+from .core import (
+    SemigroupoidMorphism,
+    arrows_by_end,
+    validate_morphism,
+    validate_semigroupoid,
+)
 from .errors import InternalInconsistencyError, ValidationError
 from .globalization import globalize
 from .inverse import (
@@ -187,11 +192,12 @@ def semidirect_product(
     objects = sorted(set(dom_list) | set(cod_list))
     obj_index = {o: i for i, o in enumerate(objects)}
 
+    # the pairs (t, y) with cod t = u, by increasing index, at index u
+    pairs_into = arrows_by_end([sg.cod[t] for t, _y in pairs], sg.n_objects)
     triples = []
     for i, (s, x) in enumerate(pairs):
-        for k, (t, y) in enumerate(pairs):
-            if not sg.composable(s, t):
-                continue
+        for k in pairs_into[sg.dom[s]]:
+            t, y = pairs[k]
             ty = theta(t, y)
             if fiber(x) != fiber(ty):
                 continue

@@ -7,8 +7,9 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from semigroupoids import corpus
+from semigroupoids import congruences, corpus
 from semigroupoids.congruences import (
+    EUnitarityCertificate,
     GraphedCongruence,
     check_lemma_sts,
     congruence_closure,
@@ -580,6 +581,142 @@ def test_lemma_sts_exhaustive_small(small_structures):
     for s in small_structures:
         if is_e_unitary(s).verdict:
             assert check_lemma_sts(is_e_unitary(s))
+
+
+def pairwise_e_unitary(inv_sg, sig):
+    """Oracle: the five E-unitarity conditions and the witness, each a
+    scan of every arrow pair, evaluated on the congruence ``sig``."""
+    sg = inv_sg.base
+    inv = inv_sg.inv
+    idems = set(inv_sg.idempotents)
+    n = sg.n_arrows
+    cond1 = all(s in idems for s in range(n) for e in idems if sig.related(s, e))
+    q, proj = sig.quotient
+    q_idems = set(q.idempotents)
+    cond2 = all(s in idems for s in range(n) if proj.arrow_map[s] in q_idems)
+
+    def pair_idem(s, t):
+        return sg.mul[inv[s]][t] in idems and sg.mul[s][inv[t]] in idems
+
+    cond3 = all(
+        pair_idem(s, t) for s in range(n) for t in range(n) if sig.related(s, t)
+    )
+    cond4 = all(
+        sig.related(s, t) == pair_idem(s, t)
+        for s in range(n)
+        for t in range(n)
+        if sg.parallel(s, t)
+    )
+    cond5 = True
+    witness = None
+    for e in sorted(idems):
+        for s in range(n):
+            if s not in idems and inv_sg.order.leq[e][s]:
+                cond5 = False
+                if witness is None:
+                    witness = (e, s)
+                break
+        if witness is not None:
+            break
+    return (cond1, cond2, cond3, cond4, cond5), witness
+
+
+def pairwise_idempotent_pure(cong):
+    """Oracle: the three forms of idempotent purity, each a scan of every
+    arrow pair."""
+    inv_sg = cong.base
+    sg = inv_sg.base
+    idems = set(inv_sg.idempotents)
+    n = sg.n_arrows
+    by_definition = all(
+        s in idems for s in range(n) for e in idems if cong.related(s, e)
+    )
+    q, proj = cong.quotient
+    q_idems = set(q.idempotents)
+    by_projection = all(s in idems for s in range(n) if proj.arrow_map[s] in q_idems)
+    by_equation = all(
+        sg.mul[inv_sg.inv[s]][t] in idems
+        for s in range(n)
+        for t in range(n)
+        if cong.related(s, t)
+    )
+    return by_definition, by_projection, by_equation
+
+
+def pairwise_lemma_sts(cert):
+    """Oracle: s t* t = t s* s over every related arrow pair."""
+    sig = cert.sigma
+    sg, inv = sig.base.base, sig.base.inv
+    return all(
+        sg.mul[s][sg.mul[inv[t]][t]] == sg.mul[t][sg.mul[inv[s]][s]]
+        for s in sg.arrows()
+        for t in sg.arrows()
+        if sig.related(s, t)
+    )
+
+
+def class_walk_pool(structures):
+    """parity_pool plus chain2, c2 and b2 spread over 2 and 3 objects."""
+    spread = [
+        corpus.gen_SA(s, k)
+        for s in (corpus.chain2(), corpus.cyclic_group(2), corpus.brandt_b2())
+        for k in (2, 3)
+    ]
+    return parity_pool(structures) + spread
+
+
+def some_congruences(inv_sg, rng):
+    """Sigma, equality, and the closures of random parallel seeds."""
+    yield sigma(inv_sg)
+    yield congruence_closure(inv_sg, [])
+    for seed in parallel_seeds(inv_sg, rng, 3):
+        yield congruence_closure(inv_sg, seed)
+
+
+def test_e_unitary_matches_the_pairwise_scan(structures, monkeypatch):
+    # other congruences stand in for sigma too: there the conditions can
+    # disagree, and the disagreement is the raised inconsistency
+    rng = random.Random(61)
+    outcomes = Counter()
+    for inv_sg in class_walk_pool(structures):
+        for cong in some_congruences(inv_sg, rng):
+            conditions, witness = pairwise_e_unitary(inv_sg, cong)
+            monkeypatch.setattr(congruences, "sigma", lambda _inv_sg: cong)
+            if len(set(conditions)) == 1:
+                cert = is_e_unitary(inv_sg)
+                assert (cert.conditions, cert.witness) == (conditions, witness)
+            else:
+                with pytest.raises(InternalInconsistencyError) as err:
+                    is_e_unitary(inv_sg)
+                assert err.value.witness == conditions
+            outcomes[conditions] += 1
+    assert outcomes[(True,) * 5] and outcomes[(False,) * 5], outcomes
+    assert len(outcomes) > 2, outcomes
+
+
+def test_idempotent_pure_matches_the_pairwise_scan(structures):
+    rng = random.Random(67)
+    verdicts = Counter()
+    for inv_sg in class_walk_pool(structures):
+        for cong in some_congruences(inv_sg, rng):
+            forms = pairwise_idempotent_pure(cong)
+            assert len(set(forms)) == 1
+            assert is_idempotent_pure(cong) == forms[0]
+            verdicts[forms[0]] += 1
+    assert verdicts[True] and verdicts[False], verdicts
+
+
+def test_lemma_sts_matches_the_pairwise_scan(structures):
+    # certificates that carry congruences other than sigma reach False
+    rng = random.Random(71)
+    verdicts = Counter()
+    for inv_sg in class_walk_pool(structures):
+        for cong in some_congruences(inv_sg, rng):
+            cert = EUnitarityCertificate(True, (True,) * 5, None, cong)
+            expected = pairwise_lemma_sts(cert)
+            assert check_lemma_sts(cert) == expected
+            verdicts[expected] += 1
+    assert verdicts[True] and verdicts[False], verdicts
 
 
 def test_validate_congruence_rejects_bad_partition():

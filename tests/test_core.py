@@ -1,10 +1,13 @@
 """Validated multiplication tables and semigroupoid morphisms."""
 
 import dataclasses
+from collections import Counter
+from itertools import combinations
 
 import pytest
 
 from semigroupoids import corpus
+from semigroupoids.congruences import sigma
 from semigroupoids.core import (
     NOT_COMPOSABLE,
     _generators,
@@ -127,6 +130,75 @@ def test_morphism_composition_closed(structures):
     for _name, s in structures:
         ident = identity_morphism(s.base)
         assert compose_morphisms(ident, ident).arrow_map == ident.arrow_map
+
+
+def _scan_morphism_verdict(source, target, f):
+    """Oracle: the checks of validate_morphism as a scan of every arrow
+    pair, the first (code, witness), else ("ok", the object map)."""
+    n = source.n_arrows
+    for s in range(n):
+        for t in range(n):
+            if not source.composable(s, t):
+                continue
+            if not target.composable(f[s], f[t]):
+                return ("ComposabilityNotPreserved", (s, t))
+            if target.mul[f[s]][f[t]] != f[source.mul[s][t]]:
+                return ("NotMultiplicative", (s, t))
+    obj = {}
+    for s in range(n):
+        ends = ((source.dom[s], target.dom[f[s]]), (source.cod[s], target.cod[f[s]]))
+        for u, v in ends:
+            if obj.setdefault(u, v) != v:
+                return ("ObjectMapConflict", (u,))
+    return ("ok", tuple(obj[u] for u in range(source.n_objects)))
+
+
+def _morphism_verdict(source, target, f):
+    try:
+        return ("ok", validate_morphism(source, target, f).object_map)
+    except ValidationError as exc:
+        return (exc.code, exc.witness)
+
+
+def test_morphism_witnesses_match_the_pairwise_scan(structures, small_structures):
+    # every single-entry change of the identity and of sigma's projection
+    seen = Counter()
+    for inv_sg in [*small_structures, *(s for _name, s in structures)]:
+        sg = inv_sg.base
+        q, proj = sigma(inv_sg).quotient
+        for target, f in ((sg, tuple(sg.arrows())), (q.base, proj.arrow_map)):
+            expected = _scan_morphism_verdict(sg, target, f)
+            assert _morphism_verdict(sg, target, f) == expected
+            for s in sg.arrows():
+                for other in target.arrows():
+                    if other == f[s]:
+                        continue
+                    changed = f[:s] + (other,) + f[s + 1:]
+                    expected = _scan_morphism_verdict(sg, target, changed)
+                    assert _morphism_verdict(sg, target, changed) == expected
+                    seen[expected[0]] += 1
+    assert seen["ComposabilityNotPreserved"] and seen["NotMultiplicative"], seen
+
+
+def test_missing_products_are_reported_at_the_least_cell(structures):
+    # every triple, and every two triples, of the multi-object fixtures
+    # deleted: the least deleted cell is the witness
+    checked = 0
+    for _name, inv_sg in structures:
+        sg = inv_sg.base
+        if sg.n_objects == 1:
+            continue
+        triples = semigroupoid_triples(sg)
+        cells = range(len(triples))
+        for dropped in [*combinations(cells, 1), *combinations(cells, 2)]:
+            kept = [x for i, x in enumerate(triples) if i not in dropped]
+            least = triples[dropped[0]][:2]
+            with pytest.raises(ValidationError) as err:
+                validate_semigroupoid(sg.dom, sg.cod, kept, n_objects=sg.n_objects)
+            assert err.value.code == "UndefinedOnComposablePair"
+            assert err.value.witness == least
+            checked += 1
+    assert checked > 1000, checked
 
 
 def test_mul_sentinel_matches_graph(structures):

@@ -1,10 +1,17 @@
 """Pseudoinverses, the natural partial order, groupoid recognition,
 partial and strong morphisms."""
 
+from collections import Counter
+
 import pytest
 
 from semigroupoids import corpus
-from semigroupoids.core import validate_morphism, validate_semigroupoid
+from semigroupoids.congruences import sigma
+from semigroupoids.core import (
+    identity_morphism,
+    validate_morphism,
+    validate_semigroupoid,
+)
 from semigroupoids.errors import InternalInconsistencyError, ValidationError
 from semigroupoids.inverse import (
     _order_matrix,
@@ -106,6 +113,46 @@ def test_strong_morphism_examples():
     assert is_strong_morphism(ident)
     collapse = validate_morphism(c2.base, trivial.base, [0, 0])
     assert is_strong_morphism(collapse)
+
+
+def pairwise_is_strong(phi):
+    """Oracle: composability reflected, over every arrow pair."""
+    src, dst = phi.source, phi.target
+    return all(
+        src.composable(s, t)
+        for s in src.arrows()
+        for t in src.arrows()
+        if dst.composable(phi.arrow_map[s], phi.arrow_map[t])
+    )
+
+
+def test_strong_morphism_matches_the_pairwise_scan(structures):
+    # the identity, sigma's projection, the collapse onto the trivial
+    # monoid, each spread structure's projection onto its middles, and
+    # one arrow 1 -> 0 (no products; object 1 is only a domain) collapsed
+    trivial = corpus.trivial_monoid().base
+    arrow = validate_semigroupoid([1], [0], [])
+    pool = list(corpus.enumerate_inverse_semigroupoids(4)) + [s for _n, s in structures]
+    morphisms = []
+    for inv_sg in pool:
+        sg = inv_sg.base
+        morphisms += [
+            identity_morphism(sg),
+            sigma(inv_sg).quotient[1],
+            validate_morphism(sg, trivial, [0] * sg.n_arrows),
+        ]
+    for one in (corpus.chain2(), corpus.cyclic_group(2), corpus.brandt_b2()):
+        for k in (2, 3):
+            spread = corpus.gen_SA(one, k).base
+            middles = [(a // k) % one.n_arrows for a in spread.arrows()]
+            morphisms.append(validate_morphism(spread, one.base, middles))
+    morphisms.append(validate_morphism(arrow, trivial, [0]))
+    verdicts = Counter()
+    for phi in morphisms:
+        expected = pairwise_is_strong(phi)
+        assert is_strong_morphism(phi) == expected
+        verdicts[expected] += 1
+    assert verdicts[True] and verdicts[False], verdicts
 
 
 def test_discrete_into_pair_groupoid_is_strong():
