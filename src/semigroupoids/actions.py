@@ -16,7 +16,6 @@ runs both afresh on an action a construction built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import compress
 from typing import Iterable, Mapping, Sequence
 
@@ -32,15 +31,16 @@ class PartialActionData:
 
     ``domains[s]`` is the range of the map attached to arrow ``s``; the
     map itself goes from ``domains[inv(s)]`` to ``domains[s]`` and is
-    stored as a sorted pair tuple in ``map_pairs[s]``.  The carrier may
-    carry a poset; ``global_flag`` records the claim that composition is
-    exact rather than merely contained.
+    stored once, as the dict ``maps[s]`` with its keys in increasing
+    order, so the type is unhashable.  The carrier may carry a poset;
+    ``global_flag`` records the claim that composition is exact rather
+    than merely contained.
     """
 
     actor: InverseSemigroupoid
     carrier_names: tuple[str, ...]
     domains: tuple[frozenset[int], ...]
-    map_pairs: tuple[tuple[tuple[int, int], ...], ...]
+    maps: tuple[dict[int, int], ...]
     order: FinitePoset | None = None
     global_flag: bool = False
 
@@ -50,10 +50,6 @@ class PartialActionData:
 
     def carrier(self) -> range:
         return range(self.carrier_size)
-
-    @cached_property
-    def maps(self) -> tuple[dict[int, int], ...]:
-        return tuple(dict(pairs) for pairs in self.map_pairs)
 
 
 def make_action(
@@ -76,7 +72,7 @@ def make_action(
         if any(not (0 <= x < k) for x in sub):
             raise ValidationError("MalformedAction", (s,), "domain point out of range")
         doms.append(sub)
-    pair_rows = []
+    map_rows = []
     for s in actor.arrows():
         m = dict(maps[s])
         if set(m.keys()) != set(doms[actor.inv[s]]):
@@ -85,14 +81,14 @@ def make_action(
             )
         if any(not (0 <= y < k) for y in m.values()):
             raise ValidationError("MalformedAction", (s,), "map value out of range")
-        pair_rows.append(tuple(sorted(m.items())))
+        map_rows.append(dict(sorted(m.items())))
     if order is not None and order.size != k:
         raise ValidationError("MalformedAction", (), "order size differs from carrier")
     return PartialActionData(
         actor=actor,
         carrier_names=tuple(carrier_names),
         domains=tuple(doms),
-        map_pairs=tuple(pair_rows),
+        maps=tuple(map_rows),
         order=order,
         global_flag=global_flag,
     )
@@ -361,9 +357,10 @@ def _ordered_clauses(a: PartialActionData) -> Violation | None:
     costs O(k^2 + sum of |domain|) for k carrier points.  A map is an
     order isomorphism onto its range iff ``x <= y`` exactly when
     ``theta(x) <= theta(y)`` over all pairs of its points, which is read
-    straight from the order matrix, O(|domain|^2) per arrow and no
-    copies; on an antisymmetric order this also rejects a map that is
-    not injective.  First violation in arrow order, ideals before maps.
+    straight from the order matrix, O(|domain|^2) per arrow over one
+    tuple of its pairs (the inner loop is slower on the items view); on
+    an antisymmetric order this also rejects a map that is not
+    injective.  First violation in arrow order, ideals before maps.
     """
     order = a.order
     assert order is not None
@@ -372,7 +369,8 @@ def _ordered_clauses(a: PartialActionData) -> Violation | None:
     for s, sub in enumerate(a.domains):
         if any(not down[y] <= sub for y in sub):
             return Violation("NotIdeal", (s,))
-    for s, pairs in enumerate(a.map_pairs):
+    for s, theta in enumerate(a.maps):
+        pairs = tuple(theta.items())
         for x, tx in pairs:
             row, image_row = leq[x], leq[tx]
             for y, ty in pairs:

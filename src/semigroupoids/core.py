@@ -226,13 +226,10 @@ def _least_non_associative(dom, cod, table) -> tuple[int, int, int]:
 
 
 def semigroupoid_triples(sg: FiniteSemigroupoid) -> list[tuple[int, int, int]]:
-    """The defined products of ``sg`` as sorted (s, t, s*t) triples."""
-    return [
-        (s, t, sg.mul[s][t])
-        for s in sg.arrows()
-        for t in sg.arrows()
-        if sg.mul[s][t] != NOT_COMPOSABLE
-    ]
+    """The defined products of ``sg`` as sorted (s, t, s*t) triples; each
+    s meets only the arrows t with cod t = dom s, in increasing order."""
+    into = arrows_by_end(sg.cod, sg.n_objects)
+    return [(s, t, row[t]) for s, row in enumerate(sg.mul) for t in into[sg.dom[s]]]
 
 
 @dataclass(frozen=True)
@@ -252,9 +249,8 @@ def validate_morphism(
     source: FiniteSemigroupoid,
     target: FiniteSemigroupoid,
     arrow_map: Sequence[int],
-    object_map: Sequence[int] | None = None,
 ) -> SemigroupoidMorphism:
-    """Check multiplicativity and derive/verify the object map."""
+    """Check multiplicativity and derive the object map."""
     n = source.n_arrows
     if len(arrow_map) != n:
         raise ValidationError("MalformedTable", (), "arrow map has wrong length")
@@ -279,10 +275,6 @@ def validate_morphism(
             if obj.setdefault(u, v) != v:
                 raise ValidationError("ObjectMapConflict", (u,))
     derived = tuple(obj[u] for u in range(source.n_objects))
-
-    if object_map is not None:
-        if tuple(object_map) != derived:
-            raise ValidationError("ObjectMapConflict", ())
     return SemigroupoidMorphism(source, target, f, derived)
 
 

@@ -59,29 +59,33 @@ def globalize(a: PartialActionData) -> GlobalizationResult:
     """Construct the universal globalization of a valid partial action.
 
     The input gate ``require_valid`` reuses a verdict already stored on
-    the action; the construction-time self-checks all run.  Pairs are
-    indexed by arrow and arrows by codomain, so the envelope domains
-    pair each arrow s only with the pairs whose arrow has codomain
-    cod s: O(sum over objects u of n_u P_u) for n_u arrows and P_u pairs
-    with codomain u, at most O(n P).
+    the action; the construction-time self-checks all run.  The
+    envelope's maps and domains come from one pass over the pairs: a
+    pair (p, x) meets only the arrows s with dom s = cod p, one dict
+    lookup each, so O(sum over objects u of m_u P_u) for m_u arrows with
+    domain u and P_u pairs (p, x) with cod p = u, at most O(n P).
 
     The transport rule makes one union for a pair (s, x) with x in the
     domain of theta_s, the one with t = s s* (then t* s = s and s* t = s*),
     which joins (s, x) to (s s*, theta_s x).  Only the pairs with x
     outside that domain try every t with cod t = cod s.  So the rule
     makes O(P) unions when every x lies in the domain of theta_s, as on
-    a global action, and O(sum over u of n_u P_u) at worst.
+    a global action, and O(sum over u of n_u P_u) at worst, for n_u
+    arrows with codomain u.
 
     Lemma: the other instances at such a pair join nothing new.  Write
     D_a for the range of theta_a, which maps D_{a*} onto D_a.  Let x lie
     in D_{s*}, and let (s, x) ~ (t, y) be an instance: x in D_{s* t} and
-    y = theta_{t* s} x.
-    (1) y lies in D_{t* s}, inside D_{t*} by D_{ab} <= D_a, so theta_t y
-        is defined, and theta_a theta_b <= theta_{ab} gives
-        theta_t y = theta_{t t* s} x.
+    y = theta_{t* s} x.  (D_{ab} <= D_a does not hold in general, so the
+    steps do not use it.)
+    (1) P's composition-domain clause at (t*, s) reads
+        dom(theta_{t*} theta_s) = D_{s*} & D_{s* t}, which holds x; so
+        theta_s x lies in D_t and theta_{t*} theta_s x = theta_{t* s} x
+        = y.  Then y lies in D_{t*}, so theta_t y is defined, and
+        theta_a theta_b <= theta_{ab} gives theta_t y = theta_{t t* s} x.
     (2) a <= b in the natural order gives theta_a <= theta_b.  For x in
-        D_{a*}, monotone domains (a* <= b*) put x in D_{b*}, and
-        D_{ab} <= D_a with a* = (a* a) a* puts x in D_{a* a}, where the
+        D_{a*}, monotone domains (a* <= b*) put x in D_{b*}, and domain
+        containment, D_{a*} <= D_{a* a}, puts x in D_{a* a}, where the
         idempotent a* a acts as the identity (theta_e theta_e <= theta_e,
         and theta_e is injective).  So theta_b x = theta_b theta_{a* a} x
         = theta_{b a* a} x = theta_a x, by theta_a theta_b <= theta_{ab}.
@@ -99,17 +103,10 @@ def globalize(a: PartialActionData) -> GlobalizationResult:
     inv, mul, cod = actor.inv, sg.mul, sg.cod
     domains, maps = a.domains, a.maps
 
-    # into[u]: the arrows with codomain u; pairs_of[p]: (index, point) of
-    # the pairs (p, x), both in increasing order
+    # into[u]: the arrows with codomain u, in increasing order; pairs
+    # lists D lexicographically
     into = arrows_by_end(cod, sg.n_objects)
-    pairs: list[tuple[int, int]] = []
-    pairs_of: list[list[tuple[int, int]]] = []
-    for s in actor.arrows():
-        row = []
-        for x in sorted(domains[mul[inv[s]][s]]):
-            row.append((len(pairs), x))
-            pairs.append((s, x))
-        pairs_of.append(row)
+    pairs = [(s, x) for s in actor.arrows() for x in sorted(domains[mul[inv[s]][s]])]
     index = {p: i for i, p in enumerate(pairs)}
 
     uf = UnionFind(len(pairs))
@@ -147,35 +144,20 @@ def globalize(a: PartialActionData) -> GlobalizationResult:
         for ms in classes
     )
 
-    # carrier sets of the enveloping action: the domain at s holds the
-    # classes of the pairs (p, x) with cod p = cod s and x in the domain
-    # of the idempotent (s* p)* (s* p); member_sets[s][c] lists those
-    # pairs that lie in class c
-    member_sets: list[dict[int, list[int]]] = []
-    for s in actor.arrows():
-        row = mul[inv[s]]
-        by_class: dict[int, list[int]] = {}
-        for p in into[cod[s]]:
-            sp = row[p]
-            dom_e = domains[mul[inv[sp]][sp]]
-            for i, x in pairs_of[p]:
-                if x in dom_e:
-                    by_class.setdefault(class_of[i], []).append(i)
-        member_sets.append(by_class)
-
-    maps_env: list[dict[int, int]] = []
-    for s in actor.arrows():
-        theta: dict[int, int] = {}
-        row = mul[s]
-        for c, ms in sorted(member_sets[inv[s]].items()):
-            values = set()
-            for i in ms:
-                p, x = pairs[i]
-                values.add(class_of[index[(row[p], x)]])
-            if len(values) != 1:
-                raise InternalInconsistencyError("EnvelopeMapNotWellDefined", (s, c))
-            theta[c] = values.pop()
-        maps_env.append(theta)
+    # the enveloping maps: theta_s sends the class of (p, x) to the class
+    # of (s p, x) whenever dom s = cod p and (s p, x) is a pair; a class
+    # sent to two classes is a clash, reported at the least (s, class)
+    out_of = arrows_by_end(sg.dom, sg.n_objects)
+    maps_env: list[dict[int, int]] = [{} for _ in actor.arrows()]
+    clashes = []
+    for i, (p, x) in enumerate(pairs):
+        c = class_of[i]
+        for s in out_of[cod[p]]:
+            j = index.get((mul[s][p], x))
+            if j is not None and maps_env[s].setdefault(c, class_of[j]) != class_of[j]:
+                clashes.append((s, c))
+    if clashes:
+        raise InternalInconsistencyError("EnvelopeMapNotWellDefined", min(clashes))
 
     order = None
     if a.order is not None:
@@ -184,7 +166,7 @@ def globalize(a: PartialActionData) -> GlobalizationResult:
     envelope = make_action(
         actor,
         class_names,
-        [frozenset(by_class) for by_class in member_sets],
+        [frozenset(maps_env[inv[s]]) for s in actor.arrows()],
         maps_env,
         order=order,
         global_flag=True,

@@ -12,7 +12,7 @@ from itertools import chain
 from typing import Any
 
 from .actions import PartialActionData, make_action
-from .core import NOT_COMPOSABLE, FiniteSemigroupoid, validate_semigroupoid
+from .core import FiniteSemigroupoid, arrows_by_end, validate_semigroupoid
 from .errors import ParseError, ValidationError
 from .inverse import InverseSemigroupoid, promote_to_inverse
 from .posets import FinitePoset, validate_poset
@@ -166,6 +166,7 @@ def _unique_names(names, what: str) -> dict[str, int]:
 # ------------------------------------------------------------ semigroupoid
 
 def semigroupoid_to_doc(sg: FiniteSemigroupoid) -> dict:
+    into = arrows_by_end(sg.cod, sg.n_objects)
     return {
         "kind": "semigroupoid",
         "version": FORMAT_VERSION,
@@ -179,12 +180,8 @@ def semigroupoid_to_doc(sg: FiniteSemigroupoid) -> dict:
             for s in sg.arrows()
         ],
         # the (s, t, s*t) rows of core.semigroupoid_triples, built as lists
-        "mul": [
-            [s, t, r]
-            for s, row in enumerate(sg.mul)
-            for t, r in enumerate(row)
-            if r != NOT_COMPOSABLE
-        ],
+        # (_triples reads list rows only) straight from the composable pairs
+        "mul": [[s, t, row[t]] for s, row in enumerate(sg.mul) for t in into[sg.dom[s]]],
     }
 
 

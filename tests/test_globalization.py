@@ -22,7 +22,7 @@ from semigroupoids.actions import (
 )
 from semigroupoids.congruences import is_e_unitary, sigma
 from semigroupoids.core import UnionFind
-from semigroupoids.errors import ValidationError, Violation
+from semigroupoids.errors import InternalInconsistencyError, ValidationError, Violation
 from semigroupoids.globalization import (
     GlobalizationResult,
     _class_order,
@@ -568,9 +568,63 @@ def test_replaced_action_carries_no_verdict():
     reversed_order = dataclasses.replace(
         a, order=FinitePoset(tuple(zip(*a.order.leq)), a.order.names)
     )
-    shuffled_maps = dataclasses.replace(a, map_pairs=a.map_pairs[::-1])
+    shuffled_maps = dataclasses.replace(a, maps=a.maps[::-1])
     for bad, expected in ((reversed_order, ("NotIdeal", (0,))),
                           (shuffled_maps, ("NotBijective", (0,)))):
         with pytest.raises(ValidationError) as err:
             globalize(bad)
         assert (err.value.code, err.value.witness) == expected
+
+
+def test_transport_lemma_step_one_premise():
+    # step (1) of globalize's lemma: for x in D_{s*} & D_{s* t} with
+    # cod t = cod s, theta_s x lies in D_t and theta_{t*} theta_s x =
+    # theta_{t* s} x, on every valid action of the three corpora
+    inputs = [a for _, a in corpus.action_corpus()]
+    inputs += [a for _, a in corpus.groupoid_action_corpus()]
+    for seed in range(3):
+        inputs += corpus.action_candidates(seed=seed)
+    instances = 0
+    for a in inputs:
+        if validate_partial_action_E(a) is not None:
+            continue
+        sg, inv, domains, maps = a.actor.base, a.actor.inv, a.domains, a.maps
+        into = [[t for t in sg.arrows() if sg.cod[t] == u] for u in range(sg.n_objects)]
+        for s in sg.arrows():
+            for x, z in maps[s].items():
+                for t in into[sg.cod[s]]:
+                    if x not in domains[sg.mul[inv[s]][t]]:
+                        continue
+                    instances += 1
+                    assert z in domains[t]
+                    assert maps[inv[t]][z] == maps[sg.mul[inv[t]][s]][x]
+    # 25,091 instances when this test was written
+    assert instances > 20000
+    # the inclusion D_{st} <= D_s, which the step must not rely on, fails
+    a = dict(corpus.action_corpus())["munn[pair2]|[0]"]
+    sg = a.actor.base
+    assert any(
+        not a.domains[sg.mul[s][t]] <= a.domains[s]
+        for s in sg.arrows() for t in sg.arrows() if sg.composable(s, t)
+    )
+
+
+class _FoldLastClass(UnionFind):
+    """Union-find whose last class is reported as part of class 0."""
+
+    def reps(self):
+        rep = super().reps()
+        last = max(rep)
+        return tuple(0 if r == last else r for r in rep)
+
+
+@pytest.mark.parametrize(
+    "actor, witness",
+    [(corpus.brandt_b2(), (1, 0)), (corpus.gen_Jpi([0, 0]), (4, 0))],
+)
+def test_envelope_self_check_reports_the_least_clash(monkeypatch, actor, witness):
+    theta = munn_action(actor)
+    monkeypatch.setattr(globalization, "UnionFind", _FoldLastClass)
+    with pytest.raises(InternalInconsistencyError) as err:
+        globalize(theta)
+    assert (err.value.code, err.value.witness) == ("EnvelopeMapNotWellDefined", witness)

@@ -2,6 +2,7 @@
 partial and strong morphisms."""
 
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -12,7 +13,7 @@ from semigroupoids.core import (
     validate_morphism,
     validate_semigroupoid,
 )
-from semigroupoids.errors import InternalInconsistencyError, ValidationError
+from semigroupoids.errors import InternalInconsistencyError, ValidationError, Violation
 from semigroupoids.inverse import (
     _order_matrix,
     check_partial_morphism,
@@ -104,6 +105,40 @@ def test_swap_fails_order_preservation():
     assert violation is not None
     assert violation.code == "OrderNotPreserved"
     assert violation.witness == (1, 0)
+
+
+def _scan_partial_morphism(f, src, dst):
+    """Oracle: check_partial_morphism as a scan of every arrow pair."""
+    for s in src.arrows():
+        if dst.inv[f[s]] != f[src.inv[s]]:
+            return Violation("InverseNotPreserved", (s,))
+    for s in src.arrows():
+        for t in src.arrows():
+            if not src.composable(s, t):
+                continue
+            if not dst.composable(f[s], f[t]):
+                return Violation("SubmultiplicativityFailure", (s, t))
+            lhs = dst.base.mul[f[s]][f[t]]
+            if not dst.leq(lhs, f[src.base.mul[s][t]]):
+                return Violation("SubmultiplicativityFailure", (s, t))
+    for s in src.arrows():
+        for t in src.arrows():
+            if src.parallel(s, t) and src.leq(s, t) and not dst.leq(f[s], f[t]):
+                return Violation("OrderNotPreserved", (s, t))
+    return None
+
+
+def test_partial_morphism_witnesses_match_the_pairwise_scan(small_structures):
+    # every arrow map of each structure with at most 3 arrows to itself
+    codes = Counter()
+    for s in small_structures:
+        for f in product(s.arrows(), repeat=s.n_arrows):
+            v = check_partial_morphism(f, s, s)
+            assert v == _scan_partial_morphism(f, s, s)
+            codes[v.code if v else None] += 1
+    assert set(codes) == {
+        None, "InverseNotPreserved", "SubmultiplicativityFailure", "OrderNotPreserved"
+    }, codes
 
 
 def test_strong_morphism_examples():
