@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress
 from typing import Iterable
 
 from .core import (
@@ -234,15 +233,15 @@ def sigma_by_lower_bounds(inv_sg: InverseSemigroupoid) -> GraphedCongruence:
     """
     sg = inv_sg.base
     n = sg.n_arrows
-    leq, up = inv_sg.order.leq, inv_sg.order.up
+    order = inv_sg.order
     ends = list(zip(sg.dom, sg.cod))
     hom: dict[tuple[int, int], int] = {}
     for s, key in enumerate(ends):
         hom[key] = hom.get(key, 0) | 1 << s
     related = [0] * n
-    for r in range(n):
-        for s in compress(range(n), leq[r]):
-            related[s] |= up[r]
+    for r, up_r in enumerate(order.up):
+        for s in order.above(r):
+            related[s] |= up_r
     rows = [row & hom[key] for row, key in zip(related, ends)]
     cong = GraphedCongruence(base=inv_sg, rep=_partition(rows, "SigmaNotEquivalence"))
     validate_congruence(cong)
@@ -377,7 +376,7 @@ def is_e_unitary(inv_sg: InverseSemigroupoid) -> EUnitarityCertificate:
     sg = inv_sg.base
     inv = inv_sg.inv
     idems = set(inv_sg.idempotents)
-    leq = inv_sg.order.leq
+    up = inv_sg.order.up
     n = sg.n_arrows
     sig = sigma(inv_sg)
     classes = sig.classes()
@@ -411,12 +410,14 @@ def is_e_unitary(inv_sg: InverseSemigroupoid) -> EUnitarityCertificate:
         for t in hom
     )
 
-    # (5) an idempotent below s forces s idempotent
+    # (5) an idempotent below s forces s idempotent; the witness is the
+    # least e with a non-idempotent above it, and the least such s
+    idem_mask = sum(1 << e for e in idems)
     witness = None
     for e in sorted(idems):
-        s = next((s for s in compress(range(n), leq[e]) if s not in idems), None)
-        if s is not None:
-            witness = (e, s)
+        above = up[e] & ~idem_mask
+        if above:
+            witness = (e, (above & -above).bit_length() - 1)
             break
     cond5 = witness is None
 

@@ -510,13 +510,8 @@ def fiber_shift_action() -> PartialActionData:
     """The pair groupoid on two objects moving one two-chain fiber onto
     another by an order isomorphism; global and ordered."""
     pg = pair_groupoid(2)
-    order = FinitePoset(
-        tuple(
-            tuple(x == y or (x, y) in ((0, 1), (2, 3)) for y in range(4))
-            for x in range(4)
-        ),
-        ("a0", "a1", "b0", "b1"),
-    )
+    # the two chains a0 <= a1 and b0 <= b1, as up-set masks
+    order = FinitePoset((0b0011, 0b0010, 0b1100, 0b1000), ("a0", "a1", "b0", "b1"))
     loops = {pg.base.dom[s]: s for s in pg.arrows() if pg.base.dom[s] == pg.base.cod[s]}
     g = next(s for s in pg.arrows() if pg.base.dom[s] == 0 and pg.base.cod[s] == 1)
     gstar = pg.inv[g]

@@ -300,11 +300,10 @@ def check_lemma_tec(r: GlobalizationResult) -> list[Violation]:
                         Violation("RepresentativeCriterionFailure", (c1, c2, p, z))
                     )
 
-    stored = r.order.leq
     for c1 in range(n):
-        row = stored[c1]
+        row = r.order.up[c1]
         for c2 in range(n):
-            if row[c2] != (c1 in definition[c2]):
+            if (row >> c2 & 1) != (c1 in definition[c2]):
                 out.append(Violation("OrderComputationMismatch", (c1, c2)))
     return out
 

@@ -9,12 +9,11 @@ coincide.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 from typing import Sequence
 
 from .core import FiniteSemigroupoid, SemigroupoidMorphism, NOT_COMPOSABLE, arrows_by_end
 from .errors import InternalInconsistencyError, ValidationError, Violation
-from .posets import FinitePoset, poset_from_matrix
+from .posets import FinitePoset, poset_from_masks
 
 
 @dataclass(frozen=True)
@@ -44,7 +43,7 @@ class InverseSemigroupoid:
         return self.base.parallel(s, t)
 
     def leq(self, s: int, t: int) -> bool:
-        return self.order.leq[s][t]
+        return self.order.le(s, t)
 
 
 def _pseudoinverses(sg: FiniteSemigroupoid, s: int, homs: dict) -> list[int]:
@@ -70,12 +69,13 @@ def _idempotents(sg: FiniteSemigroupoid) -> tuple[int, ...]:
 
 def _order_matrix(sg: FiniteSemigroupoid, inv: Sequence[int], idems: Sequence[int]):
     """All four characterizations of the natural order; they must agree.
+    Returns its row bitmasks: bit t of row s is set iff s <= t.
 
     The sets {t e} and {f t} over the idempotents e at dom t and f at
     cod t are built once per arrow t, so the two existential votes are
     set lookups.  The votes run only on the candidate pairs (s, t) with
-    s in {t e} or {f t}, in row-major order, so the matrix costs
-    O(n |E|) steps past its allocation.
+    s in {t e} or {f t}, in row-major order, so the order costs
+    O(n |E|) steps.
 
     That skips no vote that could be true.  A guard first checks, for
     every s, that s*s is one of ``idems`` at dom s and ss* one at cod s.
@@ -130,7 +130,7 @@ def _order_matrix(sg: FiniteSemigroupoid, inv: Sequence[int], idems: Sequence[in
     else:
         columns = [range(n)] * n
 
-    matrix = [[False] * n for _ in range(n)]
+    up = [0] * n
     for s in range(n):
         for t in columns[s]:
             if not sg.parallel(s, t):
@@ -145,8 +145,9 @@ def _order_matrix(sg: FiniteSemigroupoid, inv: Sequence[int], idems: Sequence[in
                 raise InternalInconsistencyError(
                     "OrderCharacterizationMismatch", (s, t), f"votes {votes}"
                 )
-            matrix[s][t] = votes[0]
-    return matrix
+            if votes[0]:
+                up[s] |= 1 << t
+    return up
 
 
 def promote_to_inverse(sg: FiniteSemigroupoid) -> InverseSemigroupoid:
@@ -164,8 +165,7 @@ def promote_to_inverse(sg: FiniteSemigroupoid) -> InverseSemigroupoid:
         inv.append(candidates[0])
 
     idems = _idempotents(sg)
-    matrix = _order_matrix(sg, inv, idems)
-    order = poset_from_matrix(matrix, names=sg.arrow_names)
+    order = poset_from_masks(_order_matrix(sg, inv, idems), names=sg.arrow_names)
     return InverseSemigroupoid(
         base=sg, inv=tuple(inv), idempotents=idems, order=order
     )
@@ -173,12 +173,12 @@ def promote_to_inverse(sg: FiniteSemigroupoid) -> InverseSemigroupoid:
 
 def _order_is_equality(inv_sg: InverseSemigroupoid) -> bool:
     """True iff s <= t exactly when s = t, over the parallel pairs: each
-    row's true entries hold s itself and no other arrow parallel to s."""
-    arrows = inv_sg.arrows()
-    for s, row in zip(arrows, inv_sg.order.leq):
-        if not row[s]:
+    up-set holds s itself and no other arrow parallel to s."""
+    order = inv_sg.order
+    for s in inv_sg.arrows():
+        if not order.le(s, s):
             return False
-        for t in compress(arrows, row):
+        for t in order.above(s):
             if t != s and inv_sg.parallel(s, t):
                 return False
     return True
@@ -206,7 +206,7 @@ def check_partial_morphism(
     Checks that f respects involution, preserves composability with
     f(s) f(t) <= f(st), and preserves the natural order.  For each s the
     composability clause walks only the arrows t with cod t = dom s, and
-    the order clause only the true entries of row s of the order, both
+    the order clause only the up-set of s, both
     in increasing order, so each first failure is the one a row-major
     scan of all pairs finds.
     """
@@ -222,9 +222,8 @@ def check_partial_morphism(
             lhs = dst.base.mul[f[s]][f[t]]
             if not dst.leq(lhs, f[src.base.mul[s][t]]):
                 return Violation("SubmultiplicativityFailure", (s, t))
-    leq = src.order.leq
     for s in arrows:
-        for t in compress(arrows, leq[s]):
+        for t in src.order.above(s):
             if src.parallel(s, t) and not dst.leq(f[s], f[t]):
                 return Violation("OrderNotPreserved", (s, t))
     return None

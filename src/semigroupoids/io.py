@@ -224,8 +224,7 @@ def poset_to_doc(poset: FinitePoset) -> dict:
         "leq": [
             [poset.names[x], poset.names[y]]
             for x in poset.elements()
-            for y in poset.elements()
-            if poset.leq[x][y]
+            for y in poset.above(x)
         ],
     }
 
@@ -266,8 +265,7 @@ def action_to_doc(a: PartialActionData) -> dict:
         doc["order"] = [
             [a.carrier_names[x], a.carrier_names[y]]
             for x in a.order.elements()
-            for y in a.order.elements()
-            if a.order.leq[x][y]
+            for y in a.order.above(x)
         ]
     return doc
 

@@ -7,69 +7,88 @@ one per object, with the product realizing greatest lower bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import compress
-from typing import Iterable, Sequence, TYPE_CHECKING
+from typing import Iterable, Iterator, Sequence, TYPE_CHECKING
 
+from .core import UnionFind, arrows_by_end, validate_semigroupoid
 from .errors import ValidationError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .inverse import InverseSemigroupoid
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of a mask, in increasing order, one big-int step each."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @dataclass(frozen=True)
 class FinitePoset:
-    """A partial order on elements ``0..size-1`` as a boolean matrix."""
+    """A partial order on elements ``0..size-1`` as row bitmasks: bit y
+    of ``up[x]`` is set iff x <= y."""
 
-    leq: tuple[tuple[bool, ...], ...]
+    up: tuple[int, ...]
     names: tuple[str, ...]
 
-    @cached_property
-    def up(self) -> tuple[int, ...]:
-        """Row bitmasks: bit y of ``up[x]`` is set iff x <= y."""
-        bits = [1 << y for y in self.elements()]
-        return tuple(sum(compress(bits, row)) for row in self.leq)
+    @property
+    def leq(self) -> tuple[tuple[bool, ...], ...]:
+        """The order as a boolean matrix, built on each read; a view for
+        callers outside the library, which itself reads only ``up``."""
+        k = self.size
+        return tuple(tuple(c == "1" for c in f"{m:0{k}b}"[::-1]) for m in self.up)
 
     @property
     def size(self) -> int:
-        return len(self.leq)
+        return len(self.up)
 
     def elements(self) -> range:
         return range(self.size)
 
     def le(self, x: int, y: int) -> bool:
-        return self.leq[x][y]
+        return bool(self.up[x] >> y & 1)
+
+    def above(self, x: int) -> Iterator[int]:
+        """The y with x <= y, in increasing order."""
+        return _bits(self.up[x])
 
     def downset(self, y: int) -> frozenset[int]:
-        return frozenset(x for x in self.elements() if self.leq[x][y])
+        return frozenset(x for x, m in enumerate(self.up) if m >> y & 1)
 
     def hasse_edges(self) -> list[tuple[int, int]]:
-        """Covering pairs (x, y) with x < y and nothing strictly between."""
+        """Covering pairs (x, y) with x < y and nothing strictly between:
+        the y strictly above x and strictly above no other point that is."""
         edges = []
-        leq = self.leq
-        points = self.elements()
-        for x in points:
-            # a point strictly between x and y is strictly above x
-            above = [z for z in compress(points, leq[x]) if z != x]
-            for y in above:
-                if not any(z != y and leq[z][y] for z in above):
-                    edges.append((x, y))
+        up = self.up
+        for x, m in enumerate(up):
+            strict = m & ~(1 << x)
+            between = 0
+            for z in _bits(strict):
+                between |= up[z] & ~(1 << z)
+            edges.extend((x, y) for y in _bits(strict & ~between))
         return edges
 
     def restrict(self, elems: Sequence[int]) -> "FinitePoset":
         """The induced order on a subset, reindexed in the given order."""
+        columns = [1 << y for y in elems]
         return FinitePoset(
-            leq=tuple(tuple(self.leq[x][y] for y in elems) for x in elems),
+            up=tuple(
+                sum(1 << j for j, c in enumerate(columns) if self.up[x] & c)
+                for x in elems
+            ),
             names=tuple(self.names[x] for x in elems),
         )
 
     def glb(self, x: int, y: int) -> int | None:
-        """Greatest lower bound by brute-force scan, or None."""
-        lower = [z for z in self.elements() if self.leq[z][x] and self.leq[z][y]]
-        for w in lower:
-            if all(self.leq[z][w] for z in lower):
-                return w
-        return None
+        """Greatest lower bound by brute-force scan, or None: the least
+        lower bound of x and y that lies above every lower bound."""
+        both = 1 << x | 1 << y
+        lower = [z for z, m in enumerate(self.up) if m & both == both]
+        upper = -1
+        for z in lower:
+            upper &= self.up[z]
+        return next((w for w in lower if upper >> w & 1), None)
 
 
 def validate_poset(
@@ -85,54 +104,54 @@ def validate_poset(
     otherwise a missing reflexive loop or transitive edge is an error.
     Antisymmetry failures are always errors.
     """
-    points = range(size)
-    leq = [[False] * size for _ in range(size)]
-    up = [0] * size  # row bitmasks of the relation as given
+    up = [0] * size
     for x, y in pairs:
         if not (0 <= x < size and 0 <= y < size):
             raise ValidationError("MalformedRelation", (x, y))
-        leq[x][y] = True
         up[x] |= 1 << y
 
     if auto_close:
         for x in range(size):
-            leq[x][x] = True
+            up[x] |= 1 << x
         # Warshall: after pass y, x <= z for every path from x to z whose
         # inner points are all at most y
         for y in range(size):
+            bit = 1 << y
             for x in range(size):
-                if leq[x][y]:
-                    for z in range(size):
-                        if leq[y][z]:
-                            leq[x][z] = True
-    else:
-        for x in range(size):
-            if not leq[x][x]:
-                raise ValidationError("ReflexivityFailure", (x,))
-        # the least z in up[y] but not up[x] is the first a scan would find
-        for x in points:
-            up_x = up[x]
-            for y in compress(points, leq[x]):
-                missing = up[y] & ~up_x
-                if missing:
-                    z = (missing & -missing).bit_length() - 1
-                    raise ValidationError("TransitivityFailure", (x, y, z))
+                if up[x] & bit:
+                    up[x] |= up[y]
+    return poset_from_masks(up, names)
 
-    for x in points:
-        for y in compress(points, leq[x]):
-            if y > x and leq[y][x]:
+
+def poset_from_masks(
+    up: Sequence[int], names: Sequence[str] | None = None
+) -> FinitePoset:
+    """The poset with row bitmasks ``up``, checked to be a partial order;
+    each witness is the first a row-major scan of the relation finds."""
+    size = len(up)
+    for x, up_x in enumerate(up):
+        if up_x < 0 or up_x >> size:
+            raise ValidationError("MalformedRelation", (x,), "row mask out of range")
+    for x in range(size):
+        if not up[x] >> x & 1:
+            raise ValidationError("ReflexivityFailure", (x,))
+    # the least z in up[y] but not up[x] is the first a scan would find
+    for x, up_x in enumerate(up):
+        for y in _bits(up_x):
+            missing = up[y] & ~up_x
+            if missing:
+                z = (missing & -missing).bit_length() - 1
+                raise ValidationError("TransitivityFailure", (x, y, z))
+    for x, up_x in enumerate(up):
+        for y in _bits((up_x >> x + 1) << x + 1):
+            if up[y] >> x & 1:
                 raise ValidationError("AntisymmetryFailure", (x, y))
 
     if names is None:
         names = tuple(f"x{i}" for i in range(size))
-    return FinitePoset(leq=tuple(tuple(row) for row in leq), names=tuple(names))
-
-
-def poset_from_matrix(matrix: Sequence[Sequence[bool]], names: Sequence[str] | None = None) -> FinitePoset:
-    size = len(matrix)
-    points = range(size)
-    pairs = [(x, y) for x in points for y in compress(points, matrix[x])]
-    return validate_poset(pairs, size, names=names)
+    if len(names) != size:
+        raise ValidationError("MalformedRelation", (), "name list has wrong length")
+    return FinitePoset(up=tuple(up), names=tuple(names))
 
 
 def discrete_poset(size: int, names: Sequence[str] | None = None) -> FinitePoset:
@@ -146,24 +165,26 @@ def chain_poset(size: int, names: Sequence[str] | None = None) -> FinitePoset:
 
 def is_order_ideal(poset: FinitePoset, subset: Iterable[int]) -> bool:
     """True iff the subset is a downward closed set of the poset's
-    points; a point outside ``0..size-1`` makes the answer False."""
+    points: no point outside it lies below a point inside it.  A point
+    outside ``0..size-1`` makes the answer False."""
     inside = set(subset)
     points = poset.elements()
-    return all(y in points for y in inside) and all(
-        poset.downset(y) <= inside for y in inside
-    )
+    if not all(y in points for y in inside):
+        return False
+    mask = sum(1 << y for y in inside)
+    return not any(m & mask for x, m in enumerate(poset.up) if x not in inside)
 
 
 def check_order_iso(f: Sequence[int], src: FinitePoset, dst: FinitePoset) -> bool:
-    """True iff f is a bijection with x <= y exactly when f(x) <= f(y)."""
+    """True iff f is a bijection with x <= y exactly when f(x) <= f(y):
+    f carries each up-set of src onto the up-set of the image point."""
     if len(f) != src.size or src.size != dst.size:
         return False
     if len(set(f)) != len(f) or any(not (0 <= v < dst.size) for v in f):
         return False
     return all(
-        src.leq[x][y] == dst.leq[f[x]][f[y]]
-        for x in src.elements()
-        for y in src.elements()
+        sum(1 << f[y] for y in _bits(m)) == dst.up[f[x]]
+        for x, m in enumerate(src.up)
     )
 
 
@@ -201,40 +222,31 @@ def validate_semilatticeoid(inv_sg: "InverseSemigroupoid") -> Semilatticeoid:
         if s not in idems:
             raise ValidationError("NonIdempotentArrow", (s,))
 
+    # into[dom x] is every y composable with x, increasing, so the first
+    # failure is the one a row-major scan of all pairs finds
     order = inv_sg.order
+    into = arrows_by_end(base.cod, base.n_objects)
     for x in base.arrows():
-        for y in base.arrows():
-            if not base.composable(x, y):
-                continue
+        for y in into[base.dom[x]]:
             if order.glb(x, y) != base.mul[x][y]:
                 raise ValidationError("ProductNotMeet", (x, y))
 
-    fibers = tuple(
-        tuple(s for s in base.arrows() if base.dom[s] == u)
-        for u in range(base.n_objects)
-    )
+    fibers = tuple(map(tuple, arrows_by_end(base.dom, base.n_objects)))
     return Semilatticeoid(base=inv_sg, fibers=fibers)
 
 
 def comparability_components(poset: FinitePoset) -> list[list[int]]:
-    """Connected components of the comparability graph, sorted."""
-    seen: set[int] = set()
-    components = []
-    for start in poset.elements():
-        if start in seen:
-            continue
-        stack = [start]
-        comp = []
-        seen.add(start)
-        while stack:
-            x = stack.pop()
-            comp.append(x)
-            for y in poset.elements():
-                if y not in seen and (poset.leq[x][y] or poset.leq[y][x]):
-                    seen.add(y)
-                    stack.append(y)
-        components.append(sorted(comp))
-    return components
+    """Connected components of the comparability graph, each sorted and
+    listed by least point: x is joined to every point above it, in
+    O(|<=|) union-find steps."""
+    uf = UnionFind(poset.size)
+    for x, m in enumerate(poset.up):
+        for y in _bits(m):
+            uf.union(x, y)
+    components: dict[int, list[int]] = {}
+    for x, r in enumerate(uf.reps()):
+        components.setdefault(r, []).append(x)
+    return list(components.values())
 
 
 def semilatticeoid_from_poset(poset: FinitePoset) -> Semilatticeoid:
@@ -254,15 +266,11 @@ def semilatticeoid_from_poset(poset: FinitePoset) -> Semilatticeoid:
     dom = [comp_of[x] for x in poset.elements()]
     triples = []
     for x in poset.elements():
-        for y in poset.elements():
-            if comp_of[x] != comp_of[y]:
-                continue
+        for y in components[comp_of[x]]:
             m = poset.glb(x, y)
             if m is None:
                 raise ValidationError("ProductNotMeet", (x, y))
             triples.append((x, y, m))
-
-    from .core import validate_semigroupoid
 
     sg = validate_semigroupoid(
         dom,

@@ -151,7 +151,7 @@ class SemidirectProduct:
 def _check_action_matches_lattice(action: PartialActionData, latt: Semilatticeoid):
     if action.carrier_size != latt.n_arrows:
         raise ValidationError("MalformedAction", (), "carrier size differs from lattice")
-    if action.order is None or action.order.leq != latt.order.leq:
+    if action.order is None or action.order.up != latt.order.up:
         raise ValidationError(
             "MalformedAction", (), "carrier order differs from lattice order"
         )
@@ -267,7 +267,7 @@ def validate_mcalister_triple(t: McAlisterTriple) -> McAlisterTriple:
         raise ValidationError("NotGroupoid", ())
     if t.action.actor != t.groupoid:
         raise ValidationError("MalformedAction", (), "action actor differs")
-    if t.action.order is None or t.action.order.leq != t.space.leq:
+    if t.action.order is None or t.action.order.up != t.space.up:
         raise ValidationError("MalformedAction", (), "order differs from space")
     require_valid(t.action)
     if not t.action.global_flag:
@@ -374,7 +374,7 @@ def bundle_from_certificate(
     inv_sg = sig.base
     alpha = induced_sigma_action(cert, theta)
     latt = idempotent_semilatticeoid(inv_sg)
-    if latt.order.leq != theta.order.leq:
+    if latt.order.up != theta.order.up:
         raise InternalInconsistencyError("LatticeOrderMismatch", ())
     sdp = semidirect_product(alpha, latt)
 

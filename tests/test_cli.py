@@ -694,3 +694,50 @@ def test_verify_corpus_rejects_an_arrow_bound_out_of_range(value):
     assert f"invalid choice: {value}" in proc.stderr
     # rejected before any check ran
     assert proc.stdout == ""
+
+
+def test_no_command_reads_the_order_matrix_view(files, tmp_path, monkeypatch, capsys):
+    # FinitePoset.leq is a boolean-matrix view built on each read; the
+    # library reads the row bitmasks only, so a view that raises leaves
+    # every command's exit code, output and written file unchanged
+    from semigroupoids.posets import FinitePoset, chain_poset
+
+    structures = [files[name] for name in ("chain2", "b2", "pair2")]
+    acts = []
+    for i, (_name, a) in enumerate(corpus.action_corpus()[::12]):
+        acts.append(str(tmp_path / f"action{i}.json"))
+        io.save_structure(a, acts[-1])
+    poset = str(tmp_path / "poset.json")
+    io.save_structure(chain_poset(3), poset)
+    munn = str(tmp_path / "munn.json")
+    runs = [(p, ["analyze", "--verify-all"]) for p in structures]
+    runs += [(p, ["munn", "--output", munn]) for p in structures[:1]]
+    runs += [(munn, ["globalize"])]
+    for p in structures:
+        runs += [(p, ["ptheorem"]), (p, ["export-dot"])]
+        runs += [(p, ["triple", "--seed", "3"]), (p, ["semidirect", "--seed", "3"])]
+    runs += [
+        (p, command)
+        for p in acts
+        for command in (["validate", "--verify-all"], ["globalize"], ["triple"],
+                        ["semidirect"], ["export-dot"])
+    ]
+    runs += [(poset, ["export-dot"])]
+
+    def outcomes():
+        seen = []
+        for path, argv in runs:
+            code = cli(["--input", path, *argv])
+            written = open(munn).read() if "--output" in argv else None
+            seen.append((code, *capsys.readouterr(), written))
+        return seen
+
+    capsys.readouterr()
+    plain = outcomes()
+
+    def forbidden(self):
+        raise AssertionError("FinitePoset.leq read by library code")
+
+    monkeypatch.setattr(FinitePoset, "leq", property(forbidden))
+    assert outcomes() == plain
+    assert {code for code, *_printed in plain} >= {0, 1}

@@ -39,6 +39,11 @@ from semigroupoids.posets import (
 from semigroupoids.ptheorem import induced_sigma_action, munn_action
 
 
+def row_masks(matrix):
+    """The FinitePoset row bitmasks of a boolean matrix, unvalidated."""
+    return tuple(sum(1 << y for y, b in enumerate(row) if b) for row in matrix)
+
+
 def test_global_input_embeds_bijectively():
     theta = munn_action(corpus.brandt_b2())
     r = globalize(theta)
@@ -186,7 +191,7 @@ def test_mediating_maps_between_two_globalizations():
             {inverse_relabel[x]: inverse_relabel[y] for x, y in a.maps[s].items()}
             for s in a.actor.arrows()
         ],
-        order=FinitePoset(leq, names),
+        order=FinitePoset(row_masks(leq), names),
         global_flag=False,
     )
     r2 = globalize(b)
@@ -289,11 +294,11 @@ def corrupted_results(r, rng):
     swapped[c1], swapped[c2] = swapped[c2], swapped[c1]
     yield dataclasses.replace(r, classes=tuple(swapped))
     names = r.order.names
-    yield dataclasses.replace(r, order=FinitePoset(tuple(zip(*r.order.leq)), names))
+    yield dataclasses.replace(r, order=FinitePoset(row_masks(zip(*r.order.leq)), names))
     flipped = [list(row) for row in r.order.leq]
     flipped[c1][c2] = not flipped[c1][c2]
     yield dataclasses.replace(
-        r, order=FinitePoset(tuple(map(tuple, flipped)), names)
+        r, order=FinitePoset(row_masks(flipped), names)
     )
     chain = chain_poset(r.action.carrier_size, r.action.carrier_names)
     yield dataclasses.replace(r, action=dataclasses.replace(r.action, order=chain))
@@ -566,7 +571,7 @@ def test_replaced_action_carries_no_verdict():
     a = munn_action(corpus.brandt_b2())
     globalize(a)
     reversed_order = dataclasses.replace(
-        a, order=FinitePoset(tuple(zip(*a.order.leq)), a.order.names)
+        a, order=FinitePoset(row_masks(zip(*a.order.leq)), a.order.names)
     )
     shuffled_maps = dataclasses.replace(a, maps=a.maps[::-1])
     for bad, expected in ((reversed_order, ("NotIdeal", (0,))),

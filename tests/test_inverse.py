@@ -295,13 +295,17 @@ def any_loop_order_votes(sg, inv, idems):
     return matrix
 
 
+def row_masks(matrix):
+    return [sum(1 << t for t, b in enumerate(row) if b) for row in matrix]
+
+
 def test_order_matrix_matches_any_loop_oracle(structures):
     inputs = list(corpus.enumerate_inverse_semigroupoids(4))
     inputs += [s for _, s in structures]
     inputs.append(corpus.gen_Jpi([0, 0, 0, 0]))
     for s in inputs:
         expected = any_loop_order_votes(s.base, s.inv, s.idempotents)
-        assert _order_matrix(s.base, s.inv, s.idempotents) == expected
+        assert _order_matrix(s.base, s.inv, s.idempotents) == row_masks(expected)
         assert [list(row) for row in s.order.leq] == expected
 
 
@@ -357,7 +361,7 @@ def test_order_matrix_matches_any_loop_oracle_on_mutated_inputs(structures, smal
                     expected,
                 )
             else:
-                assert _order_matrix(s.base, inv, some_idems) == expected
+                assert _order_matrix(s.base, inv, some_idems) == row_masks(expected)
     assert cases > 1000
 
 

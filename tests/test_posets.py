@@ -1,5 +1,6 @@
 """Posets, ideals, order isomorphisms, semilatticeoids."""
 
+import dataclasses
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from semigroupoids import corpus
 from semigroupoids.errors import ValidationError
 from semigroupoids.posets import (
+    FinitePoset,
     chain_poset,
     check_order_iso,
     comparability_components,
@@ -236,11 +238,12 @@ def wide_relation(seed):
         size,
         auto_close=True,
     )
+    leq = order.leq
     x = rng.randrange(5)
-    above = [y for y in range(x + 1, size) if order.leq[x][y]]
+    above = [y for y in range(x + 1, size) if leq[x][y]]
     dropped = {(x, y) for y in rng.sample(above, len(above) // 2)}
     pairs = [
-        (x, y) for x in range(size) for y in range(size) if order.leq[x][y]
+        (x, y) for x in range(size) for y in range(size) if leq[x][y]
     ]
     return [p for p in pairs if p not in dropped], size
 
@@ -273,3 +276,97 @@ def test_hasse_edges_match_a_brute_force_scan(structures):
     orders.append(corpus.gen_Jpi([0, 0, 0, 0]).order)
     for order in orders:
         assert order.hasse_edges() == brute_force_hasse(order)
+
+
+def matrix_glb(leq, x, y):
+    lower = [z for z in range(len(leq)) if leq[z][x] and leq[z][y]]
+    return next((w for w in lower if all(leq[z][w] for z in lower)), None)
+
+
+def matrix_components(leq):
+    points = range(len(leq))
+    seen, components = set(), []
+    for start in points:
+        if start in seen:
+            continue
+        seen.add(start)
+        stack, comp = [start], []
+        while stack:
+            x = stack.pop()
+            comp.append(x)
+            for y in points:
+                if y not in seen and (leq[x][y] or leq[y][x]):
+                    seen.add(y)
+                    stack.append(y)
+        components.append(sorted(comp))
+    return components
+
+
+def test_mask_readers_match_matrix_scans(structures, actions):
+    rng = random.Random(0)
+    orders = [s.order for _, s in structures] + [a.order for _, a in actions]
+    for order in orders:
+        leq, points = order.leq, order.elements()
+        assert len(leq) == order.size and all(len(row) == order.size for row in leq)
+        for x in points:
+            assert list(order.above(x)) == [y for y in points if leq[x][y]]
+            assert order.downset(x) == {z for z in points if leq[z][x]}
+        for _ in range(30):
+            x, y = rng.choice(points), rng.choice(points)
+            assert order.le(x, y) == leq[x][y]
+            assert order.glb(x, y) == matrix_glb(leq, x, y)
+        assert comparability_components(order) == matrix_components(leq)
+        elems = rng.sample(points, len(points) // 2)
+        assert order.restrict(elems).leq == tuple(
+            tuple(leq[x][y] for y in elems) for x in elems
+        )
+        for _ in range(5):
+            sub = {x for x in points if rng.random() < 0.5}
+            expected = all(x in sub for y in sub for x in points if leq[x][y])
+            assert is_order_ideal(order, sub) == expected
+            f = rng.sample(points, len(points))
+            expected = all(leq[x][y] == leq[f[x]][f[y]] for x in points for y in points)
+            assert check_order_iso(f, order, order) == expected
+
+
+def pairwise_semilatticeoid(inv_sg):
+    """``validate_semilatticeoid`` by a scan of all arrow pairs, each meet
+    read from the matrix view: None, or the first failure as (code, witness)."""
+    base, leq = inv_sg.base, inv_sg.order.leq
+    for s in base.arrows():
+        if s not in inv_sg.idempotents:
+            return ("NonIdempotentArrow", (s,))
+    for x in base.arrows():
+        for y in base.arrows():
+            if base.composable(x, y) and matrix_glb(leq, x, y) != base.mul[x][y]:
+                return ("ProductNotMeet", (x, y))
+    return None
+
+
+def test_validate_semilatticeoid_matches_the_pairwise_scan(structures):
+    lattices = [
+        s for s in corpus.enumerate_inverse_semigroupoids(5)
+        if len(s.idempotents) == s.n_arrows
+    ]
+    cases = [s for _, s in structures]
+    for s in lattices:
+        n, names = s.n_arrows, s.order.names
+        reversed_order = tuple(sum(1 << x for x in s.order.downset(y)) for y in range(n))
+        cases += [
+            s,
+            dataclasses.replace(s, order=FinitePoset(reversed_order, names)),
+            dataclasses.replace(s, order=chain_poset(n, names)),
+            dataclasses.replace(s, order=discrete_poset(n, names)),
+        ]
+    outcomes = set()
+    for s in cases:
+        expected = pairwise_semilatticeoid(s)
+        if expected is None:
+            assert validate_semilatticeoid(s).base is s
+        else:
+            with pytest.raises(ValidationError) as err:
+                validate_semilatticeoid(s)
+            assert (err.value.code, err.value.witness) == expected
+        outcomes.add(expected if expected is None else expected[0])
+    assert len(lattices) > 100
+    assert outcomes == {None, "NonIdempotentArrow", "ProductNotMeet"}

@@ -16,7 +16,12 @@ from semigroupoids.core import (
     validate_semigroupoid,
 )
 from semigroupoids.errors import ValidationError
-from semigroupoids.posets import chain_poset, semilatticeoid_from_poset, validate_poset
+from semigroupoids.posets import (
+    chain_poset,
+    poset_from_masks,
+    semilatticeoid_from_poset,
+    validate_poset,
+)
 from semigroupoids.ptheorem import munn_action
 
 
@@ -67,6 +72,19 @@ def test_malformed_relation():
     with pytest.raises(ValidationError) as err:
         validate_poset([(0, 5)], 2)
     assert err.value.code == "MalformedRelation"
+
+
+def test_poset_name_list_of_wrong_length():
+    with pytest.raises(ValidationError) as err:
+        validate_poset([(0, 0), (1, 1)], 2, names=["a"])
+    assert (err.value.code, err.value.witness) == ("MalformedRelation", ())
+
+
+@pytest.mark.parametrize("up", [(0b01, 0b110), (0b01, -2)])
+def test_poset_row_mask_out_of_range(up):
+    with pytest.raises(ValidationError) as err:
+        poset_from_masks(up)
+    assert (err.value.code, err.value.witness) == ("MalformedRelation", (1,))
 
 
 def test_reflexivity_failure():
