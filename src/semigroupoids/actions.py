@@ -15,7 +15,7 @@ runs both afresh on an action a construction built.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .core import arrows_by_end
@@ -26,22 +26,29 @@ from .posets import FinitePoset, discrete_poset, is_order_ideal
 
 @dataclass(frozen=True)
 class PartialActionData:
-    """Per-arrow subsets of a carrier with bijections between them.
+    """Per-arrow bijections between subsets of a carrier.
 
-    ``domains[s]`` is the range of the map attached to arrow ``s``; the
-    map itself goes from ``domains[inv(s)]`` to ``domains[s]`` and is
-    stored once, as the dict ``maps[s]`` with its keys in increasing
-    order, so the type is unhashable.  The carrier may carry a poset;
-    ``global_flag`` records the claim that composition is exact rather
-    than merely contained.
+    The action is its maps: ``maps[s]`` is the map attached to arrow
+    ``s``, stored once as a dict with its keys in increasing order, so
+    the type is unhashable.  ``domains[s]`` is derived from them at
+    construction as the key set of ``maps[inv(s)]``, so the map of ``s``
+    goes from ``domains[inv(s)]`` and, on a valid action, onto
+    ``domains[s]``.  The carrier may carry a poset; ``global_flag``
+    records the claim that composition is exact rather than merely
+    contained.
     """
 
     actor: InverseSemigroupoid
     carrier_names: tuple[str, ...]
-    domains: tuple[frozenset[int], ...]
     maps: tuple[dict[int, int], ...]
     order: FinitePoset | None = None
     global_flag: bool = False
+    domains: tuple[frozenset[int], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        maps = self.maps
+        domains = tuple(frozenset(maps[t]) for t in self.actor.inv)
+        object.__setattr__(self, "domains", domains)
 
     @property
     def carrier_size(self) -> int:
@@ -54,39 +61,29 @@ class PartialActionData:
 def make_action(
     actor: InverseSemigroupoid,
     carrier_names: Sequence[str],
-    domains: Mapping[int, Iterable[int]] | Sequence[Iterable[int]],
     maps: Mapping[int, Mapping[int, int]] | Sequence[Mapping[int, int]],
     order: FinitePoset | None = None,
     global_flag: bool = False,
 ) -> PartialActionData:
-    """Normalize raw family data into a PartialActionData.
+    """Normalize raw maps into a PartialActionData.
 
-    Only shape is enforced here (indices in range, map keys matching the
-    declared domain of each map); the axioms are the validators' job.
+    Only shape is enforced here (map keys and values in range, the
+    order's size); the axioms are the validators' job.
     """
     k = len(carrier_names)
-    doms = []
-    for s in actor.arrows():
-        sub = frozenset(domains[s])
-        if any(not (0 <= x < k) for x in sub):
-            raise ValidationError("MalformedAction", (s,), "domain point out of range")
-        doms.append(sub)
     map_rows = []
     for s in actor.arrows():
-        m = dict(maps[s])
-        if set(m.keys()) != set(doms[actor.inv[s]]):
-            raise ValidationError(
-                "MalformedAction", (s,), "map keys differ from declared domain"
-            )
+        m = dict(sorted(maps[s].items()))
+        if any(not (0 <= x < k) for x in m):
+            raise ValidationError("MalformedAction", (s,), "map key out of range")
         if any(not (0 <= y < k) for y in m.values()):
             raise ValidationError("MalformedAction", (s,), "map value out of range")
-        map_rows.append(dict(sorted(m.items())))
+        map_rows.append(m)
     if order is not None and order.size != k:
         raise ValidationError("MalformedAction", (), "order size differs from carrier")
     return PartialActionData(
         actor=actor,
         carrier_names=tuple(carrier_names),
-        domains=tuple(doms),
         maps=tuple(map_rows),
         order=order,
         global_flag=global_flag,
@@ -140,8 +137,6 @@ def _first_violation_E(a: PartialActionData) -> Violation | None:
     for s in arrows:
         theta = maps[s]
         values = list(theta.values())
-        if set(theta.keys()) != domains[inv[s]]:
-            return Violation("NotBijective", (s,))
         if len(set(values)) != len(values) or set(values) != domains[s]:
             return Violation("NotBijective", (s,))
     for s in arrows:
@@ -228,12 +223,13 @@ def validate_partial_action_P(a: PartialActionData) -> Violation | None:
     Otherwise theta_s theta_t = theta_g theta_{s'} theta_t =
     theta_g theta_{s't} = theta_{gs't}, by the test at (g, s'),
     induction on the word, the test at (g, s't), and associativity of
-    the actor and of composing partial maps.  Ranges: the earlier
-    clauses make dom theta_t = D_{t*}, theta_e the identity on D_e, and
-    D_t a subset of D_{tt*}.  Exact composition gives theta_t theta_{t*}
-    = theta_{tt*}, so D_{tt*} lies in dom theta_{t*} = D_t and the two
-    are equal; and theta_t = theta_{tt*} theta_t, so theta_t takes its
-    values in D_{tt*} = D_t.  The clauses follow: the preimage
+    the actor and of composing partial maps.  Ranges: dom theta_t =
+    D_{t*} by the definition of the type, and the earlier clauses make
+    theta_e the identity on D_e and D_t a subset of D_{tt*}.  Exact
+    composition gives theta_t theta_{t*} = theta_{tt*}, so D_{tt*} lies
+    in dom theta_{t*} = D_t and the two are equal; and theta_t =
+    theta_{tt*} theta_t, so theta_t takes its values in D_{tt*} = D_t.
+    The clauses follow: the preimage
     {x in dom theta_t : theta_t x in D_t & D_{s*}} is then
     dom(theta_s theta_t) = dom theta_{st} = D_{(st)*}, which lies in
     D_{t*}; so it equals ``expected`` and the values agree.  In
@@ -248,11 +244,6 @@ def validate_partial_action_P(a: PartialActionData) -> Violation | None:
     arrows = actor.arrows()
     dom, cod, mul, inv = sg.dom, sg.cod, sg.mul, actor.inv
     maps, domains = a.maps, a.domains
-
-    # shape contract of the data type, as in the other route
-    for s in arrows:
-        if set(maps[s].keys()) != domains[inv[s]]:
-            return Violation("MalformedDomain", (s,))
 
     # idempotents act as the identity on their domain
     for e in actor.idempotents:
@@ -430,7 +421,6 @@ def restrict_global(a: PartialActionData, subset: Iterable[int]) -> PartialActio
     restricted = make_action(
         actor,
         tuple(a.carrier_names[x] for x in ideal),
-        new_domains,
         new_maps,
         order=a.order.restrict(ideal),
         global_flag=False,
@@ -508,7 +498,6 @@ def point_action(actor: InverseSemigroupoid, name: str = "pt") -> PartialActionD
     return make_action(
         actor,
         (name,),
-        [{0} for _ in actor.arrows()],
         [{0: 0} for _ in actor.arrows()],
         order=discrete_poset(1, (name,)),
         global_flag=True,
@@ -524,10 +513,6 @@ def disjoint_union_actions(
         raise ValidationError("MalformedAction", (), "actors differ")
     shift = a.carrier_size
     names = a.carrier_names + tuple(f"{n}'" for n in b.carrier_names)
-    domains = [
-        set(a.domains[s]) | {x + shift for x in b.domains[s]}
-        for s in a.actor.arrows()
-    ]
     maps = []
     for s in a.actor.arrows():
         m = dict(a.maps[s])
@@ -539,7 +524,6 @@ def disjoint_union_actions(
     return make_action(
         a.actor,
         names,
-        domains,
         maps,
         order=order,
         global_flag=a.global_flag and b.global_flag,

@@ -515,7 +515,6 @@ def fiber_shift_action() -> PartialActionData:
     loops = {pg.base.dom[s]: s for s in pg.arrows() if pg.base.dom[s] == pg.base.cod[s]}
     g = next(s for s in pg.arrows() if pg.base.dom[s] == 0 and pg.base.cod[s] == 1)
     gstar = pg.inv[g]
-    domains = {loops[0]: {0, 1}, loops[1]: {2, 3}, g: {2, 3}, gstar: {0, 1}}
     maps = {
         loops[0]: {0: 0, 1: 1},
         loops[1]: {2: 2, 3: 3},
@@ -525,7 +524,6 @@ def fiber_shift_action() -> PartialActionData:
     return make_action(
         pg,
         ("a0", "a1", "b0", "b1"),
-        [domains[s] for s in pg.arrows()],
         [maps[s] for s in pg.arrows()],
         order=order,
         global_flag=True,
@@ -543,7 +541,6 @@ def top_swap_action() -> PartialActionData:
     return make_action(
         c2,
         vee.base.arrow_names,
-        [{0, 1, 2}, {0, 1, 2}],
         [swap if s == g else ident for s in c2.arrows()],
         order=vee.order,
         global_flag=True,
@@ -602,42 +599,36 @@ def random_action_candidate(
         rng.shuffle(perm)
         links = [(a, b) for a, b in zip(perm, perm[1:]) if rng.random() < 0.5]
         order = validate_poset(links, carrier_size, names=names, auto_close=True)
-    return make_action(actor, names, domains, maps, order=order)
+    return make_action(actor, names, maps, order=order)
 
 
 def mutate_action(a: PartialActionData, rng: random.Random) -> PartialActionData:
     """Perturb one entry of a valid action; near-miss candidates exercise
-    the boundary where the two validators must still agree."""
-    domains = [set(d) for d in a.domains]
+    the boundary where the two validators must still agree.
+
+    The third kind of draw returns ``a`` unchanged: it stands for
+    growing a domain without its map, which the type cannot hold.  It
+    still draws its arrow, so the later draws of the stream stay the
+    same."""
     maps = [dict(m) for m in a.maps]
     actor = a.actor
     choice = rng.randrange(3)
     arrows = list(actor.arrows())
+    s = rng.choice(arrows)
     if choice == 0:
-        s = rng.choice(arrows)
-        if domains[s]:
-            x = rng.choice(sorted(domains[s]))
-            domains[s].discard(x)
-            maps[actor.inv[s]] = {
-                k: v for k, v in maps[actor.inv[s]].items() if k != x
-            }
+        # drop a point of domains[s], the key set of the map of s*
+        source = maps[actor.inv[s]]
+        if source:
+            del source[rng.choice(sorted(source))]
     elif choice == 1:
-        s = rng.choice(arrows)
         if maps[s]:
             x = rng.choice(sorted(maps[s]))
             maps[s][x] = rng.randrange(a.carrier_size)
     else:
-        s = rng.choice(arrows)
-        extra = set(range(a.carrier_size)) - domains[s]
-        if extra:
-            domains[s].add(min(extra))
-    try:
-        return make_action(
-            actor, a.carrier_names, domains, maps, order=a.order,
-            global_flag=a.global_flag,
-        )
-    except ValidationError:
         return a
+    return make_action(
+        actor, a.carrier_names, maps, order=a.order, global_flag=a.global_flag
+    )
 
 
 def action_candidates(

@@ -9,8 +9,7 @@ only need to be seeded since transitivity comes from the partition.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .actions import (
@@ -45,10 +44,8 @@ class GlobalizationResult:
     envelope: PartialActionData
     embed: tuple[int, ...]
     order: FinitePoset | None
-
-    @cached_property
-    def pair_index(self) -> dict[tuple[int, int], int]:
-        return {p: i for i, p in enumerate(self.pairs)}
+    # pairs[i] -> i, the index the builder made
+    pair_index: dict[tuple[int, int], int] = field(compare=False, repr=False)
 
     @property
     def n_classes(self) -> int:
@@ -60,10 +57,10 @@ def globalize(a: PartialActionData) -> GlobalizationResult:
 
     The input gate ``require_valid`` reuses a verdict already stored on
     the action; the construction-time self-checks all run.  The
-    envelope's maps and domains come from one pass over the pairs: a
-    pair (p, x) meets only the arrows s with dom s = cod p, one dict
-    lookup each, so O(sum over objects u of m_u P_u) for m_u arrows with
-    domain u and P_u pairs (p, x) with cod p = u, at most O(n P).
+    envelope's maps, and so its domains, come from one pass over the
+    pairs: a pair (p, x) meets only the arrows s with dom s = cod p, one
+    dict lookup each, so O(sum over objects u of m_u P_u) for m_u arrows
+    with domain u and P_u pairs (p, x) with cod p = u, at most O(n P).
 
     The transport rule makes one union for a pair (s, x) with x in the
     domain of theta_s, the one with t = s s* (then t* s = s and s* t = s*),
@@ -166,7 +163,6 @@ def globalize(a: PartialActionData) -> GlobalizationResult:
     envelope = make_action(
         actor,
         class_names,
-        [frozenset(maps_env[inv[s]]) for s in actor.arrows()],
         maps_env,
         order=order,
         global_flag=True,
@@ -185,6 +181,7 @@ def globalize(a: PartialActionData) -> GlobalizationResult:
         envelope=envelope,
         embed=tuple(embed),
         order=order,
+        pair_index=index,
     )
 
     # construction-time self-checks backed by the globalization theorem

@@ -295,11 +295,16 @@ def action_from_doc(doc: dict) -> PartialActionData:
         pairs = _order_pairs(_require(doc, "order", list), carrier_index)
         order = validate_poset(pairs, len(carrier), names=carrier)
 
+    # the file lists the domains beside the maps, which alone define them
     try:
+        for s in actor.arrows():
+            if maps[s].keys() != domains[actor.inv[s]]:
+                raise ValidationError(
+                    "MalformedAction", (s,), "map keys differ from declared domain"
+                )
         return make_action(
             actor,
             carrier,
-            domains,
             maps,
             order=order,
             global_flag=_flag(doc, "global"),

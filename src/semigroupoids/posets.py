@@ -190,10 +190,10 @@ def check_order_iso(f: Sequence[int], src: FinitePoset, dst: FinitePoset) -> boo
 
 @dataclass(frozen=True)
 class Semilatticeoid:
-    """An all-idempotent inverse semigroupoid with its per-object fibers."""
+    """An all-idempotent inverse semigroupoid; the fiber of an arrow is
+    its object."""
 
     base: "InverseSemigroupoid"
-    fibers: tuple[tuple[int, ...], ...]
 
     @property
     def n_arrows(self) -> int:
@@ -231,8 +231,7 @@ def validate_semilatticeoid(inv_sg: "InverseSemigroupoid") -> Semilatticeoid:
             if order.glb(x, y) != base.mul[x][y]:
                 raise ValidationError("ProductNotMeet", (x, y))
 
-    fibers = tuple(map(tuple, arrows_by_end(base.dom, base.n_objects)))
-    return Semilatticeoid(base=inv_sg, fibers=fibers)
+    return Semilatticeoid(base=inv_sg)
 
 
 def comparability_components(poset: FinitePoset) -> list[list[int]]:

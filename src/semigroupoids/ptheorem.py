@@ -4,8 +4,7 @@ product of its maximal groupoid image acting on its idempotents.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 from .actions import (
     PartialActionData,
@@ -48,22 +47,20 @@ def munn_action(inv_sg: InverseSemigroupoid) -> PartialActionData:
     pos = {e: i for i, e in enumerate(idems)}
     order = inv_sg.order.restrict(list(idems))
 
-    domains = []
-    for s in inv_sg.arrows():
-        top = sg.mul[s][inv[s]]
-        domains.append(frozenset(pos[e] for e in idems if inv_sg.leq(e, top)))
+    # the map of s goes from the downset of s* s
     maps = []
     for s in inv_sg.arrows():
-        theta = {}
-        for i in domains[inv[s]]:
-            e = idems[i]
-            theta[i] = pos[sg.mul[sg.mul[s][e]][inv[s]]]
-        maps.append(theta)
+        s_star = inv[s]
+        top = sg.mul[s_star][s]
+        maps.append({
+            pos[e]: pos[sg.mul[sg.mul[s][e]][s_star]]
+            for e in idems
+            if inv_sg.leq(e, top)
+        })
 
     action = make_action(
         inv_sg,
         tuple(sg.arrow_names[e] for e in idems),
-        domains,
         maps,
         order=order,
         global_flag=True,
@@ -122,7 +119,6 @@ def induced_sigma_action(
     alpha = make_action(
         q,
         theta.carrier_names,
-        domains,
         maps,
         order=theta.order,
         global_flag=False,
@@ -142,10 +138,8 @@ class SemidirectProduct:
     product: InverseSemigroupoid
     arrow_pairs: tuple[tuple[int, int], ...]
     object_pairs: tuple[tuple[int, int], ...]
-
-    @cached_property
-    def pair_index(self) -> dict[tuple[int, int], int]:
-        return {p: i for i, p in enumerate(self.arrow_pairs)}
+    # arrow_pairs[i] -> i, the index the builder made
+    pair_index: dict[tuple[int, int], int] = field(compare=False, repr=False)
 
 
 def _check_action_matches_lattice(action: PartialActionData, latt: Semilatticeoid):
@@ -240,6 +234,7 @@ def semidirect_product(
         product=product,
         arrow_pairs=tuple(pairs),
         object_pairs=tuple(objects),
+        pair_index=index,
     )
 
 

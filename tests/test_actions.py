@@ -47,12 +47,10 @@ def swap_action():
         s for s in pg.arrows() if pg.base.dom[s] == 0 and pg.base.cod[s] == 1
     )
     gstar = pg.inv[g]
-    domains = {loops[0]: {0}, loops[1]: {1}, g: {1}, gstar: {0}}
     maps = {loops[0]: {0: 0}, loops[1]: {1: 1}, g: {0: 1}, gstar: {1: 0}}
     return pg, make_action(
         pg,
         ("p", "q"),
-        [domains[s] for s in pg.arrows()],
         [maps[s] for s in pg.arrows()],
         order=discrete_poset(2, ("p", "q")),
         global_flag=True,
@@ -71,7 +69,6 @@ def test_identity_action_of_trivial_group():
     a = make_action(
         trivial,
         ("x", "y"),
-        [{0, 1}],
         [{0: 0, 1: 1}],
         order=discrete_poset(2, ("x", "y")),
         global_flag=True,
@@ -87,13 +84,9 @@ def test_shrunk_composition_domain_detected():
     theta = munn_action(c2)
     identity = c2.idempotents[0]
     g = 1 - identity
-    domains = list(theta.domains)
     maps = [dict(m) for m in theta.maps]
-    domains[identity] = frozenset()
     maps[identity] = {}
-    broken = make_action(
-        c2, theta.carrier_names, domains, maps, order=theta.order,
-    )
+    broken = make_action(c2, theta.carrier_names, maps, order=theta.order)
     v = validate_partial_action_E(broken)
     assert v is not None
     assert v.code == "CompositionNotContained"
@@ -106,7 +99,7 @@ def test_shrunk_composition_domain_detected():
 
 def test_empty_carrier_rejected():
     trivial = corpus.trivial_monoid()
-    a = make_action(trivial, (), [set()], [{}])
+    a = make_action(trivial, (), [{}])
     assert validate_partial_action_E(a).code == "EmptyCarrier"
     assert validate_partial_action_P(a).code == "EmptyCarrier"
 
@@ -249,7 +242,6 @@ def test_order_reversal_fails_only_ordered_check():
     a = make_action(
         trivial,
         ("x", "y"),
-        [{0, 1}],
         [{0: 0, 1: 1}],
         order=chain_poset(2, ("x", "y")),
         global_flag=True,
@@ -268,7 +260,6 @@ def test_commutation_failure_detected():
     a = make_action(
         c2,
         ("x", "y"),
-        [{0, 1}, {0, 1}],
         [{0: 0, 1: 1} if s != g else {0: 1, 1: 0} for s in c2.arrows()],
         order=discrete_poset(2, ("x", "y")),
         global_flag=True,
@@ -306,19 +297,17 @@ def quadratic_copy_ordered_clauses(a):
 
 
 def ordered_mutation(a, rng):
-    """Drop a point from a domain or swap two values of a map, keeping
-    every map keyed by its domain (and its inverse map its inverse when
-    the arrow is not its own inverse)."""
+    """Drop a point from a domain, with the cells of the two maps that
+    meet it, or swap two values of a map (keeping its inverse map its
+    inverse when the arrow is not its own inverse)."""
     inv = a.actor.inv
-    domains = [set(d) for d in a.domains]
+    domains = a.domains
     maps = [dict(m) for m in a.maps]
     if rng.random() < 0.5:
         s = rng.choice([s for s in a.actor.arrows() if domains[s]] or [0])
         if domains[s]:
             y = rng.choice(sorted(domains[s]))
             x = min(k for k, v in maps[s].items() if v == y)
-            domains[s].discard(y)
-            domains[inv[s]].discard(x)
             maps[s].pop(x)
             maps[inv[s]].pop(y, None)
     else:
@@ -329,8 +318,7 @@ def ordered_mutation(a, rng):
             if inv[s] != s:
                 maps[inv[s]] = {y: x for x, y in maps[s].items()}
     return make_action(
-        a.actor, a.carrier_names, domains, maps, order=a.order,
-        global_flag=a.global_flag,
+        a.actor, a.carrier_names, maps, order=a.order, global_flag=a.global_flag
     )
 
 
@@ -394,7 +382,7 @@ def test_require_valid_reads_the_stored_verdict(monkeypatch):
     monkeypatch.setattr(actions, "validate_partial_action_E", counting)
     # munn_action's self-check stores a passing verdict on a
     a = munn_action(corpus.chain2())
-    bad = dataclasses.replace(a, domains=a.domains[::-1])
+    bad = dataclasses.replace(a, maps=a.maps[::-1])
     runs.clear()
     for _ in range(3):
         require_valid(a)
@@ -509,28 +497,24 @@ def single_cell_mutants(a):
     the inverse of theta_s."""
     inv = a.actor.inv
 
-    def build(domains, maps):
+    def build(maps):
         return make_action(
-            a.actor, a.carrier_names, domains, maps, order=a.order,
-            global_flag=a.global_flag,
+            a.actor, a.carrier_names, maps, order=a.order, global_flag=a.global_flag
         )
 
     for s in a.actor.arrows():
         cells = sorted(a.maps[s].items())
         for x, y in cells:
-            domains = [set(d) for d in a.domains]
             maps = [dict(m) for m in a.maps]
-            domains[s].discard(y)
-            domains[inv[s]].discard(x)
             maps[s].pop(x)
             maps[inv[s]].pop(y, None)
-            yield build(domains, maps)
+            yield build(maps)
         for (x1, _y1), (x2, _y2) in itertools.combinations(cells, 2):
             maps = [dict(m) for m in a.maps]
             maps[s][x1], maps[s][x2] = maps[s][x2], maps[s][x1]
             if inv[s] != s:
                 maps[inv[s]] = {y: x for x, y in maps[s].items()}
-            yield build(a.domains, maps)
+            yield build(maps)
 
 
 def test_E_on_generators_matches_the_full_scans():
@@ -616,7 +600,7 @@ def values_moved_out_of_range(a):
                 maps = [dict(m) for m in a.maps]
                 maps[t][x] = z
                 yield make_action(
-                    a.actor, a.carrier_names, a.domains, maps, order=a.order,
+                    a.actor, a.carrier_names, maps, order=a.order,
                     global_flag=a.global_flag,
                 )
 

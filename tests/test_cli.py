@@ -119,6 +119,27 @@ def test_globalize_validates_its_input_once(files, tmp_path, monkeypatch):
     assert sum(a is seen[0] for a in seen) == 1
 
 
+def test_action_file_with_domains_unlike_its_maps_exits_2(files, tmp_path, capsys):
+    # a file lists each domain beside the maps; reading it checks the
+    # listed domain of each arrow against the key set of its inverse's map
+    munn = tmp_path / "munn.json"
+    assert cli(["--input", files["chain2"], "--output", str(munn), "munn"]) == 0
+    doc = json.loads(munn.read_text())
+    assert doc["domains"]["e"] == ["e", "f"]
+    doc["domains"]["e"] = ["f"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    for command in ("validate", "globalize", "semidirect"):
+        capsys.readouterr()
+        assert cli(["--input", str(bad), command]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "parse error: malformed action: MalformedAction(0,): "
+            "map keys differ from declared domain\n"
+        )
+
+
 def test_internal_inconsistency_exits_3(files, monkeypatch, capsys):
     def broken(inv_sg):
         raise InternalInconsistencyError("MunnActionInvalid", ("NotIdeal", (0,)))

@@ -2,6 +2,7 @@
 canonical serialization round-trips."""
 
 import dataclasses
+import hashlib
 import itertools
 import json
 
@@ -319,3 +320,35 @@ def test_parse_rejects_duplicate_names():
     doc["arrows"][1]["name"] = doc["arrows"][0]["name"]
     with pytest.raises(ParseError):
         io.parse_document(doc)
+
+
+# sha256 over the candidates of action_candidates(seed=seed), as written
+# by _candidates_digest; the benchmark's actions workload draws its items
+# from these, so a change to the generators shows up here first
+CANDIDATE_DIGESTS = {
+    0: "530aed879c900c2b0597afb94887579d8056a6966667453e6dd69169b9a159ab",
+    1: "930bfed21c89c09e38cf5340b69fd3b3a85bb37659463f1ef34a758f27887643",
+    2: "73115df32d5e2c907ceb5c13435419f3c3f16c715ea2adac0afc79debb16890a",
+    11: "a87adcd1eac0b9237554f8c8acc0ea4e9fa2c9ce2b22cff0be9529e8b9034011",
+    7000: "0707fc3fa3e0f3d8fa2e77b53c7c83eda17b8524ccc86e910060eda3385e4672",
+}
+
+
+def _candidates_digest(seed):
+    h = hashlib.sha256()
+    for a in corpus.action_candidates(seed=seed):
+        row = (
+            a.carrier_names,
+            [sorted(m.items()) for m in a.maps],
+            [sorted(d) for d in a.domains],
+            a.order.up,
+            a.global_flag,
+        )
+        h.update(repr(row).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("seed", sorted(CANDIDATE_DIGESTS))
+def test_action_candidates_are_pinned(seed):
+    assert _candidates_digest(seed) == CANDIDATE_DIGESTS[seed]

@@ -73,12 +73,10 @@ def test_empty_domain_arrow_is_processed():
     loops = {pg.base.dom[s]: s for s in pg.arrows() if pg.base.dom[s] == pg.base.cod[s]}
     g = next(s for s in pg.arrows() if pg.base.dom[s] == 0 and pg.base.cod[s] == 1)
     gstar = pg.inv[g]
-    domains = {loops[0]: {0}, loops[1]: {1}, g: set(), gstar: set()}
     maps = {loops[0]: {0: 0}, loops[1]: {1: 1}, g: {}, gstar: {}}
     a = make_action(
         pg,
         ("p", "q"),
-        [domains[s] for s in pg.arrows()],
         [maps[s] for s in pg.arrows()],
         order=discrete_poset(2, ("p", "q")),
     )
@@ -186,7 +184,6 @@ def test_mediating_maps_between_two_globalizations():
     b = make_action(
         a.actor,
         names,
-        [frozenset(inverse_relabel[x] for x in a.domains[s]) for s in a.actor.arrows()],
         [
             {inverse_relabel[x]: inverse_relabel[y] for x, y in a.maps[s].items()}
             for s in a.actor.arrows()
@@ -401,7 +398,6 @@ def scan_globalize_oracle(a):
     envelope = make_action(
         actor,
         class_names,
-        [frozenset(d) for d in domains_env],
         maps_env,
         order=order,
         global_flag=True,
@@ -418,6 +414,7 @@ def scan_globalize_oracle(a):
         envelope=envelope,
         embed=embed,
         order=order,
+        pair_index=index,
     )
 
 
@@ -575,7 +572,7 @@ def test_replaced_action_carries_no_verdict():
     )
     shuffled_maps = dataclasses.replace(a, maps=a.maps[::-1])
     for bad, expected in ((reversed_order, ("NotIdeal", (0,))),
-                          (shuffled_maps, ("NotBijective", (0,)))):
+                          (shuffled_maps, ("NotBijective", (2,)))):
         with pytest.raises(ValidationError) as err:
             globalize(bad)
         assert (err.value.code, err.value.witness) == expected

@@ -44,12 +44,6 @@ def two_fiber_groupoid_action():
     loops = {pg.base.dom[s]: s for s in pg.arrows() if pg.base.dom[s] == pg.base.cod[s]}
     g = next(s for s in pg.arrows() if pg.base.dom[s] == 0 and pg.base.cod[s] == 1)
     gstar = pg.inv[g]
-    domains = {
-        loops[0]: {0, 1},
-        loops[1]: {2, 3},
-        g: {2, 3},
-        gstar: {0, 1},
-    }
     maps = {
         loops[0]: {0: 0, 1: 1},
         loops[1]: {2: 2, 3: 3},
@@ -61,7 +55,6 @@ def two_fiber_groupoid_action():
     action = make_action(
         pg,
         ("a0", "a1", "b0", "b1"),
-        [domains[s] for s in pg.arrows()],
         [maps[s] for s in pg.arrows()],
         order=order,
         global_flag=True,
@@ -188,12 +181,10 @@ def test_semidirect_rejects_empty_domain():
     from semigroupoids.actions import make_action
     from semigroupoids.posets import discrete_poset
 
-    domains = {loops[0]: {0}, loops[1]: {1}, g: set(), gstar: set()}
     maps = {loops[0]: {0: 0}, loops[1]: {1: 1}, g: {}, gstar: {}}
     a = make_action(
         pg,
         ("p", "q"),
-        [domains[s] for s in pg.arrows()],
         [maps[s] for s in pg.arrows()],
         order=discrete_poset(2, ("p", "q")),
     )
