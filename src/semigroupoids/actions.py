@@ -130,7 +130,7 @@ def _first_violation_E(a: PartialActionData) -> Violation | None:
     if a.carrier_size == 0:
         return Violation("EmptyCarrier")
     arrows = actor.arrows()
-    dom, cod, mul, inv = sg.dom, sg.cod, sg.mul, actor.inv
+    dom, cod, rows, inv = sg.dom, sg.cod, sg.rows, actor.inv
     maps, domains = a.maps, a.domains
 
     # bijectivity with compatible inverses
@@ -159,8 +159,8 @@ def _first_violation_E(a: PartialActionData) -> Violation | None:
     if not exact:
         for s in arrows:
             theta_s = maps[s]
-            for t in into[dom[s]]:
-                theta_st = maps[mul[s][t]]
+            for t, st in zip(into[dom[s]], rows[s]):
+                theta_st = maps[st]
                 for x, y in maps[t].items():
                     if y not in theta_s:
                         continue
@@ -181,11 +181,11 @@ def _first_violation_E(a: PartialActionData) -> Violation | None:
     if a.global_flag and not exact:
         for s in arrows:
             theta_s = maps[s]
-            for t in into[dom[s]]:
+            for t, st in zip(into[dom[s]], rows[s]):
                 composite = {
                     x: theta_s[y] for x, y in maps[t].items() if y in theta_s
                 }
-                if composite != maps[mul[s][t]]:
+                if composite != maps[st]:
                     return Violation("GlobalEqualityFailure", (s, t))
     return None
 
@@ -197,11 +197,11 @@ def _composes_on_generators(a: PartialActionData) -> bool:
     out_of = arrows_by_end(sg.dom, sg.n_objects)
     maps = a.maps
     for g in sg.generators:
-        theta_g = maps[g].items()
+        theta_g, i = maps[g].items(), sg.slot[g]
         for s in out_of[sg.cod[g]]:
             theta_s = maps[s]
             composite = {x: theta_s[y] for x, y in theta_g if y in theta_s}
-            if composite != maps[sg.mul[s][g]]:
+            if composite != maps[sg.rows[s][i]]:
                 return False
     return True
 
@@ -242,7 +242,7 @@ def validate_partial_action_P(a: PartialActionData) -> Violation | None:
     if a.carrier_size == 0:
         return Violation("EmptyCarrier")
     arrows = actor.arrows()
-    dom, cod, mul, inv = sg.dom, sg.cod, sg.mul, actor.inv
+    dom, cod, rows, slot, inv = sg.dom, sg.cod, sg.rows, sg.slot, actor.inv
     maps, domains = a.maps, a.domains
 
     # idempotents act as the identity on their domain
@@ -258,7 +258,7 @@ def validate_partial_action_P(a: PartialActionData) -> Violation | None:
 
     # each domain is contained in the one of its range idempotent
     for s in arrows:
-        if not domains[s] <= domains[mul[s][inv[s]]]:
+        if not domains[s] <= domains[rows[s][slot[inv[s]]]]:
             return Violation("DomainContainmentFailure", (s,))
 
     # composition domains match exactly and values glue, over the pairs
@@ -269,8 +269,7 @@ def validate_partial_action_P(a: PartialActionData) -> Violation | None:
         for s in arrows:
             theta_s = maps[s]
             source_s = domains[inv[s]]
-            for t in into[dom[s]]:
-                st = mul[s][t]
+            for t, st in zip(into[dom[s]], rows[s]):
                 theta_t = maps[t]
                 range_t = domains[t]
                 preimage = {
@@ -296,7 +295,7 @@ def validate_partial_action_P(a: PartialActionData) -> Violation | None:
 
     if a.global_flag:
         for s in arrows:
-            if domains[s] != domains[mul[s][inv[s]]]:
+            if domains[s] != domains[rows[s][slot[inv[s]]]]:
                 return Violation("GlobalEqualityFailure", (s,))
     return None
 
@@ -308,10 +307,10 @@ def _composes_from_the_left(a: PartialActionData) -> bool:
     into = arrows_by_end(sg.cod, sg.n_objects)
     maps = a.maps
     for g in sg.generators:
-        theta_g, row = maps[g], sg.mul[g]
-        for t in into[sg.dom[g]]:
+        theta_g = maps[g]
+        for t, gt in zip(into[sg.dom[g]], sg.rows[g]):
             composite = {x: theta_g[y] for x, y in maps[t].items() if y in theta_g}
-            if composite != maps[row[t]]:
+            if composite != maps[gt]:
                 return False
     return True
 

@@ -322,7 +322,7 @@ def cross_checks(obj) -> list[tuple[str, bool, str]]:
                 for f in inv_sg.idempotents:
                     if sg.composable(e, f):
                         _assert(
-                            sg.composable(f, e) and sg.mul[e][f] == sg.mul[f][e]
+                            sg.composable(f, e) and sg.product(e, f) == sg.product(f, e)
                         )
 
         note("idempotents-commute", commuting_idempotents)

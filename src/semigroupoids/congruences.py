@@ -68,8 +68,9 @@ class GraphedCongruence:
         dom = [sg.dom[r] for r in reps]
         cod = [sg.cod[r] for r in reps]
         into = arrows_by_end(cod, sg.n_objects)
+        rows, slot = sg.rows, sg.slot
         triples = [
-            (a, b, index[sg.mul[ra][reps[b]]])
+            (a, b, index[rows[ra][slot[reps[b]]]])
             for a, ra in enumerate(reps)
             for b in into[dom[a]]
         ]
@@ -108,7 +109,7 @@ def validate_congruence(cong: GraphedCongruence) -> None:
     Only a failing check pays for the witness search.
     """
     sg = cong.base.base
-    rep, inv, dom, cod, mul = cong.rep, cong.base.inv, sg.dom, sg.cod, sg.mul
+    rep, inv, dom, cod, rows, slot = cong.rep, cong.base.inv, sg.dom, sg.cod, sg.rows, sg.slot
     first: dict[int, int] = {}
     least = [first.setdefault(r, t) for t, r in enumerate(rep)]
     moved = [(t, r) for t, r in enumerate(least) if t != r]
@@ -116,9 +117,10 @@ def validate_congruence(cong: GraphedCongruence) -> None:
     if witness:
         raise ValidationError("NotGraphed", witness)
     for g in sg.generators:
+        i, row_g = slot[g], rows[g]
         for t, r in moved:
-            if dom[t] == cod[g] and rep[mul[t][g]] != rep[mul[r][g]] or (
-                dom[g] == cod[t] and rep[mul[g][t]] != rep[mul[g][r]]
+            if dom[t] == cod[g] and rep[rows[t][i]] != rep[rows[r][i]] or (
+                dom[g] == cod[t] and rep[row_g[slot[t]]] != rep[row_g[slot[r]]]
             ):
                 raise ValidationError("NotCompatible", _least_incompatible(cong))
     witness = min(((r, t) for t, r in moved if rep[inv[t]] != rep[inv[r]]), default=None)
@@ -131,18 +133,16 @@ def _least_incompatible(cong: GraphedCongruence) -> tuple[int, int, int, int]:
     s1 s2 not related to t1 t2, on a graphed partition that has one.
     Only t1 and t2 run over class members, not over all arrows."""
     sg = cong.base.base
-    rep, mul = cong.rep, sg.mul
+    rep, rows, slot = cong.rep, sg.rows, sg.slot
+    into = arrows_by_end(sg.cod, sg.n_objects)
     members: dict[int, list[int]] = {}
     for s in sg.arrows():
         members.setdefault(rep[s], []).append(s)
     for s1 in sg.arrows():
         for t1 in members[rep[s1]]:
-            for s2 in sg.arrows():
-                if not sg.composable(s1, s2):
-                    continue
-                target = rep[mul[s1][s2]]
+            for s2, s1s2 in zip(into[sg.dom[s1]], rows[s1]):
                 for t2 in members[rep[s2]]:
-                    if rep[mul[t1][t2]] != target:
+                    if rep[rows[t1][slot[t2]]] != rep[s1s2]:
                         return (s1, t1, s2, t2)
     raise InternalInconsistencyError("NoIncompatibleWitness", ())
 
@@ -162,7 +162,7 @@ def congruence_closure(
     closure is unique, so its least-member representatives are too.
     """
     sg = inv_sg.base
-    dom, cod, mul = sg.dom, sg.cod, sg.mul
+    dom, cod, rows, slot = sg.dom, sg.cod, sg.rows, sg.slot
     uf = UnionFind(sg.n_arrows)
     pending = []
     for s, t in seed:
@@ -173,10 +173,10 @@ def congruence_closure(
     while pending:
         s, t = pending.pop()
         for g in sg.generators:
-            if dom[s] == cod[g] and uf.union(mul[s][g], mul[t][g]):
-                pending.append((mul[s][g], mul[t][g]))
-            if dom[g] == cod[s] and uf.union(mul[g][s], mul[g][t]):
-                pending.append((mul[g][s], mul[g][t]))
+            if dom[s] == cod[g] and uf.union(rows[s][slot[g]], rows[t][slot[g]]):
+                pending.append((rows[s][slot[g]], rows[t][slot[g]]))
+            if dom[g] == cod[s] and uf.union(rows[g][slot[s]], rows[g][slot[t]]):
+                pending.append((rows[g][slot[s]], rows[g][slot[t]]))
 
     cong = GraphedCongruence(base=inv_sg, rep=uf.reps())
     validate_congruence(cong)
@@ -194,13 +194,13 @@ def sigma(inv_sg: InverseSemigroupoid) -> GraphedCongruence:
     arrows, O(n), before the congruence and groupoid self-checks.
     """
     sg = inv_sg.base
-    dom, mul = sg.dom, sg.mul
+    dom, rows, slot = sg.dom, sg.rows, sg.slot
     least: dict[int, int] = {}
     for e in inv_sg.idempotents:
         u = dom[e]
-        least[u] = mul[least[u]][e] if u in least else e
+        least[u] = rows[least[u]][slot[e]] if u in least else e
     first: dict[int, int] = {}
-    rep = tuple(first.setdefault(mul[s][least[dom[s]]], s) for s in sg.arrows())
+    rep = tuple(first.setdefault(rows[s][slot[least[dom[s]]]], s) for s in sg.arrows())
 
     cong = GraphedCongruence(base=inv_sg, rep=rep)
     validate_congruence(cong)
@@ -258,20 +258,20 @@ def sigma_by_equations(inv_sg: InverseSemigroupoid) -> GraphedCongruence:
     the left rows bucket by f s.  That is O(n |E|) big-int ORs.
     """
     sg = inv_sg.base
-    n, mul = sg.n_arrows, sg.mul
+    n, rows, slot = sg.n_arrows, sg.rows, sg.slot
     out_of = arrows_by_end(sg.dom, sg.n_objects)
     into = arrows_by_end(sg.cod, sg.n_objects)
     right, left = [0] * n, [0] * n
     for e in inv_sg.idempotents:
-        for rows, keyed in (
-            (right, [(mul[s][e], s) for s in out_of[sg.cod[e]]]),
-            (left, [(mul[e][s], s) for s in into[sg.dom[e]]]),
+        for related, keyed in (
+            (right, [(rows[s][slot[e]], s) for s in out_of[sg.cod[e]]]),
+            (left, list(zip(rows[e], into[sg.dom[e]]))),
         ):
             buckets: dict[int, int] = {}
             for value, s in keyed:
                 buckets[value] = buckets.get(value, 0) | 1 << s
             for value, s in keyed:
-                rows[s] |= buckets[value]
+                related[s] |= buckets[value]
     for s, diff in enumerate(a ^ b for a, b in zip(right, left)):
         if diff:
             t = (diff & -diff).bit_length() - 1
@@ -340,7 +340,7 @@ def is_idempotent_pure(cong: GraphedCongruence) -> bool:
     )
 
     by_equation = all(
-        sg.mul[inv_sg.inv[s]][t] in idems for cls in classes for s in cls for t in cls
+        sg.product(inv_sg.inv[s], t) in idems for cls in classes for s in cls for t in cls
     )
 
     if not (by_definition == by_projection == by_equation):
@@ -392,10 +392,10 @@ def is_e_unitary(inv_sg: InverseSemigroupoid) -> EUnitarityCertificate:
     cond2 = all(s in idems for s in range(n) if proj.arrow_map[s] in q_idems)
 
     # (3) sigma-related pairs have idempotent s* t and s t*
+    rows, slot = sg.rows, sg.slot
+
     def _pair_idem(s: int, t: int) -> bool:
-        return (
-            sg.mul[inv[s]][t] in idems and sg.mul[s][inv[t]] in idems
-        )
+        return rows[inv[s]][slot[t]] in idems and rows[s][slot[inv[t]]] in idems
 
     cond3 = all(_pair_idem(s, t) for cls in classes for s in cls for t in cls)
 
@@ -441,8 +441,8 @@ def check_lemma_sts(cert: EUnitarityCertificate) -> bool:
     for cls in sig.classes():
         for s in cls:
             for t in cls:
-                lhs = sg.mul[s][sg.mul[inv[t]][t]]
-                rhs = sg.mul[t][sg.mul[inv[s]][s]]
+                lhs = sg.product(s, sg.product(inv[t], t))
+                rhs = sg.product(t, sg.product(inv[s], s))
                 if lhs != rhs:
                     return False
     return True

@@ -1,13 +1,16 @@
 """Finite graphed semigroupoids as validated partial multiplication tables.
 
 Arrows and objects are dense integer indices; names are metadata only.
-The product is stored as an n x n table with a ``-1`` sentinel on
-non-composable pairs, so the validator can enforce that the sentinel
-pattern matches the dom/cod graph exactly.
+The product is stored as one row per arrow s holding only the defined
+products s t, over the arrows t with cod t = dom s in increasing order,
+so a structure with c composable pairs stores c cells.  The validator
+enforces that exactly those pairs are defined.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
+from itertools import islice
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -16,6 +19,7 @@ from .errors import InternalInconsistencyError, ValidationError
 NOT_COMPOSABLE = -1
 
 
+@cache  # one shared tuple per length, not one per structure
 def _default_names(prefix: str, n: int) -> tuple[str, ...]:
     return tuple(f"{prefix}{i}" for i in range(n))
 
@@ -24,21 +28,37 @@ def _default_names(prefix: str, n: int) -> tuple[str, ...]:
 class FiniteSemigroupoid:
     """A finite semigroupoid over objects ``0..n_objects-1``.
 
-    ``mul[s][t]`` is the product arrow when ``dom[s] == cod[t]`` and
-    ``-1`` otherwise.  Instances are immutable after validation; build
-    them through :func:`validate_semigroupoid`.  ``generators`` is the
-    generating set G that validation found for Light's test: every arrow
-    is a product (..((g1 g2) g3)..) gk of arrows in G.  It is derived
-    from the table, so it takes no part in equality.
+    ``rows[s]`` lists the products s t for the arrows t with
+    ``cod[t] == dom[s]``, in increasing t, and ``slot[t]`` is the
+    position of t among the arrows into ``cod[t]``: s t is
+    ``rows[s][slot[t]]``.  Instances are immutable after validation;
+    build them through :func:`validate_semigroupoid`.  ``generators`` is
+    the generating set G that validation found for Light's test: every
+    arrow is a product (..((g1 g2) g3)..) gk of arrows in G.  It and
+    ``slot`` are derived, so they take no part in equality.
     """
 
     n_objects: int
     dom: tuple[int, ...]
     cod: tuple[int, ...]
-    mul: tuple[tuple[int, ...], ...]
+    rows: tuple[tuple[int, ...], ...]
     arrow_names: tuple[str, ...]
     object_names: tuple[str, ...]
     generators: tuple[int, ...] = field(compare=False, repr=False)
+    slot: tuple[int, ...] = field(compare=False, repr=False)
+
+    @property
+    def mul(self) -> tuple[tuple[int, ...], ...]:
+        """The n x n table, ``-1`` on non-composable pairs, built on each
+        read; a view for callers outside the library, which itself reads
+        only ``rows``."""
+        if self.n_objects == 1:  # every pair composes: the rows are the table
+            return self.rows
+        cod, slot = self.cod, self.slot
+        return tuple(
+            tuple(row[slot[t]] if cod[t] == u else NOT_COMPOSABLE for t in self.arrows())
+            for u, row in zip(self.dom, self.rows)
+        )
 
     @property
     def n_arrows(self) -> int:
@@ -54,10 +74,9 @@ class FiniteSemigroupoid:
         return self.dom[s] == self.dom[t] and self.cod[s] == self.cod[t]
 
     def product(self, s: int, t: int) -> int:
-        r = self.mul[s][t]
-        if r == NOT_COMPOSABLE:
+        if self.dom[s] != self.cod[t]:
             raise ValueError(f"arrows {s} and {t} are not composable")
-        return r
+        return self.rows[s][self.slot[t]]
 
 
 def validate_semigroupoid(
@@ -73,7 +92,9 @@ def validate_semigroupoid(
 
     ``triples`` lists the partial product as (s, t, s*t) arrow triples.
     Raises :class:`ValidationError` naming the first violated axiom with
-    the smallest witness under index order.
+    the smallest witness under index order.  Nothing is allocated per
+    pair beyond the triples given until every composable pair is known
+    to be defined, so memory is bounded by the input.
     """
     n = len(dom)
     if len(cod) != n:
@@ -88,35 +109,54 @@ def validate_semigroupoid(
         if not (0 <= dom[s] < n_objects and 0 <= cod[s] < n_objects):
             raise ValidationError("MalformedTable", (s,), "object index out of range")
 
-    table = [[NOT_COMPOSABLE] * n for _ in range(n)]
-    for s, t, r in sorted(triples):
-        for a in (s, t, r):
-            if not (0 <= a < n):
-                raise ValidationError("MalformedTable", (s, t, r), "arrow index out of range")
+    # sorted, so the defined pairs come in row-major order and the
+    # repeats of a pair are adjacent
+    given = sorted(triples)
+    defined = [0] * n  # the distinct pairs (s, t) given, by s
+    last_s = last_t = last_r = -1
+    for s, t, r in given:
+        if not (0 <= s < n and 0 <= t < n and 0 <= r < n):
+            raise ValidationError("MalformedTable", (s, t, r), "arrow index out of range")
         if dom[s] != cod[t]:
             raise ValidationError("DefinedOnNonComposablePair", (s, t))
-        if table[s][t] != NOT_COMPOSABLE and table[s][t] != r:
-            raise ValidationError("DuplicateProduct", (s, t))
-        table[s][t] = r
+        if s == last_s and t == last_t:
+            if r != last_r:
+                raise ValidationError("DuplicateProduct", (s, t))
+            continue
+        last_s, last_t, last_r = s, t, r
+        defined[s] += 1
 
-    # into[dom s] is every t composable with s, increasing, so these walks
-    # keep the row-major order of the least witness; past the triples
-    # only composable cells can be defined
+    # into[dom s] is every t composable with s, increasing, and only
+    # composable pairs were given, so the first short count names the row
+    # of the least undefined pair
     into = arrows_by_end(cod, n_objects)
-    for s in range(n):
-        for t in into[dom[s]]:
-            if table[s][t] == NOT_COMPOSABLE:
-                raise ValidationError("UndefinedOnComposablePair", (s, t))
+    sizes = [len(into[u]) for u in dom]
+    if defined != sizes:
+        s = next(s for s in range(n) if defined[s] != sizes[s])
+        seen = {t for s2, t, _r in given if s2 == s}
+        t = next(t for t in into[dom[s]] if t not in seen)
+        raise ValidationError("UndefinedOnComposablePair", (s, t))
+    if len(given) != sum(sizes):  # a triple given twice
+        given = [x for i, x in enumerate(given) if i == 0 or x != given[i - 1]]
+    # one row at a time from the sorted triples, with no list of products
+    # beside them, so the peak stays at the triples and the rows
+    products = map(itemgetter(2), given)
+    rows = [tuple(islice(products, m)) for m in sizes]
+    del given, products
+    slot = [0] * n
+    for ts in into:
+        for i, t in enumerate(ts):
+            slot[t] = i
 
     for s in range(n):
-        for t in into[dom[s]]:
-            r = table[s][t]
-            if dom[r] != dom[t] or cod[r] != cod[s]:
+        c = cod[s]
+        for t, r in zip(into[dom[s]], rows[s]):
+            if dom[r] != dom[t] or cod[r] != c:
                 raise ValidationError("DomCodMismatch", (s, t))
 
-    generators = _generators(dom, cod, table, n_objects)
-    if not _light_associative(dom, cod, table, into, generators):
-        witness = _least_non_associative(dom, cod, table)
+    generators = _generators(dom, cod, rows, slot, n_objects)
+    if not _light_associative(dom, cod, rows, slot, into, generators):
+        witness = _least_non_associative(dom, rows, slot, into)
         raise ValidationError("AssociativityFailure", witness)
 
     used = set(dom) | set(cod)
@@ -135,10 +175,11 @@ def validate_semigroupoid(
         n_objects=n_objects,
         dom=dom,
         cod=cod,
-        mul=tuple(tuple(row) for row in table),
+        rows=tuple(rows),
         arrow_names=tuple(arrow_names),
         object_names=tuple(object_names),
         generators=tuple(generators),
+        slot=tuple(slot),
     )
 
 
@@ -151,7 +192,7 @@ def arrows_by_end(ends: Sequence[int], n_objects: int) -> list[list[int]]:
     return by_end
 
 
-def _generators(dom, cod, table, n_objects: int) -> list[int]:
+def _generators(dom, cod, rows, slot, n_objects: int) -> list[int]:
     """Arrows, picked greedily in index order, from which every arrow is
     reached by multiplying on the right by picked arrows.
 
@@ -162,26 +203,27 @@ def _generators(dom, cod, table, n_objects: int) -> list[int]:
     """
     reached = [False] * len(dom)
     members = []
-    picks_into = [[] for _ in range(n_objects)]  # picks, by codomain
+    picks_into = [[] for _ in range(n_objects)]  # slots of the picks, by codomain
     gens = []
     for g in range(len(dom)):
         if reached[g]:
             continue
         gens.append(g)
-        picks_into[cod[g]].append(g)
-        pending = [g] + [table[x][g] for x in members if dom[x] == cod[g]]
+        i = slot[g]
+        picks_into[cod[g]].append(i)
+        pending = [g] + [rows[x][i] for x in members if dom[x] == cod[g]]
         while pending:
             x = pending.pop()
             if reached[x]:
                 continue
             reached[x] = True
             members.append(x)
-            row = table[x]
+            row = rows[x]
             pending += [row[h] for h in picks_into[dom[x]]]
     return gens
 
 
-def _light_associative(dom, cod, table, into, generators) -> bool:
+def _light_associative(dom, cod, rows, slot, into, generators) -> bool:
     """Light's associativity test (Clifford & Preston, *The Algebraic
     Theory of Semigroups* I, section 1.2), exact on a table that obeys
     the dom/cod law.
@@ -190,37 +232,35 @@ def _light_associative(dom, cod, table, into, generators) -> bool:
     and y are closed under the product: for two of them g and h,
     (x (g h)) y = ((x g) h) y = (x g) (h y) = x (g (h y)) = x ((g h) y).
     So checking the middles in a generating set covers every middle, at
-    O(n^2 |G|) instead of O(n^3).  ``into`` lists the arrows by codomain.
+    O(sum over g in G of |out(cod g)| |in(dom g)|) <= O(n^2 |G|) instead
+    of O(n^3).  ``into`` lists the arrows by codomain.
     """
     out_of = arrows_by_end(dom, len(into))
     for g in generators:
-        row_g = table[g]
-        right = into[dom[g]]  # the y with g y defined
-        if not right:
+        gy = rows[g]  # g y for the y with g y defined
+        if not gy:
             continue
-        # the comparison reads whole rows through itemgetter, so one
-        # (x, g) costs two C-level gathers; a single y gives scalars
-        take_y = itemgetter(*right)
-        take_gy = itemgetter(*[row_g[y] for y in right])
+        # dom (x g) = dom g, so row x g is already the (x g) y; the x (g y)
+        # are gathered from row x at the slots of the g y, one C-level
+        # gather per (x, g); a single y gives a scalar, so wrap it
+        where = [slot[p] for p in gy]
+        take = itemgetter(*where) if len(where) > 1 else lambda row, i=where[0]: (row[i],)
+        i = slot[g]
         for x in out_of[cod[g]]:
-            if take_y(table[table[x][g]]) != take_gy(table[x]):
+            row_x = rows[x]
+            if rows[row_x[i]] != take(row_x):
                 return False
     return True
 
 
-def _least_non_associative(dom, cod, table) -> tuple[int, int, int]:
+def _least_non_associative(dom, rows, slot, into) -> tuple[int, int, int]:
     """The least (r, s, t) with (r s) t != r (s t), on a table that has
     one; only a failing table pays for this cubic scan."""
-    n = len(dom)
-    for r in range(n):
-        for s in range(n):
-            if dom[r] != cod[s]:
-                continue
-            rs = table[r][s]
-            for t in range(n):
-                if dom[s] != cod[t]:
-                    continue
-                if table[rs][t] != table[r][table[s][t]]:
+    for r, row_r in enumerate(rows):
+        for s, rs in zip(into[dom[r]], row_r):
+            row_rs = rows[rs]
+            for t, st in zip(into[dom[s]], rows[s]):
+                if row_rs[slot[t]] != row_r[slot[st]]:
                     return (r, s, t)
     raise InternalInconsistencyError("NoAssociativityWitness", ())
 
@@ -229,7 +269,9 @@ def semigroupoid_triples(sg: FiniteSemigroupoid) -> list[tuple[int, int, int]]:
     """The defined products of ``sg`` as sorted (s, t, s*t) triples; each
     s meets only the arrows t with cod t = dom s, in increasing order."""
     into = arrows_by_end(sg.cod, sg.n_objects)
-    return [(s, t, row[t]) for s, row in enumerate(sg.mul) for t in into[sg.dom[s]]]
+    return [
+        (s, t, r) for s, row in enumerate(sg.rows) for t, r in zip(into[sg.dom[s]], row)
+    ]
 
 
 @dataclass(frozen=True)
@@ -260,11 +302,14 @@ def validate_morphism(
             raise ValidationError("MalformedTable", (s,), "arrow image out of range")
 
     into = arrows_by_end(source.cod, source.n_objects)
-    for s in range(n):
-        for t in into[source.dom[s]]:
-            if not target.composable(f[s], f[t]):
+    t_dom, t_cod, t_rows, t_slot = target.dom, target.cod, target.rows, target.slot
+    for s, row in enumerate(source.rows):
+        fs = f[s]
+        for t, st in zip(into[source.dom[s]], row):
+            ft = f[t]
+            if t_dom[fs] != t_cod[ft]:
                 raise ValidationError("ComposabilityNotPreserved", (s, t))
-            if target.mul[f[s]][f[t]] != f[source.mul[s][t]]:
+            if t_rows[fs][t_slot[ft]] != f[st]:
                 raise ValidationError("NotMultiplicative", (s, t))
 
     # The object map is forced by the dom/cod squares; conflicting

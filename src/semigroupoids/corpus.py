@@ -14,7 +14,7 @@ from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .actions import PartialActionData, make_action, restrict_global
-from .core import validate_semigroupoid
+from .core import arrows_by_end, validate_semigroupoid
 from .errors import InternalInconsistencyError, ValidationError
 from .inverse import InverseSemigroupoid, is_groupoid, promote_to_inverse
 from .posets import FinitePoset, discrete_poset, validate_poset
@@ -155,11 +155,12 @@ def gen_SA(s: InverseSemigroupoid, a_size: int) -> InverseSemigroupoid:
     index = {t: i for i, t in enumerate(arrows)}
     dom = [u for (_, _, u) in arrows]
     cod = [v for (v, _, _) in arrows]
+    into = arrows_by_end(cod, a_size)
     triples = []
-    for i, (w, t, v1) in enumerate(arrows):
-        for j, (v2, m, u) in enumerate(arrows):
-            if v1 == v2:
-                triples.append((i, j, index[(w, s.base.mul[t][m], u)]))
+    for i, (w, t, v) in enumerate(arrows):
+        for j in into[v]:
+            _v, m, u = arrows[j]
+            triples.append((i, j, index[(w, s.base.product(t, m), u)]))
     names = tuple(
         f"({v},{s.base.arrow_names[m]},{u})" for (v, m, u) in arrows
     )
@@ -278,8 +279,9 @@ def _involutions(dom, cod) -> Iterator[tuple[int, ...]]:
     yield from rec(0, [-1] * n)
 
 
-def _complete_tables(dom, cod, inv) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Fill the product table by depth-first search with propagation."""
+def _complete_tables(dom, cod, inv) -> Iterator[list[tuple[int, int, int]]]:
+    """Fill the product table by depth-first search with propagation;
+    each completed table is yielded as its (s, t, s*t) triples."""
     n = len(dom)
     first = []
     for s in range(n):
@@ -378,11 +380,11 @@ def _complete_tables(dom, cod, inv) -> Iterator[tuple[tuple[int, ...], ...]]:
             pre = preimage[r]
             pre.pop()
 
-    def solve(k: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    def solve(k: int) -> Iterator[list[tuple[int, int, int]]]:
         while k < len(cells) and table[cells[k][0]][cells[k][1]] != -1:
             k += 1
         if k == len(cells):
-            yield tuple(tuple(row) for row in table)
+            yield [(s, t, table[s][t]) for s, t in cells]
             return
         s, t = cells[k]
         for r in candidates[(s, t)]:
@@ -401,13 +403,7 @@ def _enumerate_cached(max_arrows: int, max_objects: int) -> tuple[InverseSemigro
         for m in range(1, min(n, max_objects) + 1):
             for dom, cod in _canonical_patterns(n, m):
                 for inv in _involutions(dom, cod):
-                    for table in _complete_tables(dom, cod, inv):
-                        triples = [
-                            (s, t, table[s][t])
-                            for s in range(n)
-                            for t in range(n)
-                            if table[s][t] != -1
-                        ]
+                    for triples in _complete_tables(dom, cod, inv):
                         try:
                             sg = validate_semigroupoid(
                                 dom, cod, triples, n_objects=m

@@ -97,13 +97,13 @@ def globalize(a: PartialActionData) -> GlobalizationResult:
     require_valid(a)
     actor = a.actor
     sg = actor.base
-    inv, mul, cod = actor.inv, sg.mul, sg.cod
+    inv, rows, slot, cod = actor.inv, sg.rows, sg.slot, sg.cod
     domains, maps = a.domains, a.maps
 
     # into[u]: the arrows with codomain u, in increasing order; pairs
     # lists D lexicographically
     into = arrows_by_end(cod, sg.n_objects)
-    pairs = [(s, x) for s in actor.arrows() for x in sorted(domains[mul[inv[s]][s]])]
+    pairs = [(s, x) for s in actor.arrows() for x in sorted(domains[rows[inv[s]][slot[s]]])]
     index = {p: i for i, p in enumerate(pairs)}
 
     uf = UnionFind(len(pairs))
@@ -113,13 +113,12 @@ def globalize(a: PartialActionData) -> GlobalizationResult:
     for i, (s, x) in enumerate(pairs):
         theta_s = maps[s]
         if x in theta_s:
-            uf.union(i, index[(mul[s][inv[s]], theta_s[x])])
+            uf.union(i, index[(rows[s][slot[inv[s]]], theta_s[x])])
             continue
-        row = mul[inv[s]]
-        for t in into[cod[s]]:
-            if x not in domains[row[t]]:
+        for t, s_star_t in zip(into[cod[s]], rows[inv[s]]):
+            if x not in domains[s_star_t]:
                 continue
-            y = maps[mul[inv[t]][s]][x]
+            y = maps[rows[inv[t]][slot[s]]][x]
             uf.union(i, index[(t, y)])
     # idempotent rule: (e, x) ~ (f, x) for idempotent tags on one point
     for x in range(a.carrier_size):
@@ -150,7 +149,7 @@ def globalize(a: PartialActionData) -> GlobalizationResult:
     for i, (p, x) in enumerate(pairs):
         c = class_of[i]
         for s in out_of[cod[p]]:
-            j = index.get((mul[s][p], x))
+            j = index.get((rows[s][slot[p]], x))
             if j is not None and maps_env[s].setdefault(c, class_of[j]) != class_of[j]:
                 clashes.append((s, c))
     if clashes:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import FiniteSemigroupoid, SemigroupoidMorphism, NOT_COMPOSABLE, arrows_by_end
+from .core import FiniteSemigroupoid, SemigroupoidMorphism, arrows_by_end
 from .errors import InternalInconsistencyError, ValidationError, Violation
 from .posets import FinitePoset, poset_from_masks
 
@@ -49,21 +49,19 @@ class InverseSemigroupoid:
 def _pseudoinverses(sg: FiniteSemigroupoid, s: int, homs: dict) -> list[int]:
     """Every t in the hom-set from cod s to dom s with sts = s and tst = t,
     in increasing order; ``homs`` maps (dom, cod) to its arrows, increasing."""
-    mul = sg.mul
+    rows, slot = sg.rows, sg.slot
     out = []
     for t in homs.get((sg.cod[s], sg.dom[s]), ()):
-        st = mul[s][t]
-        ts = mul[t][s]
-        if st == NOT_COMPOSABLE or ts == NOT_COMPOSABLE:
-            continue
-        if mul[st][s] == s and mul[ts][t] == t:
+        st = rows[s][slot[t]]
+        ts = rows[t][slot[s]]
+        if rows[st][slot[s]] == s and rows[ts][slot[t]] == t:
             out.append(t)
     return out
 
 
 def _idempotents(sg: FiniteSemigroupoid) -> tuple[int, ...]:
     return tuple(
-        e for e in sg.arrows() if sg.dom[e] == sg.cod[e] and sg.mul[e][e] == e
+        e for e, row in enumerate(sg.rows) if sg.dom[e] == sg.cod[e] and row[sg.slot[e]] == e
     )
 
 
@@ -90,12 +88,24 @@ def _order_matrix(sg: FiniteSemigroupoid, inv: Sequence[int], idems: Sequence[in
     reads, so the first disagreeing pair is found the same way.
     """
     n = sg.n_arrows
+    dom, cod, rows, slot = sg.dom, sg.cod, sg.rows, sg.slot
     by_object = {}
     for e in idems:
-        by_object.setdefault(sg.dom[e], []).append(e)
-    mul = sg.mul
-    right = [{mul[t][e] for e in by_object.get(sg.dom[t], ())} for t in range(n)]
-    left = [{mul[f][t] for f in by_object.get(sg.cod[t], ())} for t in range(n)]
+        by_object.setdefault(dom[e], []).append(e)
+    # t e is defined only for the listed e that are loops at dom t
+    right = [{rows[t][slot[e]] for e in by_object.get(dom[t], ()) if cod[e] == dom[t]}
+             for t in range(n)]
+    left = [{rows[f][slot[t]] for f in by_object.get(cod[t], ())} for t in range(n)]
+    # s* s and s s*, None where undefined, which makes a vote that needs
+    # them false, as the definitions read; the guard is checked alongside
+    idem_dom = {e: dom[e] for e in idems}
+    lo, hi, guarded = [None] * n, [None] * n, True
+    for s, s_star in enumerate(inv):
+        if dom[s_star] == cod[s]:
+            lo[s] = rows[s_star][slot[s]]
+        if dom[s] == cod[s_star]:
+            hi[s] = rows[s][slot[s_star]]
+        guarded = guarded and idem_dom.get(lo[s]) == dom[s] and idem_dom.get(hi[s]) == cod[s]
 
     def le_right_idem(s: int, t: int) -> bool:
         # s = t e for some idempotent e at dom(t)
@@ -103,8 +113,8 @@ def _order_matrix(sg: FiniteSemigroupoid, inv: Sequence[int], idems: Sequence[in
 
     def le_canonical(s: int, t: int) -> bool:
         # s = t (s* s)
-        e = sg.mul[inv[s]][s]
-        return sg.mul[t][e] == s
+        e = lo[s]
+        return e is not None and dom[t] == cod[e] and rows[t][slot[e]] == s
 
     def le_left_idem(s: int, t: int) -> bool:
         # s = f t for some idempotent f at cod(t)
@@ -112,21 +122,14 @@ def _order_matrix(sg: FiniteSemigroupoid, inv: Sequence[int], idems: Sequence[in
 
     def le_left_canonical(s: int, t: int) -> bool:
         # s = (s s*) t
-        f = sg.mul[s][inv[s]]
-        return sg.mul[f][t] == s
+        f = hi[s]
+        return f is not None and dom[f] == cod[t] and rows[f][slot[t]] == s
 
-    idem_dom = {e: sg.dom[e] for e in idems}
-    guarded = all(
-        idem_dom.get(mul[inv[s]][s]) == sg.dom[s]
-        and idem_dom.get(mul[s][inv[s]]) == sg.cod[s]
-        for s in range(n)
-    )
     if guarded:
         columns = [[] for _ in range(n)]
         for t in range(n):
             for s in right[t] | left[t]:
-                if s != NOT_COMPOSABLE:
-                    columns[s].append(t)
+                columns[s].append(t)
     else:
         columns = [range(n)] * n
 
@@ -216,11 +219,10 @@ def check_partial_morphism(
             return Violation("InverseNotPreserved", (s,))
     into = arrows_by_end(src.base.cod, src.n_objects)
     for s in arrows:
-        for t in into[src.base.dom[s]]:
+        for t, st in zip(into[src.base.dom[s]], src.base.rows[s]):
             if not dst.composable(f[s], f[t]):
                 return Violation("SubmultiplicativityFailure", (s, t))
-            lhs = dst.base.mul[f[s]][f[t]]
-            if not dst.leq(lhs, f[src.base.mul[s][t]]):
+            if not dst.leq(dst.base.product(f[s], f[t]), f[st]):
                 return Violation("SubmultiplicativityFailure", (s, t))
     for s in arrows:
         for t in src.order.above(s):

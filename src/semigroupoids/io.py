@@ -180,8 +180,10 @@ def semigroupoid_to_doc(sg: FiniteSemigroupoid) -> dict:
             for s in sg.arrows()
         ],
         # the (s, t, s*t) rows of core.semigroupoid_triples, built as lists
-        # (_triples reads list rows only) straight from the composable pairs
-        "mul": [[s, t, row[t]] for s, row in enumerate(sg.mul) for t in into[sg.dom[s]]],
+        # (_triples reads list rows only) straight from the stored rows
+        "mul": [
+            [s, t, r] for s, row in enumerate(sg.rows) for t, r in zip(into[sg.dom[s]], row)
+        ],
     }
 
 

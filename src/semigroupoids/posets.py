@@ -227,8 +227,8 @@ def validate_semilatticeoid(inv_sg: "InverseSemigroupoid") -> Semilatticeoid:
     order = inv_sg.order
     into = arrows_by_end(base.cod, base.n_objects)
     for x in base.arrows():
-        for y in into[base.dom[x]]:
-            if order.glb(x, y) != base.mul[x][y]:
+        for y, xy in zip(into[base.dom[x]], base.rows[x]):
+            if order.glb(x, y) != xy:
                 raise ValidationError("ProductNotMeet", (x, y))
 
     return Semilatticeoid(base=inv_sg)

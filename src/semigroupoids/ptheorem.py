@@ -48,12 +48,13 @@ def munn_action(inv_sg: InverseSemigroupoid) -> PartialActionData:
     order = inv_sg.order.restrict(list(idems))
 
     # the map of s goes from the downset of s* s
+    rows, slot = sg.rows, sg.slot
     maps = []
     for s in inv_sg.arrows():
         s_star = inv[s]
-        top = sg.mul[s_star][s]
+        top, row_s, at_s_star = rows[s_star][slot[s]], rows[s], slot[s_star]
         maps.append({
-            pos[e]: pos[sg.mul[sg.mul[s][e]][s_star]]
+            pos[e]: pos[rows[row_s[slot[e]]][at_s_star]]
             for e in idems
             if inv_sg.leq(e, top)
         })
@@ -195,7 +196,7 @@ def semidirect_product(
             ty = theta(t, y)
             if fiber(x) != fiber(ty):
                 continue
-            st = sg.mul[s][t]
+            st = sg.rows[s][sg.slot[t]]
             z = latt.meet(x, ty)
             if z not in action.maps[inv[t]]:
                 raise InternalInconsistencyError("SemidirectMeetEscapes", (i, k))
@@ -333,11 +334,11 @@ def idempotent_semilatticeoid(inv_sg: InverseSemigroupoid) -> Semilatticeoid:
     idems = inv_sg.idempotents
     pos = {e: i for i, e in enumerate(idems)}
     dom = [sg.dom[e] for e in idems]
-    triples = []
-    for e in idems:
-        for f in idems:
-            if sg.composable(e, f):
-                triples.append((pos[e], pos[f], pos[sg.mul[e][f]]))
+    rows, slot = sg.rows, sg.slot
+    triples = [
+        (pos[e], pos[f], pos[rows[e][slot[f]]])
+        for e in idems for f in idems if sg.composable(e, f)
+    ]
     base = validate_semigroupoid(
         dom,
         dom,
@@ -381,7 +382,7 @@ def bundle_from_certificate(
 
     arrow_map = []
     for s in inv_sg.arrows():
-        e = sg.mul[inv[s]][s]
+        e = sg.product(inv[s], s)
         arrow_map.append(sdp.pair_index[(cls_index[s], pos[e])])
 
     phi = validate_morphism(sg, sdp.product.base, arrow_map)

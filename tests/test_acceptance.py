@@ -205,8 +205,9 @@ def test_criterion_8_munn_validity():
     for s in pool:
         theta = munn_action(s)  # construction asserts both validators
         sg = s.base
+        mul = sg.mul
         for a in s.arrows():
-            e = sg.mul[a][s.inv[a]]
+            e = mul[a][s.inv[a]]
             assert theta.domains[a] == theta.domains[e]
     _report(8, f"Munn action valid and tight on {len(pool)} structures", t0, 30)
 

@@ -224,8 +224,9 @@ def test_global_actions_have_tight_domains(actions):
         if not a.global_flag:
             continue
         sg = a.actor.base
+        mul = sg.mul
         for s in a.actor.arrows():
-            e = sg.mul[s][a.actor.inv[s]]
+            e = mul[s][a.actor.inv[s]]
             assert a.domains[s] == a.domains[e]
 
 
@@ -456,8 +457,9 @@ def full_scan_E(a):
     if set().union(*domains) != set(a.carrier()):
         return Violation("NotCovering", ())
     composable = [(s, t) for s in arrows for t in arrows if sg.composable(s, t)]
+    mul = sg.mul
     for s, t in composable:
-        theta_s, theta_st = maps[s], maps[sg.mul[s][t]]
+        theta_s, theta_st = maps[s], maps[mul[s][t]]
         for x, y in maps[t].items():
             if y in theta_s and theta_st.get(x, -1) != theta_s[y]:
                 return Violation("CompositionNotContained", (s, t, x))
@@ -474,7 +476,7 @@ def full_scan_E(a):
             composite = {
                 x: maps[s][y] for x, y in maps[t].items() if y in maps[s]
             }
-            if composite != maps[sg.mul[s][t]]:
+            if composite != maps[mul[s][t]]:
                 return Violation("GlobalEqualityFailure", (s, t))
     return None
 

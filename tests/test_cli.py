@@ -717,11 +717,10 @@ def test_verify_corpus_rejects_an_arrow_bound_out_of_range(value):
     assert proc.stdout == ""
 
 
-def test_no_command_reads_the_order_matrix_view(files, tmp_path, monkeypatch, capsys):
-    # FinitePoset.leq is a boolean-matrix view built on each read; the
-    # library reads the row bitmasks only, so a view that raises leaves
-    # every command's exit code, output and written file unchanged
-    from semigroupoids.posets import FinitePoset, chain_poset
+def _assert_no_command_reads(owner, view, files, tmp_path, monkeypatch, capsys):
+    """Every command's exit code, output and written file are unchanged
+    when ``owner.view`` raises: no library code reads that view."""
+    from semigroupoids.posets import chain_poset
 
     structures = [files[name] for name in ("chain2", "b2", "pair2")]
     acts = []
@@ -757,8 +756,58 @@ def test_no_command_reads_the_order_matrix_view(files, tmp_path, monkeypatch, ca
     plain = outcomes()
 
     def forbidden(self):
-        raise AssertionError("FinitePoset.leq read by library code")
+        raise AssertionError(f"{owner.__name__}.{view} read by library code")
 
-    monkeypatch.setattr(FinitePoset, "leq", property(forbidden))
+    monkeypatch.setattr(owner, view, property(forbidden))
     assert outcomes() == plain
     assert {code for code, *_printed in plain} >= {0, 1}
+
+
+def test_no_command_reads_the_order_matrix_view(files, tmp_path, monkeypatch, capsys):
+    # FinitePoset.leq is a boolean-matrix view built on each read; the
+    # library reads the row bitmasks only
+    from semigroupoids.posets import FinitePoset
+
+    _assert_no_command_reads(FinitePoset, "leq", files, tmp_path, monkeypatch, capsys)
+
+
+def test_no_command_reads_the_table_view(files, tmp_path, monkeypatch, capsys):
+    # FiniteSemigroupoid.mul is an n x n table view built on each read;
+    # the library reads the composable rows only
+    from semigroupoids.core import FiniteSemigroupoid
+
+    _assert_no_command_reads(FiniteSemigroupoid, "mul", files, tmp_path, monkeypatch, capsys)
+
+
+def test_validate_memory_is_bounded_by_the_file(tmp_path):
+    # 8,000 arrows on one object and no products: a 343 KB file.  An
+    # n x n table would take 64M cells (about 0.5 GB) before the first
+    # missing product is found; the row form allocates only per triple
+    # given, so the child stays near the interpreter's own size
+    doc = {
+        "kind": "semigroupoid",
+        "version": 1,
+        "objects": ["u"],
+        "arrows": [{"name": f"a{i}", "dom": "u", "cod": "u"} for i in range(8000)],
+        "mul": [],
+    }
+    path = tmp_path / "empty_mul.json"
+    path.write_text(json.dumps(doc))
+    # a probe process runs the CLI, so the peak it reports belongs to this
+    # validate alone and to no earlier child of the test process
+    probe = (
+        "import json, resource, subprocess, sys\n"
+        "p = subprocess.run(sys.argv[1:], capture_output=True, text=True)\n"
+        "peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss // 1024\n"
+        "print(json.dumps([p.returncode, p.stdout, p.stderr, peak]))\n"
+    )
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, sys.executable, "-m", "semigroupoids",
+         "--input", str(path), "validate"],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    *outcome, peak_mb = json.loads(proc.stdout)
+    assert outcome == [1, "INVALID: UndefinedOnComposablePair(0, 0)\n", ""]
+    assert peak_mb < 100, f"validate peaked at {peak_mb} MB"

@@ -33,6 +33,7 @@ def naive_closure_pairs(inv_sg, seed):
     transitivity, and multiplication."""
     sg = inv_sg.base
     n = sg.n_arrows
+    mul = sg.mul
     rel = {(s, s) for s in range(n)} | set(seed)
     changed = True
     while changed:
@@ -48,7 +49,7 @@ def naive_closure_pairs(inv_sg, seed):
         for (s1, t1) in rel:
             for (s2, t2) in rel:
                 if sg.composable(s1, s2):
-                    pair = (sg.mul[s1][s2], sg.mul[t1][t2])
+                    pair = (mul[s1][s2], mul[t1][t2])
                     if pair not in rel:
                         additions.add(pair)
         if additions:
@@ -325,6 +326,7 @@ def pairwise_sigma_by_equations(inv_sg):
     sg = inv_sg.base
     n = sg.n_arrows
     idems = inv_sg.idempotents
+    mul = sg.mul
     right = set()
     left = set()
     for s in range(n):
@@ -332,11 +334,11 @@ def pairwise_sigma_by_equations(inv_sg):
             if not sg.parallel(s, t):
                 continue
             for e in idems:
-                if sg.composable(s, e) and sg.mul[s][e] == sg.mul[t][e]:
+                if sg.composable(s, e) and mul[s][e] == mul[t][e]:
                     right.add((s, t))
                     break
             for f in idems:
-                if sg.composable(f, s) and sg.mul[f][s] == sg.mul[f][t]:
+                if sg.composable(f, s) and mul[f][s] == mul[f][t]:
                     left.add((s, t))
                     break
     if right != left:
@@ -589,6 +591,7 @@ def pairwise_e_unitary(inv_sg, sig):
     sg = inv_sg.base
     inv = inv_sg.inv
     idems = set(inv_sg.idempotents)
+    mul = sg.mul
     n = sg.n_arrows
     cond1 = all(s in idems for s in range(n) for e in idems if sig.related(s, e))
     q, proj = sig.quotient
@@ -596,7 +599,7 @@ def pairwise_e_unitary(inv_sg, sig):
     cond2 = all(s in idems for s in range(n) if proj.arrow_map[s] in q_idems)
 
     def pair_idem(s, t):
-        return sg.mul[inv[s]][t] in idems and sg.mul[s][inv[t]] in idems
+        return mul[inv[s]][t] in idems and mul[s][inv[t]] in idems
 
     cond3 = all(
         pair_idem(s, t) for s in range(n) for t in range(n) if sig.related(s, t)
@@ -627,6 +630,7 @@ def pairwise_idempotent_pure(cong):
     inv_sg = cong.base
     sg = inv_sg.base
     idems = set(inv_sg.idempotents)
+    mul = sg.mul
     n = sg.n_arrows
     by_definition = all(
         s in idems for s in range(n) for e in idems if cong.related(s, e)
@@ -635,7 +639,7 @@ def pairwise_idempotent_pure(cong):
     q_idems = set(q.idempotents)
     by_projection = all(s in idems for s in range(n) if proj.arrow_map[s] in q_idems)
     by_equation = all(
-        sg.mul[inv_sg.inv[s]][t] in idems
+        mul[inv_sg.inv[s]][t] in idems
         for s in range(n)
         for t in range(n)
         if cong.related(s, t)
@@ -647,8 +651,9 @@ def pairwise_lemma_sts(cert):
     """Oracle: s t* t = t s* s over every related arrow pair."""
     sig = cert.sigma
     sg, inv = sig.base.base, sig.base.inv
+    mul = sg.mul
     return all(
-        sg.mul[s][sg.mul[inv[t]][t]] == sg.mul[t][sg.mul[inv[s]][s]]
+        mul[s][mul[inv[t]][t]] == mul[t][mul[inv[s]][s]]
         for s in sg.arrows()
         for t in sg.arrows()
         if sig.related(s, t)

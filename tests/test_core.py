@@ -46,15 +46,16 @@ def test_trivial_monoid_valid():
 def test_pair_groupoid_valid_with_bruteforce_associativity():
     dom, cod, triples = pair_groupoid_table()
     sg = validate_semigroupoid(dom, cod, triples)
+    mul = sg.mul
     # independent oracle: walk all <= 64 triples directly on the table
     for r in range(4):
         for s in range(4):
             for t in range(4):
                 if dom[r] != cod[s] or dom[s] != cod[t]:
                     continue
-                rs = sg.mul[r][s]
-                st = sg.mul[s][t]
-                assert sg.mul[rs][t] == sg.mul[r][st]
+                rs = mul[r][s]
+                st = mul[s][t]
+                assert mul[rs][t] == mul[r][st]
 
 
 def test_noncomposable_product_rejected():
@@ -106,10 +107,11 @@ def test_collapse_chain2_valid():
     chain2 = corpus.chain2().base
     trivial = validate_semigroupoid([0], [0], [(0, 0, 0)])
     phi = validate_morphism(chain2, trivial, [0, 0])
+    mul = chain2.mul
     # oracle: all four products collapse consistently
     for s in range(2):
         for t in range(2):
-            assert phi.arrow_map[chain2.mul[s][t]] == 0
+            assert phi.arrow_map[mul[s][t]] == 0
 
 
 def test_swap_not_multiplicative():
@@ -136,13 +138,14 @@ def _scan_morphism_verdict(source, target, f):
     """Oracle: the checks of validate_morphism as a scan of every arrow
     pair, the first (code, witness), else ("ok", the object map)."""
     n = source.n_arrows
+    source_mul, target_mul = source.mul, target.mul
     for s in range(n):
         for t in range(n):
             if not source.composable(s, t):
                 continue
             if not target.composable(f[s], f[t]):
                 return ("ComposabilityNotPreserved", (s, t))
-            if target.mul[f[s]][f[t]] != f[source.mul[s][t]]:
+            if target_mul[f[s]][f[t]] != f[source_mul[s][t]]:
                 return ("NotMultiplicative", (s, t))
     obj = {}
     for s in range(n):
@@ -204,9 +207,10 @@ def test_missing_products_are_reported_at_the_least_cell(structures):
 def test_mul_sentinel_matches_graph(structures):
     for _name, s in structures:
         sg = s.base
+        mul = sg.mul
         for a in sg.arrows():
             for b in sg.arrows():
-                assert (sg.mul[a][b] == NOT_COMPOSABLE) == (sg.dom[a] != sg.cod[b])
+                assert (mul[a][b] == NOT_COMPOSABLE) == (sg.dom[a] != sg.cod[b])
 
 
 def _cubic_verdict(dom, cod, triples):
@@ -240,8 +244,119 @@ def _verdict(dom, cod, triples, n_objects):
     return None
 
 
+def _table_validate(dom, cod, triples, n_objects):
+    """Oracle: validate_semigroupoid as it was when it stored the n x n
+    table with a -1 sentinel, names aside.  Returns (code, witness) on
+    failure, else (None, the table, the generators)."""
+    n = len(dom)
+    table = [[NOT_COMPOSABLE] * n for _ in range(n)]
+    try:
+        for s, t, r in sorted(triples):
+            for a in (s, t, r):
+                if not (0 <= a < n):
+                    raise ValidationError("MalformedTable", (s, t, r))
+            if dom[s] != cod[t]:
+                raise ValidationError("DefinedOnNonComposablePair", (s, t))
+            if table[s][t] != NOT_COMPOSABLE and table[s][t] != r:
+                raise ValidationError("DuplicateProduct", (s, t))
+            table[s][t] = r
+        into = [[t for t in range(n) if cod[t] == u] for u in range(n_objects)]
+        out_of = [[x for x in range(n) if dom[x] == u] for u in range(n_objects)]
+        for s in range(n):
+            for t in into[dom[s]]:
+                if table[s][t] == NOT_COMPOSABLE:
+                    raise ValidationError("UndefinedOnComposablePair", (s, t))
+        for s in range(n):
+            for t in into[dom[s]]:
+                r = table[s][t]
+                if dom[r] != dom[t] or cod[r] != cod[s]:
+                    raise ValidationError("DomCodMismatch", (s, t))
+        # generators: greedy in index order, closing under right products
+        reached, members, gens = [False] * n, [], []
+        for g in range(n):
+            if reached[g]:
+                continue
+            gens.append(g)
+            pending = [g] + [table[x][g] for x in members if dom[x] == cod[g]]
+            while pending:
+                x = pending.pop()
+                if not reached[x]:
+                    reached[x] = True
+                    members.append(x)
+                    pending += [table[x][h] for h in gens if dom[x] == cod[h]]
+        # Light's test on the generators, then the least failing triple
+        light = all(
+            table[table[x][g]][y] == table[x][table[g][y]]
+            for g in gens for x in out_of[cod[g]] for y in into[dom[g]]
+        )
+        if not light:
+            for r in range(n):
+                for s in into[dom[r]]:
+                    for t in into[dom[s]]:
+                        if table[table[r][s]][t] != table[r][table[s][t]]:
+                            raise ValidationError("AssociativityFailure", (r, s, t))
+        if set(range(n_objects)) - set(dom) - set(cod):
+            u = min(set(range(n_objects)) - set(dom) - set(cod))
+            raise ValidationError("OrphanObject", (u,))
+    except ValidationError as exc:
+        return (exc.code, exc.witness)
+    return (None, tuple(map(tuple, table)), tuple(gens))
+
+
+def _row_form(dom, cod, triples, n_objects):
+    """What validate_semigroupoid gives, in _table_validate's shape."""
+    try:
+        sg = validate_semigroupoid(dom, cod, triples, n_objects=n_objects)
+    except ValidationError as exc:
+        return (exc.code, exc.witness)
+    return (None, sg.mul, sg.generators)
+
+
+def _single_cell_mutants(sg):
+    """Each defined cell deleted, set to each other arrow, or given a
+    second value; each non-composable cell defined; each cell sent out
+    of range."""
+    triples = semigroupoid_triples(sg)
+    n = sg.n_arrows
+    for i, (s, t, r) in enumerate(triples):
+        rest = triples[:i] + triples[i + 1:]
+        yield rest
+        for other in range(-1, n + 1):
+            if other != r:
+                yield rest + [(s, t, other)]
+                yield triples + [(s, t, other)]
+    for s in range(n):
+        for t in range(n):
+            if not sg.composable(s, t):
+                yield from (triples + [(s, t, r)] for r in range(n))
+
+
+def test_row_form_matches_the_table_validator(structures):
+    # every fixture and every structure on at most 4 arrows, then every
+    # single-cell mutant of the fixtures: the same verdict, code and
+    # witness, and on success the same table and generators
+    pool = [s.base for _name, s in structures]
+    pool += [s.base for s in corpus.enumerate_inverse_semigroupoids(4)]
+    for sg in pool:
+        args = (sg.dom, sg.cod, semigroupoid_triples(sg), sg.n_objects)
+        assert _row_form(*args) == _table_validate(*args) == (None, sg.mul, sg.generators)
+    seen = Counter()
+    for _name, s in structures:
+        sg = s.base
+        for triples in _single_cell_mutants(sg):
+            args = (sg.dom, sg.cod, triples, sg.n_objects)
+            expected = _table_validate(*args)
+            assert _row_form(*args) == expected
+            seen[expected[0]] += 1
+    assert set(seen) == {
+        None, "MalformedTable", "DefinedOnNonComposablePair", "DuplicateProduct",
+        "UndefinedOnComposablePair", "DomCodMismatch", "AssociativityFailure",
+    }, seen
+
+
 def test_light_test_matches_cubic_oracle_on_every_perturbation(structures):
-    # every defined cell of every table, set to every other arrow
+    # every defined cell of every table, set to every other arrow; the
+    # n x n validator must agree too, on the table and generators as well
     pool = [s.base for s in corpus.enumerate_inverse_semigroupoids(4)]
     pool += [s.base for _name, s in structures]
     seen = {"DomCodMismatch": 0, "AssociativityFailure": 0, None: 0}
@@ -254,6 +369,8 @@ def test_light_test_matches_cubic_oracle_on_every_perturbation(structures):
                 changed = triples[:i] + [(s, t, other)] + triples[i + 1:]
                 expected = _cubic_verdict(sg.dom, sg.cod, changed)
                 assert _verdict(sg.dom, sg.cod, changed, sg.n_objects) == expected
+                args = (sg.dom, sg.cod, changed, sg.n_objects)
+                assert _row_form(*args) == _table_validate(*args)
                 seen[expected and expected[0]] += 1
     assert seen["AssociativityFailure"] > 5000 and seen[None] > 0, seen
 
@@ -261,9 +378,10 @@ def test_light_test_matches_cubic_oracle_on_every_perturbation(structures):
 def _closure(sg, gens):
     """Oracle: products of members added until nothing new appears."""
     members = set(gens)
+    mul = sg.mul
     while True:
         new = {
-            sg.mul[a][b] for a in members for b in members if sg.composable(a, b)
+            mul[a][b] for a in members for b in members if sg.composable(a, b)
         } - members
         if not new:
             return members
@@ -271,7 +389,7 @@ def _closure(sg, gens):
 
 
 def _generators_of(sg):
-    return _generators(sg.dom, sg.cod, sg.mul, sg.n_objects)
+    return _generators(sg.dom, sg.cod, sg.rows, sg.slot, sg.n_objects)
 
 
 def test_generators_generate_every_arrow(structures):
@@ -303,7 +421,8 @@ def test_least_failing_triple_with_middle_outside_generators():
     # test on the middle a fails at (e, a, a^2), but the least failing
     # triple (a, a^2, e) has the middle a^2, which is not a generator
     table = [[1, 2, 0], [2, 0, 1], [0, 1, 1]]
-    assert _generators([0] * 3, [0] * 3, table, 1) == [0]
+    # on one object the rows are the whole table and slot t is t
+    assert _generators([0] * 3, [0] * 3, table, [0, 1, 2], 1) == [0]
     triples = [(s, t, table[s][t]) for s in range(3) for t in range(3)]
     with pytest.raises(ValidationError) as err:
         validate_semigroupoid([0] * 3, [0] * 3, triples)

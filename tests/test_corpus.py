@@ -250,12 +250,13 @@ def test_gen_jpi_products_are_partial_compositions():
         return int(left), pairs, int(right)
 
     arrows = [parse(n) for n in names]
+    mul = j.base.mul
     for i, (u1, g, v1) in enumerate(arrows):
         for k, (u2, f, v2) in enumerate(arrows):
             if not j.base.composable(i, k):
                 continue
             comp = {x: g[y] for x, y in f.items() if y in g}
-            w = j.base.mul[i][k]
+            w = mul[i][k]
             assert arrows[w][1] == comp
 
 

@@ -335,9 +335,10 @@ def scan_globalize_oracle(a):
     actor = a.actor
     sg = actor.base
     inv = actor.inv
+    mul = sg.mul
     pairs = []
     for s in actor.arrows():
-        e = sg.mul[inv[s]][s]
+        e = mul[inv[s]][s]
         for x in sorted(a.domains[e]):
             pairs.append((s, x))
     index = {p: i for i, p in enumerate(pairs)}
@@ -346,9 +347,9 @@ def scan_globalize_oracle(a):
         for t in actor.arrows():
             if sg.cod[t] != sg.cod[s]:
                 continue
-            if x not in a.domains[sg.mul[inv[s]][t]]:
+            if x not in a.domains[mul[inv[s]][t]]:
                 continue
-            y = a.maps[sg.mul[inv[t]][s]][x]
+            y = a.maps[mul[inv[t]][s]][x]
             uf.union(i, index[(t, y)])
     for x in range(a.carrier_size):
         tagged = [e for e in actor.idempotents if x in a.domains[e]]
@@ -373,8 +374,8 @@ def scan_globalize_oracle(a):
         for i, (p, x) in enumerate(pairs):
             if sg.cod[p] != sg.cod[s]:
                 continue
-            sp = sg.mul[inv[s]][p]
-            e = sg.mul[inv[sp]][sp]
+            sp = mul[inv[s]][p]
+            e = mul[inv[sp]][sp]
             if x in a.domains[e]:
                 dom_pairs.add(i)
         domains_env.append({class_of[i] for i in dom_pairs})
@@ -386,7 +387,7 @@ def scan_globalize_oracle(a):
         theta = {}
         for c in sorted(domains_env[inv[s]]):
             values = {
-                class_of[index[(sg.mul[s][pairs[i][0]], pairs[i][1])]]
+                class_of[index[(mul[s][pairs[i][0]], pairs[i][1])]]
                 for i in member_sets[inv[s]][c]
             }
             assert len(values) == 1
@@ -472,8 +473,9 @@ def test_globalize_unions_once_per_pair_in_its_domain(monkeypatch):
     idempotent_rule = sum(n - 1 for n in tags)
     assert calls["union"] <= len(r.pairs) + idempotent_rule
     # what trying every arrow t with cod t = cod s would make
+    mul = sg.mul
     transport = sum(
-        x in a.domains[sg.mul[actor.inv[s]][t]]
+        x in a.domains[mul[actor.inv[s]][t]]
         for s, x in r.pairs
         for t in actor.arrows()
         if sg.cod[t] == sg.cod[s]
@@ -592,21 +594,23 @@ def test_transport_lemma_step_one_premise():
             continue
         sg, inv, domains, maps = a.actor.base, a.actor.inv, a.domains, a.maps
         into = [[t for t in sg.arrows() if sg.cod[t] == u] for u in range(sg.n_objects)]
+        mul = sg.mul
         for s in sg.arrows():
             for x, z in maps[s].items():
                 for t in into[sg.cod[s]]:
-                    if x not in domains[sg.mul[inv[s]][t]]:
+                    if x not in domains[mul[inv[s]][t]]:
                         continue
                     instances += 1
                     assert z in domains[t]
-                    assert maps[inv[t]][z] == maps[sg.mul[inv[t]][s]][x]
+                    assert maps[inv[t]][z] == maps[mul[inv[t]][s]][x]
     # 25,091 instances when this test was written
     assert instances > 20000
     # the inclusion D_{st} <= D_s, which the step must not rely on, fails
     a = dict(corpus.action_corpus())["munn[pair2]|[0]"]
     sg = a.actor.base
+    mul = sg.mul
     assert any(
-        not a.domains[sg.mul[s][t]] <= a.domains[s]
+        not a.domains[mul[s][t]] <= a.domains[s]
         for s in sg.arrows() for t in sg.arrows() if sg.composable(s, t)
     )
 

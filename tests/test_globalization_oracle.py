@@ -23,9 +23,10 @@ def naive_pair_partition(a):
     actor = a.actor
     sg = actor.base
     inv = actor.inv
+    mul = sg.mul
     pairs = []
     for s in actor.arrows():
-        e = sg.mul[inv[s]][s]
+        e = mul[inv[s]][s]
         for x in sorted(a.domains[e]):
             pairs.append((s, x))
     index = {p: i for i, p in enumerate(pairs)}
@@ -35,8 +36,8 @@ def naive_pair_partition(a):
         for j, (t, y) in enumerate(pairs):
             # transport rule
             if sg.cod[t] == sg.cod[s]:
-                middle = sg.mul[inv[s]][t]
-                if x in a.domains[middle] and a.maps[sg.mul[inv[t]][s]][x] == y:
+                middle = mul[inv[s]][t]
+                if x in a.domains[middle] and a.maps[mul[inv[t]][s]][x] == y:
                     rel.add((i, j))
             # shared-point idempotent rule
             if s in actor.idempotents and t in actor.idempotents and x == y:

@@ -9,6 +9,7 @@ import pytest
 from semigroupoids import corpus
 from semigroupoids.congruences import sigma
 from semigroupoids.core import (
+    NOT_COMPOSABLE,
     identity_morphism,
     validate_morphism,
     validate_semigroupoid,
@@ -31,12 +32,13 @@ def test_chain2_inverse_is_identity():
 
 def test_pair_groupoid_inverse():
     pg = corpus.pair_groupoid(2)
+    mul = pg.base.mul
     # arrows indexed (b, a): g00, g10, g01, g11; inverse flips direction
     for s in pg.arrows():
         t = pg.inv[s]
         assert pg.base.dom[t] == pg.base.cod[s]
         assert pg.base.cod[t] == pg.base.dom[s]
-        assert pg.base.mul[pg.base.mul[s][t]][s] == s
+        assert mul[mul[s][t]][s] == s
 
 
 def test_left_zero_has_no_unique_inverse():
@@ -67,10 +69,11 @@ def test_groupoid_order_is_equality():
 def test_b2_order_bruteforce():
     b2 = corpus.brandt_b2()
     sg = b2.base
+    mul = sg.mul
     # oracle: s <= t iff s = t (s* s), straight from the table
     for s in b2.arrows():
         for t in b2.arrows():
-            expected = sg.parallel(s, t) and sg.mul[t][sg.mul[b2.inv[s]][s]] == s
+            expected = sg.parallel(s, t) and mul[t][mul[b2.inv[s]][s]] == s
             assert b2.leq(s, t) == expected
     zero = 0
     for t in b2.arrows():
@@ -109,6 +112,7 @@ def test_swap_fails_order_preservation():
 
 def _scan_partial_morphism(f, src, dst):
     """Oracle: check_partial_morphism as a scan of every arrow pair."""
+    src_mul, dst_mul = src.base.mul, dst.base.mul
     for s in src.arrows():
         if dst.inv[f[s]] != f[src.inv[s]]:
             return Violation("InverseNotPreserved", (s,))
@@ -118,8 +122,8 @@ def _scan_partial_morphism(f, src, dst):
                 continue
             if not dst.composable(f[s], f[t]):
                 return Violation("SubmultiplicativityFailure", (s, t))
-            lhs = dst.base.mul[f[s]][f[t]]
-            if not dst.leq(lhs, f[src.base.mul[s][t]]):
+            lhs = dst_mul[f[s]][f[t]]
+            if not dst.leq(lhs, f[src_mul[s][t]]):
                 return Violation("SubmultiplicativityFailure", (s, t))
     for s in src.arrows():
         for t in src.arrows():
@@ -213,37 +217,40 @@ def test_involution_laws(structures, small_structures):
     pool = [s for _n, s in structures] + small_structures
     for s in pool:
         sg = s.base
+        mul = sg.mul
         idems = set(s.idempotents)
         for a in s.arrows():
             assert s.inv[s.inv[a]] == a
-            assert sg.mul[a][s.inv[a]] in idems
-            assert sg.mul[s.inv[a]][a] in idems
+            assert mul[a][s.inv[a]] in idems
+            assert mul[s.inv[a]][a] in idems
         for e in idems:
             assert s.inv[e] == e
         for a in s.arrows():
             for b in s.arrows():
                 if sg.composable(a, b):
                     assert sg.composable(s.inv[b], s.inv[a])
-                    assert s.inv[sg.mul[a][b]] == sg.mul[s.inv[b]][s.inv[a]]
+                    assert s.inv[mul[a][b]] == mul[s.inv[b]][s.inv[a]]
 
 
 def test_conjugated_idempotents(structures):
     for _name, s in structures:
         sg = s.base
+        mul = sg.mul
         idems = set(s.idempotents)
         for a in s.arrows():
             for e in idems:
                 if not sg.composable(e, a):
                     continue
-                conj = sg.mul[sg.mul[s.inv[a]][e]][a]
+                conj = mul[mul[s.inv[a]][e]][a]
                 assert conj in idems
-                assert s.leq(conj, sg.mul[s.inv[a]][a])
+                assert s.leq(conj, mul[s.inv[a]][a])
 
 
 def test_order_compatibility(structures, small_structures):
     pool = [s for _n, s in structures if s.n_arrows <= 8] + small_structures
     for s in pool:
         sg = s.base
+        mul = sg.mul
         for s1 in s.arrows():
             for t1 in s.arrows():
                 if not s.leq(s1, t1):
@@ -255,18 +262,19 @@ def test_order_compatibility(structures, small_structures):
                     for t2 in s.arrows():
                         if s.leq(s2, t2):
                             assert sg.composable(t1, t2)
-                            assert s.leq(sg.mul[s1][s2], sg.mul[t1][t2])
+                            assert s.leq(mul[s1][s2], mul[t1][t2])
 
 
 def test_idempotents_commute(structures, small_structures):
     pool = [s for _n, s in structures] + small_structures
     for s in pool:
         sg = s.base
+        mul = sg.mul
         for e in s.idempotents:
             for f in s.idempotents:
                 if sg.composable(e, f):
                     assert sg.composable(f, e)
-                    assert sg.mul[e][f] == sg.mul[f][e]
+                    assert mul[e][f] == mul[f][e]
 
 
 def any_loop_order_votes(sg, inv, idems):
@@ -278,16 +286,19 @@ def any_loop_order_votes(sg, inv, idems):
     for e in idems:
         by_object.setdefault(sg.dom[e], []).append(e)
     n = sg.n_arrows
+    # an undefined product is None, so a vote that reads one is False
+    mul = [[None if r == NOT_COMPOSABLE else r for r in row] for row in sg.mul]
     matrix = [[False] * n for _ in range(n)]
     for s in range(n):
         for t in range(n):
             if not sg.parallel(s, t):
                 continue
+            e_dom, e_cod = mul[inv[s]][s], mul[s][inv[s]]  # s* s and s s*
             votes = {
-                any(sg.mul[t][e] == s for e in by_object.get(sg.dom[t], ())),
-                sg.mul[t][sg.mul[inv[s]][s]] == s,
-                any(sg.mul[f][t] == s for f in by_object.get(sg.cod[t], ())),
-                sg.mul[sg.mul[s][inv[s]]][t] == s,
+                any(mul[t][e] == s for e in by_object.get(sg.dom[t], ())),
+                e_dom is not None and mul[t][e_dom] == s,
+                any(mul[f][t] == s for f in by_object.get(sg.cod[t], ())),
+                e_cod is not None and mul[e_cod][t] == s,
             }
             if len(votes) != 1:
                 return (s, t)

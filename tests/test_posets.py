@@ -332,12 +332,13 @@ def pairwise_semilatticeoid(inv_sg):
     """``validate_semilatticeoid`` by a scan of all arrow pairs, each meet
     read from the matrix view: None, or the first failure as (code, witness)."""
     base, leq = inv_sg.base, inv_sg.order.leq
+    mul = base.mul
     for s in base.arrows():
         if s not in inv_sg.idempotents:
             return ("NonIdempotentArrow", (s,))
     for x in base.arrows():
         for y in base.arrows():
-            if base.composable(x, y) and matrix_glb(leq, x, y) != base.mul[x][y]:
+            if base.composable(x, y) and matrix_glb(leq, x, y) != mul[x][y]:
                 return ("ProductNotMeet", (x, y))
     return None
 

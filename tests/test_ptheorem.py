@@ -75,8 +75,9 @@ def test_munn_groupoid_singletons():
     pg = corpus.pair_groupoid(2)
     theta = munn_action(pg)
     pos = {e: i for i, e in enumerate(pg.idempotents)}
+    mul = pg.base.mul
     for s in pg.arrows():
-        top = pg.base.mul[s][pg.inv[s]]
+        top = mul[s][pg.inv[s]]
         assert theta.domains[s] == frozenset({pos[top]})
 
 
@@ -87,13 +88,14 @@ def test_munn_b2_action_of_a():
     pos = {e: i for i, e in enumerate(idems)}
     a = 1
     sg = b2.base
+    mul = sg.mul
     # oracle: evaluate s e s* through the table for every e below a a*
     for i in theta.domains[b2.inv[a]]:
         e = idems[i]
-        expected = sg.mul[sg.mul[a][e]][b2.inv[a]]
+        expected = mul[mul[a][e]][b2.inv[a]]
         assert theta.maps[a][i] == pos[expected]
-    asa = pos[sg.mul[b2.inv[a]][a]]
-    aas = pos[sg.mul[a][b2.inv[a]]]
+    asa = pos[mul[b2.inv[a]][a]]
+    aas = pos[mul[a][b2.inv[a]]]
     zero = pos[0]
     assert theta.maps[a] == {asa: aas, zero: zero}
 
@@ -102,8 +104,9 @@ def test_munn_is_tight(structures):
     for name, s in structures:
         theta = munn_action(s)
         sg = s.base
+        mul = sg.mul
         for a in s.arrows():
-            e = sg.mul[a][s.inv[a]]
+            e = mul[a][s.inv[a]]
             assert theta.domains[a] == theta.domains[e], name
 
 
