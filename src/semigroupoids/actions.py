@@ -385,10 +385,12 @@ def orbit(a: PartialActionData, subset: Iterable[int]) -> frozenset[int]:
 def restrict_global(a: PartialActionData, subset: Iterable[int]) -> PartialActionData:
     """Restrict a global ordered action to an order ideal of the carrier.
 
-    The restricted domains are Y_s = Y & theta_s(Y & X_{s*}); the result
-    is revalidated as an ordered partial action and any violation is
-    re-raised (an empty ideal under a nonempty carrier is rejected by the
-    carrier-coverage clause).
+    The restricted map of s keeps the pairs x -> theta_s(x) with both
+    ends in the ideal Y; on a valid action theta_{s*} inverts theta_s, so
+    its keys are Y & theta_{s*}(Y & X_s).  The result is revalidated as
+    an ordered partial action and any violation is re-raised (an empty
+    ideal under a nonempty carrier is rejected by the carrier-coverage
+    clause).
     """
     if a.order is None or not a.global_flag:
         raise ValidationError("NotGlobalOrdered", ())
@@ -396,29 +398,14 @@ def restrict_global(a: PartialActionData, subset: Iterable[int]) -> PartialActio
     if not is_order_ideal(a.order, ideal):
         raise ValidationError("NotAnIdeal", tuple(ideal))
 
-    position = {x: i for i, x in enumerate(ideal)}
-    inside = set(ideal)
-    actor = a.actor
-    new_domains = []
-    for s in actor.arrows():
-        theta = a.maps[s]
-        image = {theta[x] for x in theta if x in inside}
-        new_domains.append(frozenset(position[y] for y in (image & inside)))
-    new_maps = []
-    for s in actor.arrows():
-        theta = a.maps[s]
-        src = new_domains[actor.inv[s]]
-        m = {}
-        for xi in src:
-            y = theta[ideal[xi]]
-            if y not in position:
-                # a genuinely global action keeps the ideal stable here
-                raise ValidationError("NotGlobalOrdered", (s, ideal[xi]))
-            m[xi] = position[y]
-        new_maps.append(m)
+    pos = {x: i for i, x in enumerate(ideal)}
+    new_maps = [
+        {pos[x]: pos[y] for x, y in theta.items() if x in pos and y in pos}
+        for theta in a.maps
+    ]
 
     restricted = make_action(
-        actor,
+        a.actor,
         tuple(a.carrier_names[x] for x in ideal),
         new_maps,
         order=a.order.restrict(ideal),

@@ -189,24 +189,14 @@ def cmd_globalize(args) -> int:
             ]
             for c, members in enumerate(result.classes)
         },
-        "domains": {
-            sg.arrow_names[s]: sorted(env.carrier_names[c] for c in env.domains[s])
-            for s in action.actor.arrows()
-        },
-        "maps": {
-            sg.arrow_names[s]: [
-                [env.carrier_names[c], env.carrier_names[d]]
-                for c, d in sorted(env.maps[s].items())
-            ]
-            for s in action.actor.arrows()
-        },
+        **io.action_maps_doc(env),
         "embedding": {
             action.carrier_names[x]: env.carrier_names[result.embed[x]]
             for x in range(action.carrier_size)
         },
         "order_hasse": [
             [env.carrier_names[x], env.carrier_names[y]]
-            for x, y in (result.order.hasse_edges() if result.order else [])
+            for x, y in (env.order.hasse_edges() if env.order else [])
         ],
     }
     _emit_doc(doc, args)
@@ -422,6 +412,17 @@ def _count(text: str) -> int:
     return value
 
 
+def _arrow_cap(text: str) -> int:
+    """A ``--max-arrows`` argument: a count up to ``corpus.HARD_CAP``,
+    the largest size ``enumerate`` accepts; anything else exits 2."""
+    value = _count(text)
+    if value > corpus.HARD_CAP:
+        raise argparse.ArgumentTypeError(
+            f"must be at most {corpus.HARD_CAP}, got {value}"
+        )
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="semigroupoids",
@@ -432,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--format", choices=("json", "dot"), default="json", help="output format"
     )
-    parser.add_argument("--max-arrows", type=_count, default=3)
+    parser.add_argument("--max-arrows", type=_arrow_cap, default=3)
     parser.add_argument("--max-objects", type=_count, default=None)
     parser.add_argument(
         "--seed", type=int, default=None, help="randomized action generation"

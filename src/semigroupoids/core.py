@@ -82,7 +82,7 @@ class FiniteSemigroupoid:
 def validate_semigroupoid(
     dom: Sequence[int],
     cod: Sequence[int],
-    triples: Iterable[tuple[int, int, int]],
+    triples: Iterable[Sequence[int]],
     *,
     n_objects: int | None = None,
     arrow_names: Sequence[str] | None = None,
@@ -90,7 +90,8 @@ def validate_semigroupoid(
 ) -> FiniteSemigroupoid:
     """Validate raw multiplication data and build a semigroupoid.
 
-    ``triples`` lists the partial product as (s, t, s*t) arrow triples.
+    ``triples`` lists the partial product as (s, t, s*t) arrow triples,
+    tuples or lists.
     Raises :class:`ValidationError` naming the first violated axiom with
     the smallest witness under index order.  Nothing is allocated per
     pair beyond the triples given until every composable pair is known

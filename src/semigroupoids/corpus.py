@@ -203,13 +203,13 @@ def gen_Jpi(pi: Sequence[int]) -> InverseSemigroupoid:
     index = {t: i for i, t in enumerate(arrows)}
     dom = [u for (_, _, u) in arrows]
     cod = [v for (v, _, _) in arrows]
+    into = arrows_by_end(cod, n_obj)
 
     triples = []
-    for i, (w, g, v1) in enumerate(arrows):
+    for i, (w, g, v) in enumerate(arrows):
         gd = dict(g)
-        for j, (v2, f, u) in enumerate(arrows):
-            if v1 != v2:
-                continue
+        for j in into[v]:
+            _v, f, u = arrows[j]
             comp = tuple(
                 sorted((x, gd[y]) for x, y in f if y in gd)
             )

@@ -72,6 +72,7 @@ def inverse_semigroupoid_to_dot(inv_sg: InverseSemigroupoid) -> str:
 def globalization_to_dot(r: GlobalizationResult) -> str:
     """The order on the enveloping carrier with the embedded copy of the
     original carrier highlighted."""
-    if r.order is None:
+    order = r.envelope.order
+    if order is None:
         raise ValueError("globalization of an unordered action has no order")
-    return poset_to_dot(r.order, highlight=set(r.embed))
+    return poset_to_dot(order, highlight=set(r.embed))

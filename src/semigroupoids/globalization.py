@@ -32,9 +32,8 @@ class GlobalizationResult:
 
     ``pairs`` lists D lexicographically; ``class_of`` maps a pair index
     to its class (a carrier point of ``envelope``); ``embed`` maps each
-    original carrier point into the class set; ``order`` is the induced
-    order (present iff the input was ordered) and coincides with the
-    order carried by ``envelope``.
+    original carrier point into the class set.  The induced order on the
+    classes is ``envelope.order``, present iff the input was ordered.
     """
 
     action: PartialActionData
@@ -43,7 +42,6 @@ class GlobalizationResult:
     classes: tuple[tuple[int, ...], ...]
     envelope: PartialActionData
     embed: tuple[int, ...]
-    order: FinitePoset | None
     # pairs[i] -> i, the index the builder made
     pair_index: dict[tuple[int, int], int] = field(compare=False, repr=False)
 
@@ -101,9 +99,10 @@ def globalize(a: PartialActionData) -> GlobalizationResult:
     domains, maps = a.domains, a.maps
 
     # into[u]: the arrows with codomain u, in increasing order; pairs
-    # lists D lexicographically
+    # lists D lexicographically, as the map of the idempotent s* s, its
+    # own inverse, is keyed by D_{s* s} in increasing order
     into = arrows_by_end(cod, sg.n_objects)
-    pairs = [(s, x) for s in actor.arrows() for x in sorted(domains[rows[inv[s]][slot[s]]])]
+    pairs = [(s, x) for s in actor.arrows() for x in maps[rows[inv[s]][slot[s]]]]
     index = {p: i for i, p in enumerate(pairs)}
 
     uf = UnionFind(len(pairs))
@@ -120,11 +119,15 @@ def globalize(a: PartialActionData) -> GlobalizationResult:
                 continue
             y = maps[rows[inv[t]][slot[s]]][x]
             uf.union(i, index[(t, y)])
-    # idempotent rule: (e, x) ~ (f, x) for idempotent tags on one point
+    # idempotent rule: (e, x) ~ (f, x) for idempotent tags on one point;
+    # x embeds as the pair of its least tag
+    embed_pairs = []
     for x in range(a.carrier_size):
         tagged = [e for e in actor.idempotents if x in domains[e]]
+        first = index[(tagged[0], x)]
         for e in tagged[1:]:
-            uf.union(index[(tagged[0], x)], index[(e, x)])
+            uf.union(first, index[(e, x)])
+        embed_pairs.append(first)
 
     rep = uf.reps()
     cls_of_root = {r: c for c, r in enumerate(sorted(set(rep)))}
@@ -167,19 +170,14 @@ def globalize(a: PartialActionData) -> GlobalizationResult:
         global_flag=True,
     )
 
-    embed = []
-    for x in range(a.carrier_size):
-        e = min(e for e in actor.idempotents if x in domains[e])
-        embed.append(class_of[index[(e, x)]])
-
+    embed = tuple(class_of[i] for i in embed_pairs)
     result = GlobalizationResult(
         action=a,
         pairs=tuple(pairs),
         class_of=class_of,
         classes=classes,
         envelope=envelope,
-        embed=tuple(embed),
-        order=order,
+        embed=embed,
         pair_index=index,
     )
 
@@ -188,7 +186,7 @@ def globalize(a: PartialActionData) -> GlobalizationResult:
         raise InternalInconsistencyError("EmbeddingNotInjective", ())
     check_built(envelope, "EnvelopeNotGlobal")
     v = check_equivariant(
-        EquivariantMap(a, envelope, tuple(embed)), ordered=a.order is not None
+        EquivariantMap(a, envelope, embed), ordered=a.order is not None
     )
     if v is not None:
         raise InternalInconsistencyError("EmbeddingNotEquivariant", (v.code, v.witness))
@@ -297,7 +295,7 @@ def check_lemma_tec(r: GlobalizationResult) -> list[Violation]:
                     )
 
     for c1 in range(n):
-        row = r.order.up[c1]
+        row = r.envelope.order.up[c1]
         for c2 in range(n):
             if (row >> c2 & 1) != (c1 in definition[c2]):
                 out.append(Violation("OrderComputationMismatch", (c1, c2)))

@@ -90,15 +90,15 @@ def _index_pairs(pairs: list, index: dict[str, int]) -> list[tuple[int, int]] | 
     return list(zip(ids[::2], ids[1::2]))
 
 
-def _triples(mul: list) -> list[tuple[int, int, int]]:
-    """The product triples of a ``mul`` array."""
+def _triples(mul: list) -> list[list[int]]:
+    """The product triples of a ``mul`` array: its parsed ``[s, t, r]``
+    lists themselves, once checked, with no copy."""
     if (
         set(map(type, mul)) <= {list}
         and set(map(len, mul)) <= {3}
         and set(map(type, chain.from_iterable(mul))) <= {int}
     ):
-        return list(map(tuple, mul))
-    triples = []
+        return mul
     for t in mul:
         if not (
             isinstance(t, list)
@@ -106,8 +106,7 @@ def _triples(mul: list) -> list[tuple[int, int, int]]:
             and all(isinstance(a, int) and not isinstance(a, bool) for a in t)
         ):
             raise ParseError(f"bad product triple {t!r}")
-        triples.append(tuple(t))
-    return triples
+    return mul
 
 
 def _order_pairs(pairs: list, index: dict[str, int]) -> list[tuple[int, int]]:
@@ -205,11 +204,10 @@ def semigroupoid_from_doc(doc: dict) -> FiniteSemigroupoid:
         dom.append(obj_index[d])
         cod.append(obj_index[c])
     _unique_names(names, "arrow")
-    triples = _triples(mul)
     return validate_semigroupoid(
         dom,
         cod,
-        triples,
+        _triples(mul),
         n_objects=len(objects),
         arrow_names=names,
         object_names=objects,
@@ -243,24 +241,29 @@ def poset_from_doc(doc: dict) -> FinitePoset:
 
 # ------------------------------------------------------------------ action
 
-def action_to_doc(a: PartialActionData) -> dict:
-    sg = a.actor.base
-    doc = {
-        "kind": "action",
-        "version": FORMAT_VERSION,
-        "actor": semigroupoid_to_doc(sg),
-        "carrier": list(a.carrier_names),
+def action_maps_doc(a: PartialActionData) -> dict:
+    """The ``domains`` and ``maps`` entries of an action's document, by
+    arrow and carrier point names."""
+    arrow_names, names = a.actor.base.arrow_names, a.carrier_names
+    return {
         "domains": {
-            sg.arrow_names[s]: sorted(a.carrier_names[x] for x in a.domains[s])
+            arrow_names[s]: sorted(names[x] for x in a.domains[s])
             for s in a.actor.arrows()
         },
         "maps": {
-            sg.arrow_names[s]: [
-                [a.carrier_names[x], a.carrier_names[y]]
-                for x, y in sorted(a.maps[s].items())
-            ]
+            arrow_names[s]: [[names[x], names[y]] for x, y in a.maps[s].items()]
             for s in a.actor.arrows()
         },
+    }
+
+
+def action_to_doc(a: PartialActionData) -> dict:
+    doc = {
+        "kind": "action",
+        "version": FORMAT_VERSION,
+        "actor": semigroupoid_to_doc(a.actor.base),
+        "carrier": list(a.carrier_names),
+        **action_maps_doc(a),
         "global": a.global_flag,
     }
     if a.order is not None:

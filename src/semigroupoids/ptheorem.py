@@ -77,10 +77,10 @@ def induced_sigma_action(
     sigma classes into an ordered partial action of the quotient groupoid.
 
     ``cert`` is the structure's E-unitarity certificate; it carries
-    sigma, whose base is the structure.  The domain at a class is the
-    union of the member domains; values are independent of the member
-    used, so any gluing conflict signals a bug and is reported as
-    GluingConflict.
+    sigma, whose base is the structure.  The map at a class is glued
+    over the union of its members' map keys; values are independent of
+    the member used, so any gluing conflict signals a bug and is
+    reported as GluingConflict.
     """
     if not cert.verdict:
         raise ValidationError("NotEUnitary", ())
@@ -92,28 +92,16 @@ def induced_sigma_action(
         raise ValidationError("NotGlobalOrdered", ())
 
     q, _proj = sig.quotient
-    classes = sig.classes()
-
-    domains = []
-    for cls in classes:
-        union: set[int] = set()
-        for t in cls:
-            union |= theta.domains[t]
-        domains.append(frozenset(union))
-
     maps = []
-    for ci, cls in enumerate(classes):
+    for cls in sig.classes():
         m: dict[int, int] = {}
-        src = domains[q.inv[ci]]
-        for x in sorted(src):
+        for x in sorted(set().union(*(theta.maps[t] for t in cls))):
             values = {theta.maps[t][x] for t in cls if x in theta.maps[t]}
             if len(values) > 1:
                 witnesses = sorted(t for t in cls if x in theta.maps[t])
                 raise InternalInconsistencyError(
                     "GluingConflict", (witnesses[0], witnesses[1], x)
                 )
-            if not values:
-                raise InternalInconsistencyError("GluingConflict", (ci, x))
             m[x] = values.pop()
         maps.append(m)
 
@@ -131,9 +119,9 @@ def induced_sigma_action(
 @dataclass(frozen=True)
 class SemidirectProduct:
     """An inverse semigroupoid of pairs (arrow, carrier point) built from
-    an ordered partial action on a semilatticeoid."""
+    an ordered partial action on a semilatticeoid; the actor is
+    ``action.actor``."""
 
-    actor: InverseSemigroupoid
     latt: Semilatticeoid
     action: PartialActionData
     product: InverseSemigroupoid
@@ -171,11 +159,8 @@ def semidirect_product(
 
     sg = actor.base
     inv = actor.inv
-    pairs = [
-        (s, x)
-        for s in actor.arrows()
-        for x in sorted(action.domains[inv[s]])
-    ]
+    # the keys of the map of s are D_{s*}, stored in increasing order
+    pairs = [(s, x) for s in actor.arrows() for x in action.maps[s]]
     index = {p: i for i, p in enumerate(pairs)}
     fiber = latt.fiber_of
 
@@ -229,7 +214,6 @@ def semidirect_product(
             raise InternalInconsistencyError("SemidirectInvolutionMismatch", (i,))
 
     return SemidirectProduct(
-        actor=actor,
         latt=latt,
         action=action,
         product=product,
@@ -241,7 +225,7 @@ def semidirect_product(
 
 def check_e_unitary_preservation(p: SemidirectProduct) -> bool:
     """True unless the actor is E-unitary and the product is not."""
-    if not is_e_unitary(p.actor).verdict:
+    if not is_e_unitary(p.action.actor).verdict:
         return True
     return bool(is_e_unitary(p.product).verdict)
 
@@ -298,7 +282,7 @@ def mcalister_from_action(
     result = globalize(action)
     triple = McAlisterTriple(
         groupoid=actor,
-        space=result.order,
+        space=result.envelope.order,
         ideal=frozenset(result.embed),
         action=result.envelope,
     )
@@ -317,12 +301,11 @@ def triple_restriction(t: McAlisterTriple) -> PartialActionData:
 
 @dataclass(frozen=True)
 class PTheoremBundle:
-    """All ingredients of the reconstruction isomorphism."""
+    """All ingredients of the reconstruction isomorphism: the structure
+    is ``munn.actor``, the induced action ``semidirect.action`` and the
+    semilatticeoid of idempotents ``semidirect.latt``."""
 
-    structure: InverseSemigroupoid
     munn: PartialActionData
-    induced: PartialActionData
-    lattice: Semilatticeoid
     semidirect: SemidirectProduct
     morphism: SemigroupoidMorphism
 
@@ -392,14 +375,7 @@ def bundle_from_certificate(
         raise InternalInconsistencyError("PhiNotInjective", ())
     if set(arrow_map) != set(range(sdp.product.n_arrows)):
         raise InternalInconsistencyError("PhiNotSurjective", ())
-    return PTheoremBundle(
-        structure=inv_sg,
-        munn=theta,
-        induced=alpha,
-        lattice=latt,
-        semidirect=sdp,
-        morphism=phi,
-    )
+    return PTheoremBundle(munn=theta, semidirect=sdp, morphism=phi)
 
 
 def ptheorem_isomorphism(inv_sg: InverseSemigroupoid) -> SemigroupoidMorphism:

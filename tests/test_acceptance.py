@@ -110,8 +110,8 @@ def test_criterion_4_globalization_contract():
         assert len(set(r.embed)) == a.carrier_size
         for x in range(a.carrier_size):
             for y in range(a.carrier_size):
-                assert a.order.leq[x][y] == r.order.leq[r.embed[x]][r.embed[y]]
-        assert is_order_ideal(r.order, set(r.embed))
+                assert a.order.leq[x][y] == r.envelope.order.leq[r.embed[x]][r.embed[y]]
+        assert is_order_ideal(r.envelope.order, set(r.embed))
         restricted = restrict_global(env, set(r.embed))
         position = {c: i for i, c in enumerate(sorted(set(r.embed)))}
         f = tuple(position[c] for c in r.embed)
@@ -166,7 +166,7 @@ def test_criterion_6_semidirect_soundness():
             continue
         bundle = ptheorem_bundle(s)  # validates the product table + inverse
         sdp = bundle.semidirect
-        actor_idems = set(sdp.actor.idempotents)
+        actor_idems = set(sdp.action.actor.idempotents)
         expected = {
             i for i, (q, _x) in enumerate(sdp.arrow_pairs) if q in actor_idems
         }

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -14,6 +15,7 @@ from semigroupoids import (
     congruences,
     corpus,
     io,
+    posets,
     ptheorem,
 )
 from semigroupoids.cli import cli
@@ -230,6 +232,16 @@ def test_negative_cap_exits_2(flag, capsys):
         cli(["enumerate", flag, "-3"])
     assert err.value.code == 2
     assert "must be non-negative" in capsys.readouterr().err
+
+
+def test_arrow_cap_above_the_enumeration_limit_exits_2(capsys):
+    # a bad argument, as verify_corpus.py treats it, not a validation failure
+    with pytest.raises(SystemExit) as err:
+        cli(["enumerate", "--max-arrows", str(corpus.HARD_CAP + 1)])
+    assert err.value.code == 2
+    out, err_text = capsys.readouterr()
+    assert out == ""
+    assert f"must be at most {corpus.HARD_CAP}, got {corpus.HARD_CAP + 1}" in err_text
 
 
 def test_export_dot_semigroupoid(files, tmp_path):
@@ -811,3 +823,45 @@ def test_validate_memory_is_bounded_by_the_file(tmp_path):
     *outcome, peak_mb = json.loads(proc.stdout)
     assert outcome == [1, "INVALID: UndefinedOnComposablePair(0, 0)\n", ""]
     assert peak_mb < 100, f"validate peaked at {peak_mb} MB"
+
+
+def test_reading_a_semigroupoid_keeps_no_copy_of_its_triples():
+    # the parsed [s, t, r] lists are the triples validate_semigroupoid
+    # sorts, so the read peaks near the 1,600-arrow table's own rows
+    # (2.2 MiB on a 2-CPU host) and not at a tuple per triple (11.1 MiB)
+    sg = corpus.gen_SA(corpus.chain_semilattice(4), 20).base
+    doc = json.loads(io.canonical_dumps(io.semigroupoid_to_doc(sg)))
+    assert len(doc["mul"]) == 128_000
+    tracemalloc.start()
+    try:
+        assert io.semigroupoid_from_doc(doc) == sg
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20, f"reading peaked at {peak / 2**20:.1f} MiB"
+
+
+def _triple_doc():
+    a = corpus.fiber_shift_action()
+    triple = ptheorem.mcalister_from_action(a, posets.semilatticeoid_from_poset(a.order))
+    return io.triple_to_doc(triple)
+
+
+@pytest.mark.parametrize(
+    "part, message",
+    [
+        ("groupoid", "action actor differs"),
+        ("space", "order differs from space"),
+    ],
+)
+def test_triple_file_whose_parts_disagree_exits_1(tmp_path, capsys, part, message):
+    doc = _triple_doc()
+    if part == "groupoid":
+        doc["groupoid"] = io.semigroupoid_to_doc(corpus.discrete_groupoid(2).base)
+    else:
+        doc["space"]["leq"] = [[x, x] for x in doc["space"]["elements"]]
+    path = tmp_path / "triple.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli(["--input", str(path), "validate"]) == 1
+    assert capsys.readouterr() == (f"INVALID: MalformedAction: {message}\n", "")

@@ -88,26 +88,28 @@ def test_empty_domain_arrow_is_processed():
 def test_embedding_is_order_embedding(actions):
     for name, a in actions:
         r = globalize(a)
+        leq = r.envelope.order.leq
         for x in range(a.carrier_size):
             for y in range(a.carrier_size):
-                assert a.order.leq[x][y] == r.order.leq[r.embed[x]][r.embed[y]], name
+                assert a.order.leq[x][y] == leq[r.embed[x]][r.embed[y]], name
 
 
 def test_embedded_copy_is_ideal(actions):
     for name, a in actions:
         r = globalize(a)
-        assert is_order_ideal(r.order, set(r.embed)), name
+        assert is_order_ideal(r.envelope.order, set(r.embed)), name
 
 
 def test_envelope_maps_are_order_isomorphisms(actions):
     for name, a in actions:
         r = globalize(a)
         env = r.envelope
+        leq = env.order.leq
         for s in a.actor.arrows():
             theta = env.maps[s]
             for c in theta:
                 for d in theta:
-                    assert r.order.leq[c][d] == r.order.leq[theta[c]][theta[d]], name
+                    assert leq[c][d] == leq[theta[c]][theta[d]], name
 
 
 def test_lemma_report_empty_on_corpus(actions):
@@ -268,7 +270,7 @@ def all_pairs_lemma_oracle(r):
                     out.append(Violation("RepresentativeCriterionFailure", (c1, c2, p, z)))
     for c1 in range(n):
         for c2 in range(n):
-            if r.order.leq[c1][c2] != _definition_leq_oracle(r, c1, c2):
+            if r.envelope.order.leq[c1][c2] != _definition_leq_oracle(r, c1, c2):
                 out.append(Violation("OrderComputationMismatch", (c1, c2)))
     return out
 
@@ -290,13 +292,14 @@ def corrupted_results(r, rng):
     swapped = list(r.classes)
     swapped[c1], swapped[c2] = swapped[c2], swapped[c1]
     yield dataclasses.replace(r, classes=tuple(swapped))
-    names = r.order.names
-    yield dataclasses.replace(r, order=FinitePoset(row_masks(zip(*r.order.leq)), names))
-    flipped = [list(row) for row in r.order.leq]
+    env = r.envelope
+    names = env.order.names
+    transposed = FinitePoset(row_masks(zip(*env.order.leq)), names)
+    yield dataclasses.replace(r, envelope=dataclasses.replace(env, order=transposed))
+    flipped = [list(row) for row in env.order.leq]
     flipped[c1][c2] = not flipped[c1][c2]
-    yield dataclasses.replace(
-        r, order=FinitePoset(row_masks(flipped), names)
-    )
+    flipped_order = FinitePoset(row_masks(flipped), names)
+    yield dataclasses.replace(r, envelope=dataclasses.replace(env, order=flipped_order))
     chain = chain_poset(r.action.carrier_size, r.action.carrier_names)
     yield dataclasses.replace(r, action=dataclasses.replace(r.action, order=chain))
 
@@ -414,7 +417,6 @@ def scan_globalize_oracle(a):
         classes=classes,
         envelope=envelope,
         embed=embed,
-        order=order,
         pair_index=index,
     )
 

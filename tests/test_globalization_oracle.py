@@ -106,7 +106,7 @@ def test_order_matches_defining_formula():
         r = globalize(a)
         for c1 in range(r.n_classes):
             for c2 in range(r.n_classes):
-                assert r.order.leq[c1][c2] == naive_class_leq(a, r, c1, c2)
+                assert r.envelope.order.leq[c1][c2] == naive_class_leq(a, r, c1, c2)
 
 
 def test_mediating_map_unique_by_exhaustion():

@@ -165,7 +165,7 @@ def test_semidirect_idempotents_are_tagged_pairs(structures, small_structures):
             continue
         bundle = ptheorem_bundle(s)
         sdp = bundle.semidirect
-        actor_idems = set(sdp.actor.idempotents)
+        actor_idems = set(sdp.action.actor.idempotents)
         expected = {
             i
             for i, (q, _x) in enumerate(sdp.arrow_pairs)
