@@ -169,13 +169,14 @@ def cmd_analyze(args) -> int:
 
 def cmd_globalize(args) -> int:
     action = _as_action(_load(args), args.seed)
+    if args.format == "dot":
+        _carrier_order(action)
     try:
         result = globalize(action)
     except ValidationError as exc:
         print(f"INVALID action: {exc}")
         return 1
     if args.format == "dot":
-        _carrier_order(action)
         _write_output(dot.globalization_to_dot(result), args.output)
         return 0
     env = result.envelope
@@ -332,7 +333,7 @@ def cross_checks(obj) -> list[tuple[str, bool, str]]:
         note(
             "e-unitary-matches-idempotent-pure",
             lambda: _assert(
-                certificate().verdict == is_idempotent_pure(certificate().sigma)
+                certificate().verdict == is_idempotent_pure(by_equations())
             ),
         )
         note("munn-validators", theta)

@@ -300,24 +300,40 @@ def universal_groupoid_property(
     """Factor a morphism into a groupoid through the sigma quotient.
 
     Returns the unique mediating morphism; uniqueness amounts to phi
-    being constant on sigma classes, which is checked exhaustively.
+    being constant on sigma classes, which is checked exhaustively.  The
+    mediating map sends the i-th class to the one image of its members,
+    and the projection sends each arrow to the index of its class in
+    that same order, so it factors phi by construction.
     """
     if not is_groupoid(target):
         raise ValidationError("TargetNotGroupoid", ())
     cong = sigma(inv_sg)
-    q, proj = cong.quotient
-    classes = cong.classes()
+    q, _proj = cong.quotient
     mediating = []
-    for cls in classes:
+    for cls in cong.classes():
         images = {phi.arrow_map[s] for s in cls}
         if len(images) != 1:
             raise InternalInconsistencyError("NotConstantOnClasses", tuple(cls))
         mediating.append(images.pop())
-    tilde = validate_morphism(q.base, target.base, mediating)
-    for s in inv_sg.arrows():
-        if tilde.arrow_map[proj.arrow_map[s]] != phi.arrow_map[s]:
-            raise InternalInconsistencyError("FactorizationFailure", (s,))
-    return tilde
+    return validate_morphism(q.base, target.base, mediating)
+
+
+def _idempotent_pure_forms(
+    cong: GraphedCongruence, classes: tuple[tuple[int, ...], ...], idems: set[int]
+) -> tuple[bool, bool]:
+    """Idempotent purity of ``cong`` by its definition (every member of
+    a class that holds an idempotent is idempotent) and through its
+    projection (only idempotents map to idempotents of the quotient),
+    given the caller's ``cong.classes()`` and idempotent set."""
+    by_definition = all(
+        idems.issuperset(cls) for cls in classes if not idems.isdisjoint(cls)
+    )
+    q, proj = cong.quotient
+    q_idems = set(q.idempotents)
+    by_projection = all(
+        s in idems for s, c in enumerate(proj.arrow_map) if c in q_idems
+    )
+    return by_definition, by_projection
 
 
 def is_idempotent_pure(cong: GraphedCongruence) -> bool:
@@ -325,20 +341,8 @@ def is_idempotent_pure(cong: GraphedCongruence) -> bool:
     inv_sg = cong.base
     sg = inv_sg.base
     idems = set(inv_sg.idempotents)
-    n = sg.n_arrows
     classes = cong.classes()
-
-    # every member of a class that holds an idempotent is idempotent
-    by_definition = all(
-        idems.issuperset(cls) for cls in classes if not idems.isdisjoint(cls)
-    )
-
-    q, proj = cong.quotient
-    q_idems = set(q.idempotents)
-    by_projection = all(
-        s in idems for s in range(n) if proj.arrow_map[s] in q_idems
-    )
-
+    by_definition, by_projection = _idempotent_pure_forms(cong, classes, idems)
     by_equation = all(
         sg.product(inv_sg.inv[s], t) in idems for cls in classes for s in cls for t in cls
     )
@@ -372,7 +376,12 @@ class EUnitarityCertificate:
 
 
 def is_e_unitary(inv_sg: InverseSemigroupoid) -> EUnitarityCertificate:
-    """Evaluate all five equivalent E-unitarity conditions independently."""
+    """Evaluate all five equivalent E-unitarity conditions independently.
+
+    Conditions (1) and (2) are idempotent purity of sigma by its
+    definition and through its projection, from the helper that
+    ``is_idempotent_pure`` also reads.
+    """
     sg = inv_sg.base
     inv = inv_sg.inv
     idems = set(inv_sg.idempotents)
@@ -381,15 +390,9 @@ def is_e_unitary(inv_sg: InverseSemigroupoid) -> EUnitarityCertificate:
     sig = sigma(inv_sg)
     classes = sig.classes()
 
-    # (1) sigma relates no non-idempotent to an idempotent
-    cond1 = all(
-        s in idems for cls in classes if any(e in idems for e in cls) for s in cls
-    )
-
-    # (2) the projection onto the quotient groupoid is idempotent pure
-    q, proj = sig.quotient
-    q_idems = set(q.idempotents)
-    cond2 = all(s in idems for s in range(n) if proj.arrow_map[s] in q_idems)
+    # (1) sigma relates no non-idempotent to an idempotent, and (2) the
+    # projection onto the quotient groupoid is idempotent pure
+    cond1, cond2 = _idempotent_pure_forms(sig, classes, idems)
 
     # (3) sigma-related pairs have idempotent s* t and s t*
     rows, slot = sg.rows, sg.slot

@@ -23,18 +23,24 @@ from .ptheorem import munn_action
 
 # ---------------------------------------------------------------- fixtures
 
-def trivial_monoid() -> InverseSemigroupoid:
-    sg = validate_semigroupoid([0], [0], [(0, 0, 0)], arrow_names=("e",))
+def _one_object(names: Sequence[str], product) -> InverseSemigroupoid:
+    """The inverse semigroupoid on one object whose arrows are ``names``
+    and whose product of arrows i and j is ``product(i, j)``."""
+    n = len(names)
+    triples = [(i, j, product(i, j)) for i in range(n) for j in range(n)]
+    sg = validate_semigroupoid([0] * n, [0] * n, triples, arrow_names=names)
     return promote_to_inverse(sg)
+
+
+def trivial_monoid() -> InverseSemigroupoid:
+    return _one_object(("e",), lambda i, j: 0)
 
 
 def chain_semilattice(n: int, names: Sequence[str] | None = None) -> InverseSemigroupoid:
     """One object; idempotents e0 > e1 > ... with product = lower one."""
     if names is None:
         names = tuple(f"e{i}" for i in range(n))
-    triples = [(i, j, max(i, j)) for i in range(n) for j in range(n)]
-    sg = validate_semigroupoid([0] * n, [0] * n, triples, arrow_names=names)
-    return promote_to_inverse(sg)
+    return _one_object(names, max)
 
 
 def chain2() -> InverseSemigroupoid:
@@ -44,22 +50,11 @@ def chain2() -> InverseSemigroupoid:
 
 def vee_semilattice() -> InverseSemigroupoid:
     """Two incomparable idempotents over a common bottom."""
-    def meet(i, j):
-        return i if i == j else 2
-
-    triples = [(i, j, meet(i, j)) for i in range(3) for j in range(3)]
-    sg = validate_semigroupoid(
-        [0] * 3, [0] * 3, triples, arrow_names=("a", "b", "0")
-    )
-    return promote_to_inverse(sg)
+    return _one_object(("a", "b", "0"), lambda i, j: i if i == j else 2)
 
 
 def cyclic_group(n: int) -> InverseSemigroupoid:
-    triples = [(i, j, (i + j) % n) for i in range(n) for j in range(n)]
-    sg = validate_semigroupoid(
-        [0] * n, [0] * n, triples, arrow_names=tuple(f"g{i}" for i in range(n))
-    )
-    return promote_to_inverse(sg)
+    return _one_object(tuple(f"g{i}" for i in range(n)), lambda i, j: (i + j) % n)
 
 
 def pair_groupoid(m: int) -> InverseSemigroupoid:
@@ -102,28 +97,20 @@ def brandt_b2() -> InverseSemigroupoid:
         (asa, astar): astar,
         (asa, asa): asa,
     }
-    triples = []
-    for i in range(5):
-        for j in range(5):
-            triples.append((i, j, table.get((i, j), zero)))
-    sg = validate_semigroupoid([0] * 5, [0] * 5, triples, arrow_names=names)
-    return promote_to_inverse(sg)
+    return _one_object(names, lambda i, j: table.get((i, j), zero))
 
 
 def c2_with_zero() -> InverseSemigroupoid:
     """The two-element group with an absorbing zero adjoined; the zero
     sits below the non-idempotent, so the result is not E-unitary."""
-    names = ("1", "g", "0")
     one, g, zero = range(3)
-    triples = []
-    for i in range(3):
-        for j in range(3):
-            if zero in (i, j):
-                triples.append((i, j, zero))
-            else:
-                triples.append((i, j, one if i == j else g))
-    sg = validate_semigroupoid([0] * 3, [0] * 3, triples, arrow_names=names)
-    return promote_to_inverse(sg)
+
+    def product(i, j):
+        if zero in (i, j):
+            return zero
+        return one if i == j else g
+
+    return _one_object(("1", "g", "0"), product)
 
 
 def two_fiber_semilatticeoid() -> InverseSemigroupoid:

@@ -126,7 +126,6 @@ class SemidirectProduct:
     action: PartialActionData
     product: InverseSemigroupoid
     arrow_pairs: tuple[tuple[int, int], ...]
-    object_pairs: tuple[tuple[int, int], ...]
     # arrow_pairs[i] -> i, the index the builder made
     pair_index: dict[tuple[int, int], int] = field(compare=False, repr=False)
 
@@ -218,7 +217,6 @@ def semidirect_product(
         action=action,
         product=product,
         arrow_pairs=tuple(pairs),
-        object_pairs=tuple(objects),
         pair_index=index,
     )
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -49,10 +50,10 @@ def test_validate_malformed_json_exits_2(files, capsys):
 
 
 def test_validate_invalid_table_exits_1(files, capsys):
-    doc = json.load(open(files["chain2"]))
+    doc = json.loads(Path(files["chain2"]).read_text())
     doc["mul"] = doc["mul"][1:]
     bad = files["dir"] + "/invalid.json"
-    json.dump(doc, open(bad, "w"))
+    Path(bad).write_text(json.dumps(doc))
     assert cli(["--input", bad, "validate"]) == 1
     out = capsys.readouterr().out
     assert "UndefinedOnComposablePair" in out
@@ -62,10 +63,10 @@ def test_validate_invalid_table_exits_1(files, capsys):
     "row", [[0, 0, "z"], [0.5, 0, 0], [1, 1, True], [0, 0, 0, 0], [0, 0]]
 )
 def test_validate_malformed_product_triple_exits_2(files, capsys, row):
-    doc = json.load(open(files["chain2"]))
+    doc = json.loads(Path(files["chain2"]).read_text())
     doc["mul"][-1] = row
     bad = files["dir"] + "/triple.json"
-    json.dump(doc, open(bad, "w"))
+    Path(bad).write_text(json.dumps(doc))
     assert cli(["--input", bad, "validate"]) == 2
     assert "bad product triple" in capsys.readouterr().err
 
@@ -77,7 +78,7 @@ def test_missing_file_exits_2(files):
 def test_analyze_b2(files, tmp_path):
     out = tmp_path / "report.json"
     assert cli(["--input", files["b2"], "analyze", "--output", str(out)]) == 0
-    doc = json.load(open(out))
+    doc = json.loads(out.read_text())
     assert doc["e_unitary"]["verdict"] is False
     assert doc["e_unitary"]["witness"] == ["0", "a"]
     assert doc["is_groupoid"] is False
@@ -87,7 +88,7 @@ def test_analyze_b2(files, tmp_path):
 def test_ptheorem_chain2(files, tmp_path):
     out = tmp_path / "pt.json"
     assert cli(["--input", files["chain2"], "ptheorem", "--output", str(out)]) == 0
-    doc = json.load(open(out))
+    doc = json.loads(out.read_text())
     assert len(doc["isomorphism"]) == 2
 
 
@@ -176,7 +177,7 @@ def test_munn_then_globalize(files, tmp_path):
     assert cli(["--input", files["b2"], "munn", "--output", str(munn)]) == 0
     glob_out = tmp_path / "glob.json"
     assert cli(["--input", str(munn), "globalize", "--output", str(glob_out)]) == 0
-    doc = json.load(open(glob_out))
+    doc = json.loads(glob_out.read_text())
     assert set(doc) == {"classes", "domains", "maps", "embedding", "order_hasse"}
 
 
@@ -187,7 +188,7 @@ def test_globalize_dot(files, tmp_path):
     assert cli(
         ["--input", str(munn), "globalize", "--format", "dot", "--output", str(dot_out)]
     ) == 0
-    text = open(dot_out).read()
+    text = dot_out.read_text()
     assert text.startswith("digraph")
     assert "lightblue" in text
 
@@ -209,7 +210,7 @@ def test_seeded_action_commands(files, tmp_path):
 def test_enumerate_command(tmp_path):
     out = tmp_path / "enum.json"
     assert cli(["enumerate", "--max-arrows", "2", "--output", str(out)]) == 0
-    doc = json.load(open(out))
+    doc = json.loads(out.read_text())
     assert doc["count"] == 6
     assert len(doc["structures"]) == 6
 
@@ -223,7 +224,7 @@ def test_enumerate_max_objects_keeps_the_one_object_structures(tmp_path):
     one_object = [
         s for s in corpus.enumerate_inverse_semigroupoids(3) if s.n_objects == 1
     ]
-    assert json.load(open(out))["count"] == len(one_object)
+    assert json.loads(out.read_text())["count"] == len(one_object)
 
 
 @pytest.mark.parametrize("flag", ["--max-arrows", "--max-objects"])
@@ -247,7 +248,7 @@ def test_arrow_cap_above_the_enumeration_limit_exits_2(capsys):
 def test_export_dot_semigroupoid(files, tmp_path):
     out = tmp_path / "g.dot"
     assert cli(["--input", files["chain2"], "export-dot", "--output", str(out)]) == 0
-    text = open(out).read()
+    text = out.read_text()
     assert "cluster_arrows" in text and "cluster_order" in text
 
 
@@ -258,7 +259,7 @@ def test_export_dot_poset(tmp_path):
     io.save_structure(chain_poset(3), str(p))
     out = tmp_path / "p.dot"
     assert cli(["--input", str(p), "export-dot", "--output", str(out)]) == 0
-    assert "digraph hasse" in open(out).read()
+    assert "digraph hasse" in out.read_text()
 
 
 def test_semidirect_rejects_carrier_without_meets(files, tmp_path, capsys):
@@ -267,7 +268,7 @@ def test_semidirect_rejects_carrier_without_meets(files, tmp_path, capsys):
     doc = {
         "kind": "action",
         "version": 1,
-        "actor": json.load(open(files["chain2"]))
+        "actor": json.loads(Path(files["chain2"]).read_text())
         | {"arrows": [{"name": "e", "dom": "u0", "cod": "u0"}],
            "mul": [[0, 0, 0]]},
         "carrier": ["a", "b", "c", "d"],
@@ -278,7 +279,7 @@ def test_semidirect_rejects_carrier_without_meets(files, tmp_path, capsys):
         "global": True,
     }
     p = tmp_path / "nomeet.json"
-    json.dump(doc, open(p, "w"))
+    p.write_text(json.dumps(doc))
     assert cli(["--input", str(p), "validate"]) == 0
     assert cli(["--input", str(p), "semidirect"]) == 1
     assert "ProductNotMeet" in capsys.readouterr().out
@@ -385,14 +386,14 @@ def test_malformed_document_exits_2(files, tmp_path, capsys, case):
     if MALFORMED[case] is None:
         bad.write_bytes(b'{"kind": "semigroupoid", "objects": ["\xff"]}')
     else:
-        doc = MALFORMED[case](json.load(open(files["chain2"])))
+        doc = MALFORMED[case](json.loads(Path(files["chain2"]).read_text()))
         bad.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     assert cli(["--input", str(bad), "validate"]) == 2
     assert "parse error:" in capsys.readouterr().err
 
 
 def _long_integer_document(files):
-    text = json.dumps(json.load(open(files["chain2"])))
+    text = json.dumps(json.loads(Path(files["chain2"]).read_text()))
     return text.replace('"mul": [[', '"mul": [[' + "9" * 5000 + ", ", 1)
 
 
@@ -512,11 +513,11 @@ def test_missing_input_exits_2(capsys):
 def test_validate_invalid_action_exits_1(files, tmp_path, capsys):
     munn = tmp_path / "munn.json"
     cli(["--input", files["chain2"], "munn", "--output", str(munn)])
-    doc = json.load(open(munn))
+    doc = json.loads(munn.read_text())
     doc["domains"]["e"] = []  # break carrier coverage
     doc["maps"]["e"] = []
     bad = tmp_path / "bad_action.json"
-    json.dump(doc, open(bad, "w"))
+    bad.write_text(json.dumps(doc))
     assert cli(["--input", str(bad), "validate"]) == 1
     assert "INVALID action" in capsys.readouterr().out
 
@@ -524,11 +525,11 @@ def test_validate_invalid_action_exits_1(files, tmp_path, capsys):
 def test_globalize_invalid_action_exits_1(files, tmp_path, capsys):
     munn = tmp_path / "munn.json"
     cli(["--input", files["chain2"], "munn", "--output", str(munn)])
-    doc = json.load(open(munn))
+    doc = json.loads(munn.read_text())
     doc["domains"]["e"] = []
     doc["maps"]["e"] = []
     bad = tmp_path / "bad_action.json"
-    json.dump(doc, open(bad, "w"))
+    bad.write_text(json.dumps(doc))
     assert cli(["--input", str(bad), "globalize"]) == 1
 
 
@@ -537,7 +538,7 @@ def test_export_dot_action_and_triple(files, tmp_path):
     cli(["--input", files["b2"], "munn", "--output", str(munn)])
     out = tmp_path / "a.dot"
     assert cli(["--input", str(munn), "export-dot", "--output", str(out)]) == 0
-    assert "digraph hasse" in open(out).read()
+    assert "digraph hasse" in out.read_text()
 
     cli(["--input", files["pair2"], "triple", "--seed", "5",
          "--output", str(tmp_path / "t.json")])
@@ -545,7 +546,7 @@ def test_export_dot_action_and_triple(files, tmp_path):
     assert cli(
         ["--input", str(tmp_path / "t.json"), "export-dot", "--output", str(out2)]
     ) == 0
-    assert "lightblue" in open(out2).read()
+    assert "lightblue" in out2.read_text()
 
 
 def test_semigroupoid_arrow_graph_dot(files, tmp_path):
@@ -637,6 +638,31 @@ def test_verify_all_rows_take_the_batterys_certificate(files, monkeypatch):
     assert taken[1] is battery_cert and taken[2] is battery_cert
 
 
+
+def test_idempotent_pure_row_reads_the_equational_sigma(files, monkeypatch):
+    # the row compares the certificate's verdict with idempotent purity
+    # of the sigma built by the equational route, not the certificate's own
+    built, read = [], []
+    real_by_equations = cli_module.sigma_by_equations
+    real_pure = cli_module.is_idempotent_pure
+
+    def by_equations(inv_sg):
+        built.append(real_by_equations(inv_sg))
+        return built[-1]
+
+    def pure(cong):
+        read.append(cong)
+        return real_pure(cong)
+
+    monkeypatch.setattr(cli_module, "sigma_by_equations", by_equations)
+    monkeypatch.setattr(cli_module, "is_idempotent_pure", pure)
+    for name in ("chain2", "b2"):
+        built.clear()
+        read.clear()
+        assert cli(["--input", files[name], "analyze", "--verify-all"]) == 0
+        assert len(built) == 1 and len(read) == 1
+        assert read[0] is built[0]
+
 VERIFY_ALL_ROWS = [
     "idempotents-commute",
     "sigma-three-way",
@@ -666,11 +692,11 @@ def test_verify_all_rows_and_their_order(files, capsys, name, rows):
 def test_globalize_invalid_action_prints_its_violation(files, tmp_path, capsys):
     munn = tmp_path / "munn.json"
     cli(["--input", files["chain2"], "munn", "--output", str(munn)])
-    doc = json.load(open(munn))
+    doc = json.loads(munn.read_text())
     doc["domains"]["e"] = []
     doc["maps"]["e"] = []
     bad = tmp_path / "bad_action.json"
-    json.dump(doc, open(bad, "w"))
+    bad.write_text(json.dumps(doc))
     capsys.readouterr()
     assert cli(["--input", str(bad), "globalize"]) == 1
     captured = capsys.readouterr()
@@ -687,15 +713,35 @@ def test_command_needing_an_order_rejects_an_unordered_action(
 ):
     munn = tmp_path / "munn.json"
     cli(["--input", files["chain2"], "munn", "--output", str(munn)])
-    doc = json.load(open(munn))
+    doc = json.loads(munn.read_text())
     del doc["order"]
     unordered = tmp_path / "unordered.json"
-    json.dump(doc, open(unordered, "w"))
+    unordered.write_text(json.dumps(doc))
     assert cli(["--input", str(unordered), "validate"]) == 0
     capsys.readouterr()
     assert cli(["--input", str(unordered), *argv]) == 2
     assert capsys.readouterr().err == "parse error: action has no carrier order\n"
 
+
+
+def test_globalize_dot_rejects_an_unordered_action_before_globalizing(
+    files, tmp_path, capsys
+):
+    # an invalid unordered action: the missing order is reported, as by
+    # the other commands that need one, not the action's violation
+    munn = tmp_path / "munn.json"
+    cli(["--input", files["chain2"], "munn", "--output", str(munn)])
+    doc = json.loads(munn.read_text())
+    del doc["order"]
+    doc["domains"]["e"] = []
+    doc["maps"]["e"] = []
+    bad = tmp_path / "unordered_invalid.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli(["--input", str(bad), "globalize", "--format", "dot"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "parse error: action has no carrier order\n"
 
 @pytest.mark.parametrize("command", ["semidirect", "triple"])
 def test_action_commands_report_an_empty_carrier(files, tmp_path, capsys, command):
@@ -703,13 +749,13 @@ def test_action_commands_report_an_empty_carrier(files, tmp_path, capsys, comman
     # built, so the report names the carrier, as validate and globalize do
     munn = tmp_path / "munn.json"
     cli(["--input", files["chain2"], "munn", "--output", str(munn)])
-    doc = json.load(open(munn))
+    doc = json.loads(munn.read_text())
     doc["carrier"] = []
     doc["order"] = []
     doc["domains"] = {name: [] for name in doc["domains"]}
     doc["maps"] = {name: [] for name in doc["maps"]}
     empty = tmp_path / "empty.json"
-    json.dump(doc, open(empty, "w"))
+    empty.write_text(json.dumps(doc))
     capsys.readouterr()
     assert cli(["--input", str(empty), command]) == 1
     assert capsys.readouterr().out == "INVALID: EmptyCarrier\n"
@@ -760,7 +806,7 @@ def _assert_no_command_reads(owner, view, files, tmp_path, monkeypatch, capsys):
         seen = []
         for path, argv in runs:
             code = cli(["--input", path, *argv])
-            written = open(munn).read() if "--output" in argv else None
+            written = Path(munn).read_text() if "--output" in argv else None
             seen.append((code, *capsys.readouterr(), written))
         return seen
 
