@@ -72,7 +72,6 @@ from .ptheorem import (
     McAlisterTriple,
     PTheoremBundle,
     SemidirectProduct,
-    bundle_from_certificate,
     check_e_unitary_preservation,
     idempotent_semilatticeoid,
     induced_sigma_action,

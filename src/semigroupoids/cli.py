@@ -44,9 +44,9 @@ from .inverse import InverseSemigroupoid, is_groupoid, promote_to_inverse
 from .posets import FinitePoset, Semilatticeoid, semilatticeoid_from_poset
 from .ptheorem import (
     McAlisterTriple,
-    bundle_from_certificate,
     mcalister_from_action,
     munn_action,
+    ptheorem_bundle,
     semidirect_product,
     triple_restriction,
 )
@@ -239,7 +239,7 @@ def cmd_ptheorem(args) -> int:
         print("INVALID: structure is not E-unitary")
         print(io.canonical_dumps(_certificate_doc(inv_sg, cert)), end="")
         return 1
-    bundle = bundle_from_certificate(cert, munn_action(inv_sg))
+    bundle = ptheorem_bundle(inv_sg)
     sg = inv_sg.base
     product = bundle.semidirect.product.base
     doc = {
@@ -301,12 +301,12 @@ def cross_checks(obj) -> list[tuple[str, bool, str]]:
     if isinstance(obj, FiniteSemigroupoid):
         inv_sg = promote_to_inverse(obj)
         sg = inv_sg.base
-        # each derived object is computed once, on first use, and every
-        # row compares two different computations; a derivation that
-        # raises is not cached, so each row that needs it fails alone
-        certificate = cache(lambda: is_e_unitary(inv_sg))
+        # sigma, the certificate and the Munn action are derived once per
+        # structure object, and this promotion is not the command's, so
+        # every row compares two different computations; the equational
+        # sigma is computed once, on first use; a derivation that raises
+        # is not kept, so each row that needs it fails alone
         by_equations = cache(lambda: sigma_by_equations(inv_sg))
-        theta = cache(lambda: munn_action(inv_sg))
 
         def commuting_idempotents():
             for e in inv_sg.idempotents:
@@ -320,7 +320,7 @@ def cross_checks(obj) -> list[tuple[str, bool, str]]:
         note(
             "sigma-three-way",
             lambda: _assert(
-                certificate().sigma.rep
+                is_e_unitary(inv_sg).sigma.rep
                 == by_equations().rep
                 == sigma_by_lower_bounds(inv_sg).rep
             ),
@@ -329,27 +329,24 @@ def cross_checks(obj) -> list[tuple[str, bool, str]]:
             "sigma-quotient-groupoid",
             lambda: _assert(is_groupoid(quotient(inv_sg, by_equations())[0])),
         )
-        note("e-unitary-five-way", certificate)
+        note("e-unitary-five-way", lambda: is_e_unitary(inv_sg))
         note(
             "e-unitary-matches-idempotent-pure",
             lambda: _assert(
-                certificate().verdict == is_idempotent_pure(by_equations())
+                is_e_unitary(inv_sg).verdict == is_idempotent_pure(by_equations())
             ),
         )
-        note("munn-validators", theta)
+        note("munn-validators", lambda: munn_action(inv_sg))
         note(
             "munn-globalization-lemma",
-            lambda: _assert(not check_lemma_tec(globalize(theta()))),
+            lambda: _assert(not check_lemma_tec(globalize(munn_action(inv_sg)))),
         )
-        if certificate().verdict:
+        if is_e_unitary(inv_sg).verdict:
             note(
                 "parallel-congruent-transfer",
-                lambda: _assert(check_lemma_sts(certificate())),
+                lambda: _assert(check_lemma_sts(is_e_unitary(inv_sg))),
             )
-            note(
-                "ptheorem-isomorphism",
-                lambda: bundle_from_certificate(certificate(), theta()),
-            )
+            note("ptheorem-isomorphism", lambda: ptheorem_bundle(inv_sg))
     elif isinstance(obj, PartialActionData):
         ve = validate_partial_action_E(obj)
         vp = validate_partial_action_P(obj)

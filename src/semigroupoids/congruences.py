@@ -20,7 +20,12 @@ from .core import (
     validate_semigroupoid,
 )
 from .errors import InternalInconsistencyError, ValidationError
-from .inverse import InverseSemigroupoid, is_groupoid, promote_to_inverse
+from .inverse import (
+    InverseSemigroupoid,
+    is_groupoid,
+    latest_structure_memo,
+    promote_to_inverse,
+)
 
 
 @dataclass(frozen=True)
@@ -183,9 +188,12 @@ def congruence_closure(
     return cong
 
 
+@latest_structure_memo
 def sigma(inv_sg: InverseSemigroupoid) -> GraphedCongruence:
     """The minimal groupoid congruence, by least idempotents: s ~ t iff
-    s z = t z, where z is the least idempotent at dom s.
+    s z = t z, where z is the least idempotent at dom s.  A repeat call
+    on the same structure object returns the same congruence, and so
+    the same quotient.
 
     The idempotents at an object commute, so their product z lies below
     all of them.  If s e = t e for an idempotent e then
@@ -375,19 +383,27 @@ class EUnitarityCertificate:
         return self.verdict
 
 
+@latest_structure_memo
 def is_e_unitary(inv_sg: InverseSemigroupoid) -> EUnitarityCertificate:
-    """Evaluate all five equivalent E-unitarity conditions independently.
+    """Evaluate all five equivalent E-unitarity conditions independently,
+    on the structure's sigma.  A repeat call on the same structure object
+    returns the same certificate."""
+    return _certify(sigma(inv_sg))
+
+
+def _certify(sig: GraphedCongruence) -> EUnitarityCertificate:
+    """The five conditions, evaluated on ``sig`` as the sigma of its base.
 
     Conditions (1) and (2) are idempotent purity of sigma by its
     definition and through its projection, from the helper that
     ``is_idempotent_pure`` also reads.
     """
+    inv_sg = sig.base
     sg = inv_sg.base
     inv = inv_sg.inv
     idems = set(inv_sg.idempotents)
     up = inv_sg.order.up
     n = sg.n_arrows
-    sig = sigma(inv_sg)
     classes = sig.classes()
 
     # (1) sigma relates no non-idempotent to an idempotent, and (2) the

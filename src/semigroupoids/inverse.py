@@ -9,7 +9,8 @@ coincide.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from functools import wraps
+from typing import Callable, Sequence, TypeVar
 
 from .core import FiniteSemigroupoid, SemigroupoidMorphism, arrows_by_end
 from .errors import InternalInconsistencyError, ValidationError, Violation
@@ -44,6 +45,42 @@ class InverseSemigroupoid:
 
     def leq(self, s: int, t: int) -> bool:
         return self.order.le(s, t)
+
+
+_T = TypeVar("_T")
+# one slot per memoized function: its last (structure, result) or None
+_LATEST_SLOTS: list[list] = []
+
+
+def latest_structure_memo(
+    build: Callable[[InverseSemigroupoid], _T]
+) -> Callable[[InverseSemigroupoid], _T]:
+    """Keep ``build``'s result for the most recent structure object only.
+
+    A call on the object in the slot, by identity (``is``), returns the
+    stored result.  Any other object, even an equal one, is built afresh
+    and replaces the slot: an independent promotion of the same table
+    gets its own computation, and no structure outlives the next one's
+    build.  A build that raises stores nothing.  Callers share the stored
+    result and must not mutate it.
+    """
+    slot: list = [None]
+    _LATEST_SLOTS.append(slot)
+
+    @wraps(build)
+    def memoized(inv_sg: InverseSemigroupoid) -> _T:
+        held = slot[0]
+        if held is None or held[0] is not inv_sg:
+            held = slot[0] = (inv_sg, build(inv_sg))
+        return held[1]
+
+    return memoized
+
+
+def clear_latest_structure_memos() -> None:
+    """Empty the slot of every ``latest_structure_memo`` function."""
+    for slot in _LATEST_SLOTS:
+        slot[0] = None
 
 
 def _pseudoinverses(sg: FiniteSemigroupoid, s: int, homs: dict) -> list[int]:

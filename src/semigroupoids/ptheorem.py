@@ -27,6 +27,7 @@ from .inverse import (
     InverseSemigroupoid,
     is_groupoid,
     is_strong_morphism,
+    latest_structure_memo,
     promote_to_inverse,
 )
 from .posets import (
@@ -38,9 +39,11 @@ from .posets import (
 )
 
 
+@latest_structure_memo
 def munn_action(inv_sg: InverseSemigroupoid) -> PartialActionData:
     """The global ordered action of a structure on its idempotents:
-    the domain at s is the downset of s s* and s acts by e -> s e s*."""
+    the domain at s is the downset of s s* and s acts by e -> s e s*.
+    A repeat call on the same structure object returns the same action."""
     sg = inv_sg.base
     inv = inv_sg.inv
     idems = inv_sg.idempotents
@@ -334,28 +337,20 @@ def idempotent_semilatticeoid(inv_sg: InverseSemigroupoid) -> Semilatticeoid:
 def ptheorem_bundle(inv_sg: InverseSemigroupoid) -> PTheoremBundle:
     """Rebuild an E-unitary structure as the semidirect product of its
     maximal groupoid image acting on its idempotents, with the
-    isomorphism checked arrow by arrow."""
+    isomorphism checked arrow by arrow.  The certificate, sigma and the
+    Munn action are the structure's own, shared with any earlier call
+    on the same structure object."""
     cert = is_e_unitary(inv_sg)
     if not cert.verdict:
         raise ValidationError("NotEUnitary", ())
-    return bundle_from_certificate(cert, munn_action(inv_sg))
-
-
-def bundle_from_certificate(
-    cert: EUnitarityCertificate, theta: PartialActionData
-) -> PTheoremBundle:
-    """The reconstruction step of ptheorem_bundle, for a caller that
-    already holds the structure's E-unitarity certificate (verdict True)
-    and its Munn action."""
-    sig = cert.sigma
-    inv_sg = sig.base
+    theta = munn_action(inv_sg)
     alpha = induced_sigma_action(cert, theta)
     latt = idempotent_semilatticeoid(inv_sg)
     if latt.order.up != theta.order.up:
         raise InternalInconsistencyError("LatticeOrderMismatch", ())
     sdp = semidirect_product(alpha, latt)
 
-    cls_index = sig.class_index()
+    cls_index = cert.sigma.class_index()
     idems = inv_sg.idempotents
     pos = {e: i for i, e in enumerate(idems)}
     sg = inv_sg.base

@@ -558,23 +558,35 @@ def test_semigroupoid_arrow_graph_dot(files, tmp_path):
     assert "a0" in text
 
 
-def _count_calls(monkeypatch, names):
-    """Count calls to the named congruence and P-theorem functions,
-    through every reference any package module holds to them."""
-    counts = {name: 0 for name in names}
+def _record_results(monkeypatch, names):
+    """Record what each named congruence and P-theorem function returns,
+    through every reference any package module holds to it."""
+    results = {name: [] for name in names}
     for name in names:
         real = getattr(congruences, name, None) or getattr(ptheorem, name)
 
-        def counting(*args, _real=real, _name=name):
-            counts[_name] += 1
-            return _real(*args)
+        def recording(*args, _real=real, _name=name):
+            results[_name].append(_real(*args))
+            return results[_name][-1]
 
         for module in list(sys.modules.values()):
             if module.__name__.startswith("semigroupoids") and (
                 getattr(module, name, None) is real
             ):
-                monkeypatch.setattr(module, name, counting)
-    return counts
+                monkeypatch.setattr(module, name, recording)
+    return results
+
+
+def _distinct(made):
+    """The distinct objects in ``made``, by identity, in order."""
+    return list({id(x): x for x in made}.values())
+
+
+def _builds(results):
+    """How many objects each recorded function built.  A repeat call on
+    the same structure object returns the object already built, so the
+    distinct results count the builds, not the calls."""
+    return {name: len(_distinct(made)) for name, made in results.items()}
 
 
 @pytest.mark.parametrize(
@@ -594,49 +606,46 @@ def _count_calls(monkeypatch, names):
     ],
 )
 def test_verify_all_derives_each_object_once(files, monkeypatch, capsys, name, expected):
-    counts = _count_calls(monkeypatch, sorted(expected))
+    results = _record_results(monkeypatch, sorted(expected))
     cli(["--input", files[name], "analyze", "--verify-all"])
-    assert counts == expected
+    assert _builds(results) == expected
     assert "[FAIL]" not in capsys.readouterr().out
 
 
 def test_ptheorem_verify_all_derives_each_object_once(files, monkeypatch, capsys):
     # the command's certificate and Munn action, and the battery's own
     expected = {"sigma": 2, "is_e_unitary": 2, "sigma_by_equations": 1, "munn_action": 2}
-    counts = _count_calls(monkeypatch, sorted(expected))
+    results = _record_results(monkeypatch, sorted(expected))
     assert cli(["--input", files["chain2"], "ptheorem", "--verify-all"]) == 0
-    assert counts == expected
+    assert _builds(results) == expected
     assert "[FAIL]" not in capsys.readouterr().out
 
 
 def test_verify_all_rows_take_the_batterys_certificate(files, monkeypatch):
     # the command certifies its structure first and the battery its own
     # promotion second; the rows that need E-unitarity take the battery's
-    made, taken = [], []
-    real_certificate = cli_module.is_e_unitary
+    results = _record_results(monkeypatch, ["is_e_unitary"])
+    taken = []
 
-    def certifying(inv_sg):
-        made.append(real_certificate(inv_sg))
-        return made[-1]
+    def taking(module, name):
+        fn = getattr(module, name)
 
-    def taking(fn):
         def wrapper(cert, *rest):
             taken.append(cert)
             return fn(cert, *rest)
 
-        return wrapper
+        monkeypatch.setattr(module, name, wrapper)
 
-    monkeypatch.setattr(cli_module, "is_e_unitary", certifying)
-    for name in ("check_lemma_sts", "bundle_from_certificate"):
-        monkeypatch.setattr(cli_module, name, taking(getattr(cli_module, name)))
+    # the lemma row reads the certificate, and each bundle glues with it
+    taking(cli_module, "check_lemma_sts")
+    taking(ptheorem, "induced_sigma_action")
     assert cli(["--input", files["chain2"], "ptheorem", "--verify-all"]) == 0
-    command_cert, battery_cert = made
+    command_cert, battery_cert = _distinct(results["is_e_unitary"])
     assert command_cert.sigma.base is not battery_cert.sigma.base
     # the command's bundle, then the two rows
     assert len(taken) == 3
     assert taken[0] is command_cert
     assert taken[1] is battery_cert and taken[2] is battery_cert
-
 
 
 def test_idempotent_pure_row_reads_the_equational_sigma(files, monkeypatch):

@@ -678,21 +678,21 @@ def some_congruences(inv_sg, rng):
         yield congruence_closure(inv_sg, seed)
 
 
-def test_e_unitary_matches_the_pairwise_scan(structures, monkeypatch):
-    # other congruences stand in for sigma too: there the conditions can
-    # disagree, and the disagreement is the raised inconsistency
+def test_e_unitary_matches_the_pairwise_scan(structures):
+    # other congruences stand in for sigma too, handed to the body that
+    # evaluates the conditions: there the conditions can disagree, and
+    # the disagreement is the raised inconsistency
     rng = random.Random(61)
     outcomes = Counter()
     for inv_sg in class_walk_pool(structures):
         for cong in some_congruences(inv_sg, rng):
             conditions, witness = pairwise_e_unitary(inv_sg, cong)
-            monkeypatch.setattr(congruences, "sigma", lambda _inv_sg: cong)
             if len(set(conditions)) == 1:
-                cert = is_e_unitary(inv_sg)
+                cert = congruences._certify(cong)
                 assert (cert.conditions, cert.witness) == (conditions, witness)
             else:
                 with pytest.raises(InternalInconsistencyError) as err:
-                    is_e_unitary(inv_sg)
+                    congruences._certify(cong)
                 assert err.value.witness == conditions
             outcomes[conditions] += 1
     assert outcomes[(True,) * 5] and outcomes[(False,) * 5], outcomes

@@ -30,6 +30,7 @@ from semigroupoids.globalization import (
     globalize,
     universal_map,
 )
+from semigroupoids.inverse import promote_to_inverse
 from semigroupoids.posets import (
     FinitePoset,
     chain_poset,
@@ -555,10 +556,11 @@ def test_self_checks_and_public_validators_always_compute(monkeypatch):
     assert runs[id(theta)] == 6
 
     # each globalization, Munn action, restriction and glued action
-    # validates what it built, twice when built twice
+    # validates what it built, twice when built twice; a Munn action is
+    # built once per structure object, so the two are on two promotions
     results = [globalize(theta) for _ in range(2)]
     assert [runs[id(r.envelope)] for r in results] == [2, 2]
-    munns = [munn_action(c2) for _ in range(2)]
+    munns = [munn_action(promote_to_inverse(c2.base)) for _ in range(2)]
     assert [runs[id(m)] for m in munns] == [2, 2]
     restricted = [restrict_global(theta, {1}) for _ in range(2)]
     assert [runs[id(b)] for b in restricted] == [1, 1]

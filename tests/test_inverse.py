@@ -1,13 +1,15 @@
 """Pseudoinverses, the natural partial order, groupoid recognition,
 partial and strong morphisms."""
 
+import gc
+import weakref
 from collections import Counter
 from itertools import product
 
 import pytest
 
-from semigroupoids import corpus
-from semigroupoids.congruences import sigma
+from semigroupoids import congruences, corpus, ptheorem
+from semigroupoids.congruences import is_e_unitary, sigma
 from semigroupoids.core import (
     NOT_COMPOSABLE,
     identity_morphism,
@@ -22,6 +24,7 @@ from semigroupoids.inverse import (
     is_strong_morphism,
     promote_to_inverse,
 )
+from semigroupoids.ptheorem import munn_action
 
 
 def test_chain2_inverse_is_identity():
@@ -394,3 +397,60 @@ def test_pseudoinverse_witness_on_a_multi_object_table():
     with pytest.raises(ValidationError) as err:
         promote_to_inverse(sg)
     assert (err.value.code, err.value.witness) == ("NoInverse", (2,))
+
+
+def test_latest_structure_memo_keys_by_identity_and_keeps_one_structure(monkeypatch):
+    builds = Counter()
+    failures = Counter()
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            if failures[name]:
+                failures[name] -= 1
+                raise InternalInconsistencyError("Injected", ())
+            builds[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    # sigma's congruence check and the Munn action's self-check run once
+    # per build
+    counting(congruences, "validate_congruence")
+    counting(ptheorem, "check_built")
+    derived = (sigma, is_e_unitary, munn_action)
+
+    # a repeat call on one object returns what its one build made
+    s = promote_to_inverse(corpus.chain2().base)
+    first = [derive(s) for derive in derived]
+    assert all(a is b for a, b in zip((derive(s) for derive in derived), first))
+    assert first[1].sigma is first[0]
+    assert builds == {"validate_congruence": 1, "check_built": 1}
+
+    # an equal but distinct object gets a fresh build
+    t = promote_to_inverse(s.base)
+    assert t == s and t is not s
+    assert all(derive(t) is not old for derive, old in zip(derived, first))
+    assert builds == {"validate_congruence": 2, "check_built": 2}
+
+    # a build that raises stores nothing, so the next call builds again
+    u = promote_to_inverse(s.base)
+    failures.update(validate_congruence=1, check_built=1)
+    for derive in (is_e_unitary, munn_action):
+        with pytest.raises(InternalInconsistencyError):
+            derive(u)
+    assert is_e_unitary(u).sigma is sigma(u) and munn_action(u).actor is u
+    assert builds == {"validate_congruence": 3, "check_built": 3}
+
+    # deriving all three on a second structure releases the first
+    a = promote_to_inverse(corpus.brandt_b2().base)
+    for derive in derived:
+        derive(a)
+    released = weakref.ref(a)
+    b = promote_to_inverse(corpus.brandt_b2().base)
+    for derive in derived:
+        derive(b)
+    del a
+    gc.collect()
+    assert released() is None
