@@ -387,10 +387,12 @@ def restrict_global(a: PartialActionData, subset: Iterable[int]) -> PartialActio
 
     The restricted map of s keeps the pairs x -> theta_s(x) with both
     ends in the ideal Y; on a valid action theta_{s*} inverts theta_s, so
-    its keys are Y & theta_{s*}(Y & X_s).  The result is revalidated as
-    an ordered partial action and any violation is re-raised (an empty
-    ideal under a nonempty carrier is rejected by the carrier-coverage
-    clause).
+    its keys are Y & theta_{s*}(Y & X_s).  The result is revalidated by
+    ``validate_partial_action_E``, which stores its verdict for the input
+    gate ``require_valid`` of the next construction, and any violation is
+    re-raised as a ValidationError.  For a valid global input and a
+    nonempty ideal none is reachable; an empty ideal is ``EmptyCarrier``,
+    E's first clause.
     """
     if a.order is None or not a.global_flag:
         raise ValidationError("NotGlobalOrdered", ())
@@ -411,7 +413,7 @@ def restrict_global(a: PartialActionData, subset: Iterable[int]) -> PartialActio
         order=a.order.restrict(ideal),
         global_flag=False,
     )
-    violation = validate_partial_action_P(restricted)
+    violation = validate_partial_action_E(restricted)
     if violation is not None:
         raise ValidationError(violation.code, violation.witness)
     return restricted

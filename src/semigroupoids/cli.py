@@ -371,6 +371,8 @@ def _assert(cond: bool) -> None:
 
 
 def _check_contract(action: PartialActionData) -> None:
+    """The lemma and the restriction equivalence, properties of the
+    globalization of ``action``: the command's own, when it made one."""
     result = globalize(action)
     _assert(not check_lemma_tec(result))
     restricted = restrict_global(result.envelope, set(result.embed))

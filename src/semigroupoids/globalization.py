@@ -10,6 +10,7 @@ only need to be seeded since transitivity comes from the partition.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Sequence
 
 from .actions import (
@@ -23,6 +24,7 @@ from .actions import (
 )
 from .core import UnionFind, arrows_by_end
 from .errors import InternalInconsistencyError, ValidationError, Violation
+from .inverse import latest_structure_memo
 from .posets import FinitePoset, validate_poset
 
 
@@ -34,6 +36,9 @@ class GlobalizationResult:
     to its class (a carrier point of ``envelope``); ``embed`` maps each
     original carrier point into the class set.  The induced order on the
     classes is ``envelope.order``, present iff the input was ordered.
+    ``globalize`` hands one result to every caller on the same action
+    object, so its dicts (``pair_index``, the envelope's maps) must not
+    be mutated.
     """
 
     action: PartialActionData
@@ -50,15 +55,20 @@ class GlobalizationResult:
         return len(self.classes)
 
 
+@latest_structure_memo
 def globalize(a: PartialActionData) -> GlobalizationResult:
     """Construct the universal globalization of a valid partial action.
 
-    The input gate ``require_valid`` reuses a verdict already stored on
-    the action; the construction-time self-checks all run.  The
-    envelope's maps, and so its domains, come from one pass over the
-    pairs: a pair (p, x) meets only the arrows s with dom s = cod p, one
-    dict lookup each, so O(sum over objects u of m_u P_u) for m_u arrows
-    with domain u and P_u pairs (p, x) with cod p = u, at most O(n P).
+    A repeat call on the same action object returns the same result,
+    which callers must not mutate; an equal but distinct action is
+    globalized afresh.  The input gate ``require_valid`` reuses a verdict
+    already stored on the action; the construction-time self-checks all
+    run.  The envelope's maps, and so its domains, are built by the pair
+    rule for the actor's generating set G and derived along generator
+    words for every other arrow (``_maps_by_words``): O(|G| P + n C) for
+    P pairs, n arrows and C classes.  On a clash or a mismatch the pair
+    rule runs over every arrow, O(n P), and raises: the least clash, or
+    ``EnvelopeWordsMismatch`` when there is none.
 
     The transport rule makes one union for a pair (s, x) with x in the
     domain of theta_s, the one with t = s s* (then t* s = s and s* t = s*),
@@ -144,19 +154,18 @@ def globalize(a: PartialActionData) -> GlobalizationResult:
     )
 
     # the enveloping maps: theta_s sends the class of (p, x) to the class
-    # of (s p, x) whenever dom s = cod p and (s p, x) is a pair; a class
-    # sent to two classes is a clash, reported at the least (s, class)
-    out_of = arrows_by_end(sg.dom, sg.n_objects)
-    maps_env: list[dict[int, int]] = [{} for _ in actor.arrows()]
-    clashes = []
-    for i, (p, x) in enumerate(pairs):
-        c = class_of[i]
-        for s in out_of[cod[p]]:
-            j = index.get((rows[s][slot[p]], x))
-            if j is not None and maps_env[s].setdefault(c, class_of[j]) != class_of[j]:
-                clashes.append((s, c))
-    if clashes:
-        raise InternalInconsistencyError("EnvelopeMapNotWellDefined", min(clashes))
+    # of (s p, x) whenever dom s = cod p and (s p, x) is a pair
+    # pairs_at[u]: (slot of p, x, class) for the pairs (p, x) with cod p = u
+    pairs_at: list[list[tuple[int, int, int]]] = [[] for _ in range(sg.n_objects)]
+    for (p, x), c in zip(pairs, class_of):
+        pairs_at[cod[p]].append((slot[p], x, c))
+    maps_env = _maps_by_words(sg, index, class_of, pairs_at)
+    if maps_env is None:
+        # the pair rule over every arrow decides what went wrong
+        _, clashes = _pair_rule(actor.arrows(), sg, index, class_of, pairs_at)
+        if clashes:
+            raise InternalInconsistencyError("EnvelopeMapNotWellDefined", min(clashes))
+        raise InternalInconsistencyError("EnvelopeWordsMismatch", ())
 
     order = None
     if a.order is not None:
@@ -195,6 +204,94 @@ def globalize(a: PartialActionData) -> GlobalizationResult:
     return result
 
 
+def _pair_rule(arrows, sg, index, class_of, pairs_at):
+    """theta_s by the pair rule for each s in ``arrows``, keyed by s, and
+    every (s, c) at which the members of class c give two classes: a
+    pair (p, x) with cod p = dom s meets s once, one dict lookup, so this
+    costs O(|arrows| P).  ``pairs_at[u]`` lists (slot of p, x, class of
+    (p, x)) for the pairs (p, x) with cod p = u, in pair order."""
+    rows, dom = sg.rows, sg.dom
+    maps: dict[int, dict[int, int]] = {}
+    clashes = []
+    for s in arrows:
+        row, theta = rows[s], {}
+        for at_p, x, c in pairs_at[dom[s]]:
+            j = index.get((row[at_p], x))
+            if j is not None and theta.setdefault(c, class_of[j]) != class_of[j]:
+                clashes.append((s, c))
+        maps[s] = theta
+    return maps, clashes
+
+
+def _maps_by_words(sg, index, class_of, pairs_at):
+    """The envelope maps from generator words, keyed by arrow, or None on
+    a clash or a mismatch.
+
+    The generators' maps come from the pair rule over every member of
+    every class, with the clash check: O(|G| P).  Every other arrow is
+    t = x h, with h a generator and x reached before it (the words the
+    actor's generating set reaches by right multiplication), and gets
+    theta_t = theta_x theta_h, as a global action composes exactly:
+    O(n C) for C classes.  Each such map is then compared with the pair
+    rule at the first member of each class at dom t, also O(n C).
+
+    Why one member suffices, on a valid input.  (1) For t = x h and a
+    pair (p, y) with cod p = dom t, (t p)*(t p) = (h p)* x*x (h p) is
+    below (h p)*(h p), so monotone domains make (h p, y) a pair whenever
+    (t p, y) is one.  (2) By induction along the words, each map sends
+    the class of every such (p, y) to the class of (t p, y): a
+    generator's by the clash check; theta_h sends it to the class of
+    (h p, y) by (1), and theta_x sends that class, through its member
+    (h p, y), to the class of (x h p, y) = (t p, y).  (3) So t has no
+    clash and maps every class the pair rule maps; the comparison adds
+    that a class it maps has its first member at dom t in the pair
+    rule's domain.  So theta_t is the pair rule's map.
+    """
+    rows, slot, dom, cod = sg.rows, sg.slot, sg.dom, sg.cod
+    gens = sg.generators
+    maps, clashes = _pair_rule(gens, sg, index, class_of, pairs_at)
+    if clashes:
+        return None
+    # words[k] = (t, x, h) with t = x h, in the order they are reached
+    gens_into: list[list[int]] = [[] for _ in range(sg.n_objects)]
+    for g in gens:
+        gens_into[cod[g]].append(g)
+    reached, words = set(gens), []
+    for x in chain(gens, (t for t, _x, _h in words)):
+        row_x = rows[x]
+        for h in gens_into[dom[x]]:
+            t = row_x[slot[h]]
+            if t not in reached:
+                reached.add(t)
+                words.append((t, x, h))
+    if len(reached) != sg.n_arrows:
+        return None
+    if not words:
+        return maps
+    # the first member of each class at each object
+    firsts: list[dict[int, tuple[int, int]]] = [{} for _ in range(sg.n_objects)]
+    for first, at in zip(firsts, pairs_at):
+        for at_p, y, c in at:
+            first.setdefault(c, (at_p, y))
+    for t, x, h in words:
+        theta_t = _compose(maps[x], maps[h])
+        row_t = rows[t]
+        by_rule = {}
+        for c, (at_p, y) in firsts[dom[t]].items():
+            j = index.get((row_t[at_p], y))
+            if j is not None:
+                by_rule[c] = class_of[j]
+        if theta_t != by_rule:
+            return None
+        maps[t] = theta_t
+    return maps
+
+
+def _compose(theta_x: dict[int, int], theta_h: dict[int, int]) -> dict[int, int]:
+    """theta_x theta_h as a partial map: theta_h first."""
+    return {c: theta_x[d] for c, d in theta_h.items() if d in theta_x}
+
+
 def _class_order(a, pairs, index, class_of, classes, class_names) -> FinitePoset:
     """Order on classes via the canonical-representative criterion:
     c1 <= c2 iff the canonical representative (p, z) of c2 admits some
@@ -229,10 +326,13 @@ def check_lemma_tec(r: GlobalizationResult) -> list[Violation]:
     the comparison with the stored order read.
 
     For each pair (t, y) the classes of the pairs (t, y') with y' <= y
-    are collected once, the defining order once per upper class, and
-    clause (ii) pairs each pair only with the pairs ``class_of`` puts in
-    its class, so the check costs O(P k + sum over classes of
-    |class|^2 k + C P) for P pairs, C classes and k carrier points.
+    are collected once, and the defining order once per upper class.
+    Clause (ii) is decided per class of ``class_of``: it holds on a class
+    iff every step class of every member lies in the intersection of the
+    below-sets of all its members.  So the check costs O(P k + C P) for
+    P pairs, C classes and k carrier points.  Only when some class fails
+    does clause (ii) pair each pair with every pair of its class, at
+    O(sum over classes of |class|^2 k), to list the violations.
     Violations come in clause order; within clause (ii) by pair i, pair
     j, then x' in the iteration order of ``order.downset(x)``.
     """
@@ -272,13 +372,18 @@ def check_lemma_tec(r: GlobalizationResult) -> list[Violation]:
     mates: dict[int, list[int]] = {}
     for i, c in enumerate(class_of):
         mates.setdefault(c, []).append(i)
-    for i, (s, x) in enumerate(pairs):
-        for j in mates[class_of[i]]:
-            t, y = pairs[j]
-            below_j = below[j]
-            for xp, c in steps[i]:
-                if c is None or c not in below_j:
-                    out.append(Violation("DownwardTransportFailure", (s, x, t, y, xp)))
+    # clause (ii) holds on a class iff every step class of every member
+    # lies in the classes below every member; only when some class fails
+    # are the pairs of each class paired, to list the violations
+    common = {c: set.intersection(*(below[j] for j in ms)) for c, ms in mates.items()}
+    if not all(c in common[class_of[i]] for i, row in enumerate(steps) for _xp, c in row):
+        for i, (s, x) in enumerate(pairs):
+            for j in mates[class_of[i]]:
+                t, y = pairs[j]
+                below_j = below[j]
+                for xp, c in steps[i]:
+                    if c is None or c not in below_j:
+                        out.append(Violation("DownwardTransportFailure", (s, x, t, y, xp)))
 
     n = r.n_classes
     definition = [set().union(*(below[i] for i in cls)) for cls in r.classes]

@@ -47,31 +47,32 @@ class InverseSemigroupoid:
         return self.order.le(s, t)
 
 
+_S = TypeVar("_S")
 _T = TypeVar("_T")
 # one slot per memoized function: its last (structure, result) or None
 _LATEST_SLOTS: list[list] = []
 
 
-def latest_structure_memo(
-    build: Callable[[InverseSemigroupoid], _T]
-) -> Callable[[InverseSemigroupoid], _T]:
+def latest_structure_memo(build: Callable[[_S], _T]) -> Callable[[_S], _T]:
     """Keep ``build``'s result for the most recent structure object only.
 
-    A call on the object in the slot, by identity (``is``), returns the
-    stored result.  Any other object, even an equal one, is built afresh
-    and replaces the slot: an independent promotion of the same table
-    gets its own computation, and no structure outlives the next one's
-    build.  A build that raises stores nothing.  Callers share the stored
-    result and must not mutate it.
+    The argument is any structure object: an inverse semigroupoid, or an
+    action (``globalize``).  A call on the object in the slot, by
+    identity (``is``), returns the stored result.  Any other object, even
+    an equal one, is built afresh and replaces the slot: an independent
+    promotion of the same table, or a copy of an action, gets its own
+    computation, and no structure outlives the next one's build.  A build
+    that raises stores nothing.  Callers share the stored result and must
+    not mutate it.
     """
     slot: list = [None]
     _LATEST_SLOTS.append(slot)
 
     @wraps(build)
-    def memoized(inv_sg: InverseSemigroupoid) -> _T:
+    def memoized(obj: _S) -> _T:
         held = slot[0]
-        if held is None or held[0] is not inv_sg:
-            held = slot[0] = (inv_sg, build(inv_sg))
+        if held is None or held[0] is not obj:
+            held = slot[0] = (obj, build(obj))
         return held[1]
 
     return memoized

@@ -122,6 +122,31 @@ def test_globalize_validates_its_input_once(files, tmp_path, monkeypatch):
     assert sum(a is seen[0] for a in seen) == 1
 
 
+def test_globalize_seed_validates_its_restriction_once(files, monkeypatch):
+    # the restriction stores E's verdict, which globalize's input gate
+    # reads; P, which checks nothing E has not, does not run on it
+    runs = {}
+    for name in ("validate_partial_action_E", "validate_partial_action_P"):
+        real = getattr(actions, name)
+
+        def counting(a, real=real, name=name):
+            runs.setdefault(id(a), []).append(name)
+            return real(a)
+
+        monkeypatch.setattr(actions, name, counting)
+    restricted = []
+    real_restrict = cli_module.restrict_global
+
+    def recording(*args):
+        restricted.append(real_restrict(*args))
+        return restricted[-1]
+
+    monkeypatch.setattr(cli_module, "restrict_global", recording)
+    assert cli(["--input", files["b2"], "globalize", "--seed", "1"]) == 0
+    assert len(restricted) == 1
+    assert runs[id(restricted[0])] == ["validate_partial_action_E"]
+
+
 def test_action_file_with_domains_unlike_its_maps_exits_2(files, tmp_path, capsys):
     # a file lists each domain beside the maps; reading it checks the
     # listed domain of each arrow against the key set of its inverse's map

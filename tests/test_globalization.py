@@ -3,7 +3,9 @@ verification, and the mediating-map property."""
 
 import dataclasses
 import functools
+import gc
 import random
+import weakref
 from collections import Counter
 
 import pytest
@@ -30,14 +32,15 @@ from semigroupoids.globalization import (
     globalize,
     universal_map,
 )
-from semigroupoids.inverse import promote_to_inverse
+from semigroupoids.inverse import clear_latest_structure_memos, promote_to_inverse
 from semigroupoids.posets import (
     FinitePoset,
     chain_poset,
     discrete_poset,
     is_order_ideal,
+    semilatticeoid_from_poset,
 )
-from semigroupoids.ptheorem import induced_sigma_action, munn_action
+from semigroupoids.ptheorem import induced_sigma_action, mcalister_from_action, munn_action
 
 
 def row_masks(matrix):
@@ -556,9 +559,11 @@ def test_self_checks_and_public_validators_always_compute(monkeypatch):
     assert runs[id(theta)] == 6
 
     # each globalization, Munn action, restriction and glued action
-    # validates what it built, twice when built twice; a Munn action is
-    # built once per structure object, so the two are on two promotions
-    results = [globalize(theta) for _ in range(2)]
+    # validates what it built, twice when built twice; a globalization is
+    # built once per action object and a Munn action once per structure
+    # object, so each pair is on two distinct objects
+    copies = [dataclasses.replace(theta) for _ in range(2)]
+    results = [globalize(b) for b in copies]
     assert [runs[id(r.envelope)] for r in results] == [2, 2]
     munns = [munn_action(promote_to_inverse(c2.base)) for _ in range(2)]
     assert [runs[id(m)] for m in munns] == [2, 2]
@@ -638,3 +643,164 @@ def test_envelope_self_check_reports_the_least_clash(monkeypatch, actor, witness
     with pytest.raises(InternalInconsistencyError) as err:
         globalize(theta)
     assert (err.value.code, err.value.witness) == ("EnvelopeMapNotWellDefined", witness)
+
+
+def test_globalize_keeps_one_result_per_action_object(monkeypatch):
+    builds = Counter()
+    failures = Counter()
+    real_check = globalization.check_built
+
+    def counting(a, code):
+        if failures[code]:
+            failures[code] -= 1
+            raise InternalInconsistencyError("Injected", ())
+        builds[code] += 1
+        return real_check(a, code)
+
+    # the envelope's self-check runs once per build
+    monkeypatch.setattr(globalization, "check_built", counting)
+
+    # a repeat call on one action object returns what its one build made,
+    # and so does the McAlister triple built from that action
+    a = corpus.fiber_shift_action()
+    first = globalize(a)
+    assert globalize(a) is first
+    triple = mcalister_from_action(a, semilatticeoid_from_poset(a.order))
+    assert triple.action is first.envelope
+    assert builds == {"EnvelopeNotGlobal": 1}
+
+    # an equal but distinct action is built afresh
+    b = dataclasses.replace(a)
+    assert b == a and b is not a
+    second = globalize(b)
+    assert second is not first and second == first
+    assert builds == {"EnvelopeNotGlobal": 2}
+
+    # a build that raises stores nothing, so the next call builds again
+    c = dataclasses.replace(a)
+    failures["EnvelopeNotGlobal"] = 1
+    with pytest.raises(InternalInconsistencyError):
+        globalize(c)
+    assert globalize(c).action is c
+    assert builds == {"EnvelopeNotGlobal": 3}
+
+    # globalizing a second action releases the first
+    d = dataclasses.replace(a)
+    globalize(d)
+    released = weakref.ref(d)
+    globalize(dataclasses.replace(a))
+    del d
+    gc.collect()
+    assert released() is None
+
+
+def pair_scan_maps(r):
+    """The envelope maps by the pair rule at every member of every class:
+    theta_s sends the class of (p, x) to that of (s p, x), for each pair
+    (p, x) and each arrow s with dom s = cod p, with no clash."""
+    sg = r.action.actor.base
+    maps = [{} for _ in sg.arrows()]
+    for i, (p, x) in enumerate(r.pairs):
+        for s in sg.arrows():
+            if sg.dom[s] != sg.cod[p]:
+                continue
+            j = r.pair_index.get((sg.product(s, p), x))
+            if j is not None:
+                assert maps[s].setdefault(r.class_of[i], r.class_of[j]) == r.class_of[j]
+    return tuple(dict(sorted(m.items())) for m in maps)
+
+
+def _words_inputs():
+    inputs = [a for _, a in corpus.action_corpus()]
+    inputs += [a for _, a in corpus.groupoid_action_corpus()]
+    inputs += [
+        a for a in corpus.action_candidates(seed=0)
+        if validate_partial_action_E(a) is None
+    ]
+    inputs.append(munn_action(corpus.gen_Jpi([0] * 4)))
+    return inputs
+
+
+def test_envelope_maps_by_words_match_the_pair_scan():
+    derived = Counter()
+    for a in _words_inputs():
+        r = globalize(a)
+        assert r.envelope.maps == pair_scan_maps(r)
+        derived[a.actor.n_objects > 1] += a.actor.n_arrows - len(a.actor.base.generators)
+    # arrows whose maps were composed along words, not read off pairs:
+    # 452 on one object and 165 on several when this test was written
+    assert derived[False] > 400 and derived[True] > 100, derived
+
+
+def _with_generators(a, generators):
+    """``a`` over a copy of its actor that lists other generators."""
+    base = dataclasses.replace(a.actor.base, generators=generators)
+    return dataclasses.replace(a, actor=dataclasses.replace(a.actor, base=base))
+
+
+def test_a_fault_in_the_words_route_raises_only_its_own_code(monkeypatch):
+    real = globalization._compose
+    faults = {
+        "reversed": lambda x, h: real(h, x),
+        "first entry dropped": lambda x, h: dict(list(real(x, h).items())[1:]),
+        "values shifted": lambda x, h: {c: d + 1 for c, d in real(x, h).items()},
+    }
+    inputs = _words_inputs()
+    raised = Counter()
+    for name, fault in faults.items():
+        changed = []
+
+        def faulty(theta_x, theta_h, fault=fault, changed=changed):
+            got = fault(theta_x, theta_h)
+            changed.append(got != real(theta_x, theta_h))
+            return got
+
+        monkeypatch.setattr(globalization, "_compose", faulty)
+        for a in inputs:
+            clear_latest_structure_memos()
+            changed.clear()
+            try:
+                r = globalize(a)
+            except InternalInconsistencyError as err:
+                assert (err.code, err.witness) == ("EnvelopeWordsMismatch", ())
+                assert any(changed), name
+                raised[name] += 1
+            else:
+                # a fault that changed no composite changed nothing
+                assert not any(changed), name
+                assert r.envelope.maps == pair_scan_maps(r)
+    monkeypatch.setattr(globalization, "_compose", real)
+    # a generating set that misses its last pick reaches too few arrows
+    for a in inputs:
+        gens = a.actor.base.generators
+        if len(gens) > 1:
+            with pytest.raises(InternalInconsistencyError) as err:
+                globalize(_with_generators(a, gens[:-1]))
+            assert (err.value.code, err.value.witness) == ("EnvelopeWordsMismatch", ())
+            raised["generator dropped"] += 1
+    assert all(raised[name] > 20 for name in [*faults, "generator dropped"]), raised
+
+
+def test_the_words_route_reports_each_clash_as_the_pair_scan_does(monkeypatch):
+    # with the last class folded into class 0, the words route must
+    # report every clash the pair scan over every arrow finds, at the
+    # same least witness, also where it derives no arrow
+    monkeypatch.setattr(globalization, "UnionFind", _FoldLastClass)
+    words_route = globalization._maps_by_words
+
+    def outcome(a):
+        clear_latest_structure_memos()
+        with pytest.raises(InternalInconsistencyError) as err:
+            globalize(a)
+        return err.value.code, err.value.witness
+
+    clashes = Counter()
+    for a in _words_inputs():
+        monkeypatch.setattr(globalization, "_maps_by_words", lambda *args: None)
+        scanned = outcome(a)
+        monkeypatch.setattr(globalization, "_maps_by_words", words_route)
+        if scanned[0] == "EnvelopeMapNotWellDefined":
+            assert outcome(a) == scanned
+            clashes[a.actor.n_arrows == len(a.actor.base.generators)] += 1
+    # 8 with every arrow a generator and 20 with others when written
+    assert clashes[True] > 5 and clashes[False] > 15, clashes
