@@ -11,7 +11,8 @@ O(n |G| k) for n arrows and k carrier points instead of a scan over the
 composable pairs: E composes with a generator on the right, P on the
 left.  Other modules reach them through two gates: ``require_valid``
 checks an input by E's verdict, stored on the action; ``check_built``
-runs both afresh on an action a construction built.
+runs both afresh on an action a construction built, with the order
+clauses common to both once.
 """
 from __future__ import annotations
 
@@ -74,9 +75,10 @@ def make_action(
     map_rows = []
     for s in actor.arrows():
         m = dict(sorted(maps[s].items()))
-        if any(not (0 <= x < k) for x in m):
+        # the keys are sorted, so the first and the last bound them all
+        if m and not (0 <= next(iter(m)) and next(reversed(m)) < k):
             raise ValidationError("MalformedAction", (s,), "map key out of range")
-        if any(not (0 <= y < k) for y in m.values()):
+        if m and not (0 <= min(m.values()) and max(m.values()) < k):
             raise ValidationError("MalformedAction", (s,), "map value out of range")
         map_rows.append(m)
     if order is not None and order.size != k:
@@ -133,30 +135,28 @@ def _first_violation_E(a: PartialActionData) -> Violation | None:
     dom, cod, rows, inv = sg.dom, sg.cod, sg.rows, actor.inv
     maps, domains = a.maps, a.domains
 
-    # bijectivity with compatible inverses
+    # bijectivity with compatible inverses: each theta_s is injective
+    # onto D_s, so its reversal has the keys of theta_{s*} and equals it
+    # exactly when theta_{s*} sends each theta_s x back to x
     for s in arrows:
         theta = maps[s]
-        values = list(theta.values())
-        if len(set(values)) != len(values) or set(values) != domains[s]:
+        values = set(theta.values())
+        if len(values) != len(theta) or values != domains[s]:
             return Violation("NotBijective", (s,))
     for s in arrows:
         theta = maps[s]
-        back = maps[inv[s]]
-        if any(back.get(y) != x for x, y in theta.items()):
+        if dict(zip(theta.values(), theta)) != maps[inv[s]]:
             return Violation("InverseMismatch", (s,))
 
     # the carrier is the union of the ranges
-    covered = set()
-    for sub in domains:
-        covered |= sub
-    if covered != set(a.carrier()):
+    if set().union(*domains) != set(a.carrier()):
         return Violation("NotCovering", ())
 
     # composition containment on composable pairs; into[u] lists the
     # arrows with codomain u, so into[dom s] is every t composable with s
-    into = arrows_by_end(cod, sg.n_objects)
     exact = a.global_flag and _composes_on_generators(a)
     if not exact:
+        into = arrows_by_end(cod, sg.n_objects)
         for s in arrows:
             theta_s = maps[s]
             for t, st in zip(into[dom[s]], rows[s]):
@@ -167,11 +167,14 @@ def _first_violation_E(a: PartialActionData) -> Violation | None:
                     if x not in theta_st or theta_st[x] != theta_s[y]:
                         return Violation("CompositionNotContained", (s, t, x))
 
-    # domains grow along the natural order of the actor
+    # domains grow along the natural order of the actor; an arrow with
+    # nothing strictly above it has no pair to test
+    up = actor.order.up
     for s in arrows:
-        for t in actor.order.above(s):
-            if s != t and not domains[s] <= domains[t]:
-                return Violation("MonotoneDomainFailure", (s, t))
+        if up[s] & ~(1 << s):
+            for t in actor.order.above(s):
+                if s != t and not domains[s] <= domains[t]:
+                    return Violation("MonotoneDomainFailure", (s, t))
 
     if a.order is not None:
         v = _ordered_clauses(a)
@@ -192,7 +195,9 @@ def _first_violation_E(a: PartialActionData) -> Violation | None:
 
 def _composes_on_generators(a: PartialActionData) -> bool:
     """Whether theta_s theta_g = theta_{sg} as partial maps for every g
-    in the actor's generating set and every s with dom s = cod g."""
+    in the actor's generating set and every s with dom s = cod g: every
+    pair x -> theta_s theta_g x of the composite is one of theta_{sg},
+    and the two have as many pairs."""
     sg = a.actor.base
     out_of = arrows_by_end(sg.dom, sg.n_objects)
     maps = a.maps
@@ -200,8 +205,14 @@ def _composes_on_generators(a: PartialActionData) -> bool:
         theta_g, i = maps[g].items(), sg.slot[g]
         for s in out_of[sg.cod[g]]:
             theta_s = maps[s]
-            composite = {x: theta_s[y] for x, y in theta_g if y in theta_s}
-            if composite != maps[sg.rows[s][i]]:
+            theta_sg = maps[sg.rows[s][i]]
+            size = 0
+            for x, y in theta_g:
+                if y in theta_s:
+                    if x not in theta_sg or theta_sg[x] != theta_s[y]:
+                        return False
+                    size += 1
+            if size != len(theta_sg):
                 return False
     return True
 
@@ -237,6 +248,13 @@ def validate_partial_action_P(a: PartialActionData) -> Violation | None:
     clause for, fails the test and is reported by the scan.  A failing
     test runs the scan, so the first violation and its witness are the
     full scan's."""
+    return _first_violation_P(a, order_checked=False)
+
+
+def _first_violation_P(a: PartialActionData, order_checked: bool) -> Violation | None:
+    """The clauses of validate_partial_action_P, in order; with
+    ``order_checked`` the order clauses are skipped, for a caller that
+    has just seen them pass on the same maps and order."""
     actor = a.actor
     sg = actor.base
     if a.carrier_size == 0:
@@ -248,13 +266,14 @@ def validate_partial_action_P(a: PartialActionData) -> Violation | None:
     # idempotents act as the identity on their domain
     for e in actor.idempotents:
         theta = maps[e]
-        if any(theta[x] != x for x in theta):
+        if list(theta) != list(theta.values()):
             return Violation("NotIdentityOnIdempotent", (e,))
 
     # every carrier point lies in some idempotent domain
-    for x in a.carrier():
-        if not any(x in domains[e] for e in actor.idempotents):
-            return Violation("IdempotentCoverageFailure", (x,))
+    idempotent_domains = map(domains.__getitem__, actor.idempotents)
+    uncovered = set(a.carrier()).difference(*idempotent_domains)
+    if uncovered:
+        return Violation("IdempotentCoverageFailure", (min(uncovered),))
 
     # each domain is contained in the one of its range idempotent
     for s in arrows:
@@ -278,17 +297,19 @@ def validate_partial_action_P(a: PartialActionData) -> Violation | None:
                 expected = domains[inv[st]] & domains[inv[t]]
                 if preimage != expected:
                     return Violation("CompositionDomainMismatch", (s, t))
+                # each x of expected is a key of theta_st (expected lies in
+                # D_{(st)*}) and, being in preimage, sends theta_t x into
+                # source_s, the keys of theta_s; the least x that fails
+                # is the witness
                 theta_st = maps[st]
-                for x in sorted(expected):
-                    tx = theta_t[x]
-                    if (
-                        x not in theta_st
-                        or tx not in theta_s
-                        or theta_st[x] != theta_s[tx]
-                    ):
+                for x in expected:
+                    if theta_st[x] != theta_s[theta_t[x]]:
+                        x = min(
+                            x for x in expected if theta_st[x] != theta_s[theta_t[x]]
+                        )
                         return Violation("CompositionValueMismatch", (s, t, x))
 
-    if a.order is not None:
+    if a.order is not None and not order_checked:
         v = _ordered_clauses(a)
         if v is not None:
             return v
@@ -302,15 +323,23 @@ def validate_partial_action_P(a: PartialActionData) -> Violation | None:
 
 def _composes_from_the_left(a: PartialActionData) -> bool:
     """Whether theta_g theta_t = theta_{gt} as partial maps for every g
-    in the actor's generating set and every t with cod t = dom g."""
+    in the actor's generating set and every t with cod t = dom g: every
+    pair x -> theta_g theta_t x of the composite is one of theta_{gt},
+    and the two have as many pairs."""
     sg = a.actor.base
     into = arrows_by_end(sg.cod, sg.n_objects)
     maps = a.maps
     for g in sg.generators:
         theta_g = maps[g]
         for t, gt in zip(into[sg.dom[g]], sg.rows[g]):
-            composite = {x: theta_g[y] for x, y in maps[t].items() if y in theta_g}
-            if composite != maps[gt]:
+            theta_gt = maps[gt]
+            size = 0
+            for x, y in maps[t].items():
+                if y in theta_g:
+                    if x not in theta_gt or theta_gt[x] != theta_g[y]:
+                        return False
+                    size += 1
+            if size != len(theta_gt):
                 return False
     return True
 
@@ -329,13 +358,18 @@ def require_valid(a: PartialActionData) -> None:
 
 
 def check_built(a: PartialActionData, code: str) -> None:
-    """The self-check on an action a construction built: E and then P,
-    both run afresh; the first violation v raises
-    InternalInconsistencyError(code, (v.code, v.witness))."""
-    for validator in (validate_partial_action_E, validate_partial_action_P):
-        v = validator(a)
-        if v is not None:
-            raise InternalInconsistencyError(code, (v.code, v.witness))
+    """The self-check on an action a construction built: E and then P's
+    own clauses, both run afresh; the first violation v raises
+    InternalInconsistencyError(code, (v.code, v.witness)).
+
+    The order clauses are common to both axiom lists, so they run once,
+    inside E: when E passes they have passed on the same maps and order,
+    and P's run of them could only pass again."""
+    v = validate_partial_action_E(a)
+    if v is None:
+        v = _first_violation_P(a, order_checked=True)
+    if v is not None:
+        raise InternalInconsistencyError(code, (v.code, v.witness))
 
 
 def _ordered_clauses(a: PartialActionData) -> Violation | None:
@@ -354,14 +388,19 @@ def _ordered_clauses(a: PartialActionData) -> Violation | None:
     order = a.order
     assert order is not None
     up = order.up
-    ideal: dict[frozenset[int], bool] = {}
+    # the domains found to be ideals so far; plain loops, since on a few
+    # points a generator costs more than the tests it makes
+    ideals: set[frozenset[int]] = set()
     for s, sub in enumerate(a.domains):
-        verdict = ideal.get(sub)
-        if verdict is None:
-            mask = sum(1 << y for y in sub)
-            verdict = ideal[sub] = all(x in sub for x, m in enumerate(up) if m & mask)
-        if not verdict:
-            return Violation("NotIdeal", (s,))
+        if sub in ideals:
+            continue
+        mask = 0
+        for y in sub:
+            mask |= 1 << y
+        for x, m in enumerate(up):
+            if m & mask and x not in sub:
+                return Violation("NotIdeal", (s,))
+        ideals.add(sub)
     for s, theta in enumerate(a.maps):
         pairs = tuple(theta.items())
         for x, tx in pairs:
@@ -449,22 +488,26 @@ def check_equivariant(
     if len(f) != a.carrier_size:
         raise ValidationError("MalformedAction", (), "map has wrong length")
 
-    for s in a.actor.arrows():
-        if not {f[x] for x in a.domains[s]} <= b.domains[s]:
+    for s, sub in enumerate(a.domains):
+        if not b.domains[s].issuperset(map(f.__getitem__, sub)):
             return Violation("DomainNotMapped", (s,))
-    for s in a.actor.arrows():
-        theta_a = a.maps[s]
-        theta_b = b.maps[s]
-        for x, y in theta_a.items():
-            if f[x] not in theta_b or theta_b[f[x]] != f[y]:
+    # zeta_s f x = f theta_s x, one lookup per point: the keys of theta_s
+    # are D_{s*} and those of zeta_s are D'_{s*}, and the clause above
+    # has put f(D_{s*}) inside D'_{s*}, so zeta_s has every f x
+    for s, theta in enumerate(a.maps):
+        zeta = b.maps[s]
+        for x, y in theta.items():
+            if zeta[f[x]] != f[y]:
                 return Violation("CommutationFailure", (s, x))
 
     if ordered:
         if a.order is None or b.order is None:
             raise ValidationError("MalformedAction", (), "ordered check needs orders")
-        for x in a.carrier():
+        up_b = b.order.up
+        for x, fx in enumerate(f):
+            row = up_b[fx]
             for y in a.order.above(x):
-                if not b.order.le(f[x], f[y]):
+                if not row >> f[y] & 1:
                     return Violation("OrderNotPreserved", (x, y))
 
     if equivalence:

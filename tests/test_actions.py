@@ -418,20 +418,29 @@ def test_check_built_reports_the_first_violation_under_its_code():
 
 
 def test_check_built_runs_both_validators_afresh(monkeypatch):
+    # each self-check runs E and P's own clauses, and the order clauses
+    # common to both once, inside E
     runs = Counter()
-    for name in ("validate_partial_action_E", "validate_partial_action_P"):
+    for name in (
+        "validate_partial_action_E", "validate_partial_action_P",
+        "_first_violation_P", "_ordered_clauses",
+    ):
         real = getattr(actions, name)
 
-        def counting(a, real=real, name=name):
+        def counting(*args, real=real, name=name, **kwargs):
             runs[name] += 1
-            return real(a)
+            return real(*args, **kwargs)
 
         monkeypatch.setattr(actions, name, counting)
     a = munn_action(corpus.chain2())
     runs.clear()
     for _ in range(2):
         check_built(a, "BuiltActionInvalid")
-    assert runs == {"validate_partial_action_E": 2, "validate_partial_action_P": 2}
+    assert runs == {
+        "validate_partial_action_E": 2,
+        "_first_violation_P": 2,
+        "_ordered_clauses": 2,
+    }
 
 
 # ------------------------------------------- composition on generators
@@ -631,6 +640,80 @@ def test_P_on_generators_matches_the_full_scan():
     assert codes["GlobalEqualityFailure"], codes
 
 
+def test_validators_match_the_full_scans_on_candidates():
+    # random shapes, near misses and restrictions, mostly not global: the
+    # whole first violation of each validator, code and witness
+    inputs = corpus.action_candidates(seed=0) + corpus.action_candidates(seed=1)
+    inputs += [a for _name, a in corpus.action_corpus()]
+    e_codes, p_codes = Counter(), Counter()
+    for a in inputs:
+        ve, vp = validate_partial_action_E(a), validate_partial_action_P(a)
+        assert ve == full_scan_E(a), a
+        assert vp == full_scan_P(a), a
+        e_codes[ve.code if ve else None] += 1
+        p_codes[vp.code if vp else None] += 1
+    # every code but EmptyCarrier occurs
+    shared = {"NotIdeal", "NotOrderIso", "GlobalEqualityFailure", None}
+    assert set(e_codes) == shared | {
+        "NotBijective", "InverseMismatch", "NotCovering",
+        "CompositionNotContained", "MonotoneDomainFailure",
+    }, e_codes
+    assert set(p_codes) == shared | {
+        "NotIdentityOnIdempotent", "IdempotentCoverageFailure",
+        "DomainContainmentFailure", "CompositionDomainMismatch",
+        "CompositionValueMismatch",
+    }, p_codes
+
+
+def full_scan_equivariant(a, b, f, ordered, equivalence):
+    """Oracle: the clauses of check_equivariant in its order, each a scan
+    over the points or the pairs of points of the source."""
+    arrows = a.actor.arrows()
+    for s in arrows:
+        if any(f[x] not in b.domains[s] for x in a.domains[s]):
+            return Violation("DomainNotMapped", (s,))
+    for s in arrows:
+        theta, zeta = a.maps[s], b.maps[s]
+        for x in sorted(theta):
+            if f[x] not in zeta or zeta[f[x]] != f[theta[x]]:
+                return Violation("CommutationFailure", (s, x))
+    if ordered:
+        leq_a, leq_b = a.order.leq, b.order.leq
+        for x, y in itertools.product(a.carrier(), repeat=2):
+            if leq_a[x][y] and not leq_b[f[x]][f[y]]:
+                return Violation("OrderNotPreserved", (x, y))
+    if equivalence:
+        if sorted(f) != list(b.carrier()):
+            return Violation("InverseNotEquivariant", ())
+        inverse = tuple(f.index(y) for y in b.carrier())
+        back = full_scan_equivariant(b, a, inverse, ordered, False)
+        if back is not None:
+            return Violation("InverseNotEquivariant", back.witness)
+    return None
+
+
+def test_check_equivariant_matches_the_full_scan():
+    # every map from each corpus action's carrier into itself and into its
+    # envelope, with values that leave the target's domains, and -1
+    codes = Counter()
+    for _name, a in corpus.action_corpus():
+        for b in (a, globalize(a).envelope):
+            values = range(-1, b.carrier_size)
+            for f in itertools.product(values, repeat=a.carrier_size):
+                for ordered, equivalence in itertools.product((False, True), repeat=2):
+                    v = check_equivariant(
+                        EquivariantMap(a, b, f), ordered=ordered, equivalence=equivalence
+                    )
+                    assert v == full_scan_equivariant(a, b, f, ordered, equivalence), (
+                        a, b, f, ordered, equivalence,
+                    )
+                    codes[v.code if v else None] += 1
+    assert set(codes) == {
+        None, "DomainNotMapped", "CommutationFailure", "OrderNotPreserved",
+        "InverseNotEquivariant",
+    }, codes
+
+
 def _names_in(function):
     return {
         node.id if isinstance(node, ast.Name) else node.attr
@@ -648,7 +731,7 @@ def test_P_does_not_use_E_generator_test():
     }
     e_names = _names_in(functions["_first_violation_E"])
     e_names |= _names_in(functions["_composes_on_generators"])
-    p_names = _names_in(functions["validate_partial_action_P"])
+    p_names = _names_in(functions["_first_violation_P"])
     p_names |= _names_in(functions["_composes_from_the_left"])
     assert "_composes_on_generators" in e_names
     assert "_composes_from_the_left" in p_names

@@ -550,13 +550,14 @@ def test_self_checks_and_public_validators_always_compute(monkeypatch):
         monkeypatch.setattr(module, "make_action", _presetting(module.make_action))
     c2 = corpus.chain2()
 
-    # each run of a public validator computes, also on a checked action
+    # a self-check runs the order clauses once, common to E and P; each
+    # run of a public validator computes them, also on a checked action
     theta = munn_action(c2)
-    assert runs[id(theta)] == 2
+    assert runs[id(theta)] == 1
     for _ in range(2):
         assert validate_partial_action_E(theta) is None
         assert validate_partial_action_P(theta) is None
-    assert runs[id(theta)] == 6
+    assert runs[id(theta)] == 5
 
     # each globalization, Munn action, restriction and glued action
     # validates what it built, twice when built twice; a globalization is
@@ -564,15 +565,15 @@ def test_self_checks_and_public_validators_always_compute(monkeypatch):
     # object, so each pair is on two distinct objects
     copies = [dataclasses.replace(theta) for _ in range(2)]
     results = [globalize(b) for b in copies]
-    assert [runs[id(r.envelope)] for r in results] == [2, 2]
+    assert [runs[id(r.envelope)] for r in results] == [1, 1]
     munns = [munn_action(promote_to_inverse(c2.base)) for _ in range(2)]
-    assert [runs[id(m)] for m in munns] == [2, 2]
+    assert [runs[id(m)] for m in munns] == [1, 1]
     restricted = [restrict_global(theta, {1}) for _ in range(2)]
     assert [runs[id(b)] for b in restricted] == [1, 1]
     glued = [induced_sigma_action(is_e_unitary(c2), theta) for _ in range(2)]
-    assert [runs[id(g)] for g in glued] == [2, 2]
+    assert [runs[id(g)] for g in glued] == [1, 1]
     # the input checks read the verdict E stored on theta
-    assert runs[id(theta)] == 6
+    assert runs[id(theta)] == 5
 
 
 def test_replaced_action_carries_no_verdict():

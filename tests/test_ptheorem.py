@@ -275,24 +275,28 @@ def test_ptheorem_requires_e_unitary():
 
 
 def test_ptheorem_bundle_runs_each_self_check_once(structures, monkeypatch):
-    # sigma's congruence check once; each action validator once on the
-    # Munn action and once on the induced action; the verdict is decided
-    # on a separate promotion, so the bundle derives its own sigma
+    # sigma's congruence check once; E and P's own clauses once on the
+    # Munn action and once on the induced action, with the order clauses
+    # common to both once on each; the public P is not called; the
+    # verdict is decided on a separate promotion, so the bundle derives
+    # its own sigma
     calls = Counter()
 
     def counting(module, name):
         fn = getattr(module, name)
 
         @wraps(fn)
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             calls[name] += 1
-            return fn(*args)
+            return fn(*args, **kwargs)
 
         monkeypatch.setattr(module, name, wrapper)
 
     counting(congruences, "validate_congruence")
     counting(actions, "validate_partial_action_E")
     counting(actions, "validate_partial_action_P")
+    counting(actions, "_first_violation_P")
+    counting(actions, "_ordered_clauses")
     for name, s in structures:
         if not is_e_unitary(promote_to_inverse(s.base)).verdict:
             continue
@@ -301,7 +305,8 @@ def test_ptheorem_bundle_runs_each_self_check_once(structures, monkeypatch):
         assert calls == {
             "validate_congruence": 1,
             "validate_partial_action_E": 2,
-            "validate_partial_action_P": 2,
+            "_first_violation_P": 2,
+            "_ordered_clauses": 2,
         }, name
 
 

@@ -230,6 +230,20 @@ def test_malformed_action_shapes():
     with pytest.raises(ValidationError) as err:
         make_action(trivial, ("x",), [{0: 0}], order=chain_poset(2))
     assert err.value.code == "MalformedAction"
+    # a key or value one step outside 0..k-1, on the second arrow
+    c2 = corpus.chain2()
+    for bad_map, detail in (
+        ({-1: 0}, "map key out of range"),
+        ({0: 0, 2: 1}, "map key out of range"),
+        ({0: -1}, "map value out of range"),
+        ({0: 1, 1: 2}, "map value out of range"),
+    ):
+        with pytest.raises(ValidationError) as err:
+            make_action(c2, ("x", "y"), [{0: 0, 1: 1}, bad_map])
+        assert (err.value.code, err.value.witness, err.value.detail) == (
+            "MalformedAction", (1,), detail
+        )
+        assert str(err.value) == f"MalformedAction(1,): {detail}"
 
 
 def test_inverse_not_preserved():
