@@ -499,6 +499,12 @@ def check_equivariant(
         for x, y in theta.items():
             if zeta[f[x]] != f[y]:
                 return Violation("CommutationFailure", (s, x))
+    # a point no domain covers is seen by neither clause above, and the
+    # clauses below index by f's values
+    k = b.carrier_size
+    if f and (min(f) < 0 or max(f) >= k):
+        x = next(x for x, y in enumerate(f) if not 0 <= y < k)
+        raise ValidationError("MalformedAction", (x,), "map value out of range")
 
     if ordered:
         if a.order is None or b.order is None:

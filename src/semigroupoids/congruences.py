@@ -74,16 +74,17 @@ class GraphedCongruence:
         cod = [sg.cod[r] for r in reps]
         into = arrows_by_end(cod, sg.n_objects)
         rows, slot = sg.rows, sg.slot
-        triples = [
-            (a, b, index[rows[ra][slot[reps[b]]]])
-            for a, ra in enumerate(reps)
-            for b in into[dom[a]]
+        # class a times class b is the class of ra rb, row by row
+        rep_slot = [slot[r] for r in reps]
+        qrows = [
+            tuple([index[row[rep_slot[b]]] for b in into[dom[a]]])
+            for a, row in enumerate(map(rows.__getitem__, reps))
         ]
         names = tuple("[" + sg.arrow_names[r] + "]" for r in reps)
         qsg = validate_semigroupoid(
             dom,
             cod,
-            triples,
+            rows=qrows,
             n_objects=sg.n_objects,
             arrow_names=names,
             object_names=sg.object_names,

@@ -82,21 +82,27 @@ class FiniteSemigroupoid:
 def validate_semigroupoid(
     dom: Sequence[int],
     cod: Sequence[int],
-    triples: Iterable[Sequence[int]],
+    triples: Iterable[Sequence[int]] | None = None,
     *,
+    rows: Iterable[Sequence[int]] | None = None,
     n_objects: int | None = None,
     arrow_names: Sequence[str] | None = None,
     object_names: Sequence[str] | None = None,
 ) -> FiniteSemigroupoid:
     """Validate raw multiplication data and build a semigroupoid.
 
-    ``triples`` lists the partial product as (s, t, s*t) arrow triples,
-    tuples or lists.
+    Give the partial product either as ``triples``, (s, t, s*t) arrow
+    triples, tuples or lists, or as ``rows``, where ``rows[s]`` lists the
+    products s t over the arrows t with cod t = dom s in increasing t,
+    the stored form.  Both then run one row check, so they agree on
+    every table both can write.
     Raises :class:`ValidationError` naming the first violated axiom with
     the smallest witness under index order.  Nothing is allocated per
     pair beyond the triples given until every composable pair is known
     to be defined, so memory is bounded by the input.
     """
+    if (triples is None) == (rows is None):
+        raise TypeError("pass exactly one of triples and rows")
     n = len(dom)
     if len(cod) != n:
         raise ValidationError("MalformedTable", (), "dom and cod lengths differ")
@@ -110,51 +116,33 @@ def validate_semigroupoid(
         if not (0 <= dom[s] < n_objects and 0 <= cod[s] < n_objects):
             raise ValidationError("MalformedTable", (s,), "object index out of range")
 
-    # sorted, so the defined pairs come in row-major order and the
-    # repeats of a pair are adjacent
-    given = sorted(triples)
-    defined = [0] * n  # the distinct pairs (s, t) given, by s
-    last_s = last_t = last_r = -1
-    for s, t, r in given:
-        if not (0 <= s < n and 0 <= t < n and 0 <= r < n):
-            raise ValidationError("MalformedTable", (s, t, r), "arrow index out of range")
-        if dom[s] != cod[t]:
-            raise ValidationError("DefinedOnNonComposablePair", (s, t))
-        if s == last_s and t == last_t:
-            if r != last_r:
-                raise ValidationError("DuplicateProduct", (s, t))
-            continue
-        last_s, last_t, last_r = s, t, r
-        defined[s] += 1
-
-    # into[dom s] is every t composable with s, increasing, and only
-    # composable pairs were given, so the first short count names the row
-    # of the least undefined pair
+    # into[dom s] is every t composable with s, increasing
     into = arrows_by_end(cod, n_objects)
-    sizes = [len(into[u]) for u in dom]
-    if defined != sizes:
-        s = next(s for s in range(n) if defined[s] != sizes[s])
-        seen = {t for s2, t, _r in given if s2 == s}
-        t = next(t for t in into[dom[s]] if t not in seen)
-        raise ValidationError("UndefinedOnComposablePair", (s, t))
-    if len(given) != sum(sizes):  # a triple given twice
-        given = [x for i, x in enumerate(given) if i == 0 or x != given[i - 1]]
-    # one row at a time from the sorted triples, with no list of products
-    # beside them, so the peak stays at the triples and the rows
-    products = map(itemgetter(2), given)
-    rows = [tuple(islice(products, m)) for m in sizes]
-    del given, products
+    if rows is None:
+        rows = _rows_from_triples(dom, cod, triples, into)
+    else:
+        rows = tuple(map(tuple, rows))
+        if len(rows) != n:
+            raise ValidationError("MalformedTable", (), "row count differs from arrow count")
+
+    # the row check both forms share, each clause in row-major order
+    for s, row in enumerate(rows):
+        if len(row) != len(into[dom[s]]):
+            raise ValidationError("MalformedTable", (s,), "row length is not |into dom s|")
+    for s, row in enumerate(rows):
+        if row and (min(row) < 0 or max(row) >= n):
+            t, r = next((t, r) for t, r in zip(into[dom[s]], row) if not 0 <= r < n)
+            raise ValidationError("MalformedTable", (s, t, r), "arrow index out of range")
+    for s, row in enumerate(rows):
+        c = cod[s]
+        for t, r in zip(into[dom[s]], row):
+            if dom[r] != dom[t] or cod[r] != c:
+                raise ValidationError("DomCodMismatch", (s, t))
+
     slot = [0] * n
     for ts in into:
         for i, t in enumerate(ts):
             slot[t] = i
-
-    for s in range(n):
-        c = cod[s]
-        for t, r in zip(into[dom[s]], rows[s]):
-            if dom[r] != dom[t] or cod[r] != c:
-                raise ValidationError("DomCodMismatch", (s, t))
-
     generators = _generators(dom, cod, rows, slot, n_objects)
     if not _light_associative(dom, cod, rows, slot, into, generators):
         witness = _least_non_associative(dom, rows, slot, into)
@@ -176,12 +164,50 @@ def validate_semigroupoid(
         n_objects=n_objects,
         dom=dom,
         cod=cod,
-        rows=tuple(rows),
+        rows=rows,
         arrow_names=tuple(arrow_names),
         object_names=tuple(object_names),
         generators=tuple(generators),
         slot=tuple(slot),
     )
+
+
+def _rows_from_triples(dom, cod, triples, into) -> tuple[tuple[int, ...], ...]:
+    """The rows of the product given as triples, after the checks only
+    the triple form needs: range, non-composable pairs, duplicates, and
+    the least undefined composable pair."""
+    n = len(dom)
+    # sorted, so the defined pairs come in row-major order and the
+    # repeats of a pair are adjacent
+    given = sorted(triples)
+    defined = [0] * n  # the distinct pairs (s, t) given, by s
+    last_s = last_t = last_r = -1
+    for s, t, r in given:
+        if not (0 <= s < n and 0 <= t < n and 0 <= r < n):
+            raise ValidationError("MalformedTable", (s, t, r), "arrow index out of range")
+        if dom[s] != cod[t]:
+            raise ValidationError("DefinedOnNonComposablePair", (s, t))
+        if s == last_s and t == last_t:
+            if r != last_r:
+                raise ValidationError("DuplicateProduct", (s, t))
+            continue
+        last_s, last_t, last_r = s, t, r
+        defined[s] += 1
+
+    # only composable pairs were given, so the first short count names
+    # the row of the least undefined pair
+    sizes = [len(into[u]) for u in dom]
+    if defined != sizes:
+        s = next(s for s in range(n) if defined[s] != sizes[s])
+        seen = {t for s2, t, _r in given if s2 == s}
+        t = next(t for t in into[dom[s]] if t not in seen)
+        raise ValidationError("UndefinedOnComposablePair", (s, t))
+    if len(given) != sum(sizes):  # a triple given twice
+        given = [x for i, x in enumerate(given) if i == 0 or x != given[i - 1]]
+    # one row at a time from the sorted triples, with no list of products
+    # beside them, so the peak stays at the triples and the rows
+    products = map(itemgetter(2), given)
+    return tuple([tuple(islice(products, m)) for m in sizes])
 
 
 def arrows_by_end(ends: Sequence[int], n_objects: int) -> list[list[int]]:

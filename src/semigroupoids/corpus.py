@@ -266,9 +266,10 @@ def _involutions(dom, cod) -> Iterator[tuple[int, ...]]:
     yield from rec(0, [-1] * n)
 
 
-def _complete_tables(dom, cod, inv) -> Iterator[list[tuple[int, int, int]]]:
+def _complete_tables(dom, cod, inv) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Fill the product table by depth-first search with propagation;
-    each completed table is yielded as its (s, t, s*t) triples."""
+    each completed table is yielded as its rows: row s holds s t over the
+    t with cod t = dom s, in increasing t."""
     n = len(dom)
     first = []
     for s in range(n):
@@ -367,11 +368,13 @@ def _complete_tables(dom, cod, inv) -> Iterator[list[tuple[int, int, int]]]:
             pre = preimage[r]
             pre.pop()
 
-    def solve(k: int) -> Iterator[list[tuple[int, int, int]]]:
+    into = [[t for t in range(n) if cod[t] == dom[s]] for s in range(n)]
+
+    def solve(k: int) -> Iterator[tuple[tuple[int, ...], ...]]:
         while k < len(cells) and table[cells[k][0]][cells[k][1]] != -1:
             k += 1
         if k == len(cells):
-            yield [(s, t, table[s][t]) for s, t in cells]
+            yield tuple(tuple([row[t] for t in ts]) for row, ts in zip(table, into))
             return
         s, t = cells[k]
         for r in candidates[(s, t)]:
@@ -390,10 +393,10 @@ def _enumerate_cached(max_arrows: int, max_objects: int) -> tuple[InverseSemigro
         for m in range(1, min(n, max_objects) + 1):
             for dom, cod in _canonical_patterns(n, m):
                 for inv in _involutions(dom, cod):
-                    for triples in _complete_tables(dom, cod, inv):
+                    for rows in _complete_tables(dom, cod, inv):
                         try:
                             sg = validate_semigroupoid(
-                                dom, cod, triples, n_objects=m
+                                dom, cod, rows=rows, n_objects=m
                             )
                             inv_sg = promote_to_inverse(sg)
                         except ValidationError:

@@ -108,10 +108,11 @@ def _order_matrix(sg: FiniteSemigroupoid, inv: Sequence[int], idems: Sequence[in
     Returns its row bitmasks: bit t of row s is set iff s <= t.
 
     The sets {t e} and {f t} over the idempotents e at dom t and f at
-    cod t are built once per arrow t, so the two existential votes are
-    set lookups.  The votes run only on the candidate pairs (s, t) with
-    s in {t e} or {f t}, in row-major order, so the order costs
-    O(n |E|) steps.
+    cod t are built once per arrow t as int masks, so the two existential
+    votes are bit tests, and their transposes list each row's candidate
+    columns.  The votes run only on the candidate pairs (s, t) with s in
+    {t e} or {f t}, in row-major order, so the order costs O(n |E|)
+    steps.
 
     That skips no vote that could be true.  A guard first checks, for
     every s, that s*s is one of ``idems`` at dom s and ss* one at cod s.
@@ -127,13 +128,32 @@ def _order_matrix(sg: FiniteSemigroupoid, inv: Sequence[int], idems: Sequence[in
     """
     n = sg.n_arrows
     dom, cod, rows, slot = sg.dom, sg.cod, sg.rows, sg.slot
-    by_object = {}
+    # the slots of the listed loops at each object, for the t e, and the
+    # rows of the listed idempotents out of it, for the f t
+    loop_slots = [[] for _ in range(sg.n_objects)]
+    rows_out = [[] for _ in range(sg.n_objects)]
     for e in idems:
-        by_object.setdefault(dom[e], []).append(e)
-    # t e is defined only for the listed e that are loops at dom t
-    right = [{rows[t][slot[e]] for e in by_object.get(dom[t], ()) if cod[e] == dom[t]}
-             for t in range(n)]
-    left = [{rows[f][slot[t]] for f in by_object.get(cod[t], ())} for t in range(n)]
+        d = dom[e]
+        rows_out[d].append(rows[e])
+        if cod[e] == d:  # t e is defined only for the loops at dom t
+            loop_slots[d].append(slot[e])
+    # bit s of right[t] is set iff s = t e, of left[t] iff s = f t; the
+    # transposes, bit t of right_of[s] and left_of[s], give the candidates
+    right, left = [0] * n, [0] * n
+    right_of, left_of = [0] * n, [0] * n
+    for t in range(n):
+        row, bit_t, m = rows[t], 1 << t, 0
+        for i in loop_slots[dom[t]]:
+            s = row[i]
+            m |= 1 << s
+            right_of[s] |= bit_t
+        right[t] = m
+        i, m = slot[t], 0
+        for row_f in rows_out[cod[t]]:
+            s = row_f[i]
+            m |= 1 << s
+            left_of[s] |= bit_t
+        left[t] = m
     # s* s and s s*, None where undefined, which makes a vote that needs
     # them false, as the definitions read; the guard is checked alongside
     idem_dom = {e: dom[e] for e in idems}
@@ -145,49 +165,39 @@ def _order_matrix(sg: FiniteSemigroupoid, inv: Sequence[int], idems: Sequence[in
             hi[s] = rows[s][slot[s_star]]
         guarded = guarded and idem_dom.get(lo[s]) == dom[s] and idem_dom.get(hi[s]) == cod[s]
 
-    def le_right_idem(s: int, t: int) -> bool:
-        # s = t e for some idempotent e at dom(t)
-        return s in right[t]
-
-    def le_canonical(s: int, t: int) -> bool:
-        # s = t (s* s)
-        e = lo[s]
-        return e is not None and dom[t] == cod[e] and rows[t][slot[e]] == s
-
-    def le_left_idem(s: int, t: int) -> bool:
-        # s = f t for some idempotent f at cod(t)
-        return s in left[t]
-
-    def le_left_canonical(s: int, t: int) -> bool:
-        # s = (s s*) t
-        f = hi[s]
-        return f is not None and dom[f] == cod[t] and rows[f][slot[t]] == s
-
     if guarded:
-        columns = [[] for _ in range(n)]
-        for t in range(n):
-            for s in right[t] | left[t]:
-                columns[s].append(t)
-    else:
-        columns = [range(n)] * n
+        candidates = [r | l for r, l in zip(right_of, left_of)]
+    else:  # every t, of which the loop keeps the parallel ones
+        candidates = [(1 << n) - 1] * n
 
     up = [0] * n
-    for s in range(n):
-        for t in columns[s]:
-            if not sg.parallel(s, t):
+    for s, m in enumerate(candidates):
+        ds, cs, bit_s = dom[s], cod[s], 1 << s
+        # vote 2 reads t e at e = s* s, vote 4 reads f t at f = s s*; for
+        # t parallel to s each is defined iff e is a loop at dom s, f one
+        # at cod s
+        e, f = lo[s], hi[s]
+        at_e = slot[e] if e is not None and cod[e] == ds else None
+        row_f = rows[f] if f is not None and dom[f] == cs else None
+        above = 0
+        while m:
+            low = m & -m
+            m ^= low
+            t = low.bit_length() - 1
+            if dom[t] != ds or cod[t] != cs:
                 continue
-            votes = (
-                le_right_idem(s, t),
-                le_canonical(s, t),
-                le_left_idem(s, t),
-                le_left_canonical(s, t),
-            )
-            if len(set(votes)) != 1:
+            # s = t e for some e; s = t (s* s); s = f t for some f; s = (s s*) t
+            v1 = right[t] & bit_s != 0
+            v2 = at_e is not None and rows[t][at_e] == s
+            v3 = left[t] & bit_s != 0
+            v4 = row_f is not None and row_f[slot[t]] == s
+            if not v1 == v2 == v3 == v4:
                 raise InternalInconsistencyError(
-                    "OrderCharacterizationMismatch", (s, t), f"votes {votes}"
+                    "OrderCharacterizationMismatch", (s, t), f"votes {(v1, v2, v3, v4)}"
                 )
-            if votes[0]:
-                up[s] |= 1 << t
+            if v1:
+                above |= low
+        up[s] = above
     return up
 
 

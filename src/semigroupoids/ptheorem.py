@@ -176,8 +176,10 @@ def semidirect_product(
 
     # the pairs (t, y) with cod t = u, by increasing index, at index u
     pairs_into = arrows_by_end([sg.cod[t] for t, _y in pairs], sg.n_objects)
-    triples = []
+    rows = []
     for i, (s, x) in enumerate(pairs):
+        row = []
+        rows.append(row)
         for k in pairs_into[sg.dom[s]]:
             t, y = pairs[k]
             ty = theta(t, y)
@@ -191,7 +193,7 @@ def semidirect_product(
             target = index.get((st, w))
             if target is None:
                 raise InternalInconsistencyError("SemidirectProductEscapes", (i, k))
-            triples.append((i, k, target))
+            row.append(target)
 
     arrow_names = tuple(
         f"({sg.arrow_names[s]},{action.carrier_names[x]})" for s, x in pairs
@@ -203,7 +205,7 @@ def semidirect_product(
     base = validate_semigroupoid(
         [obj_index[d] for d in dom_list],
         [obj_index[c] for c in cod_list],
-        triples,
+        rows=rows,
         n_objects=len(objects),
         arrow_names=arrow_names,
         object_names=object_names,
@@ -319,14 +321,15 @@ def idempotent_semilatticeoid(inv_sg: InverseSemigroupoid) -> Semilatticeoid:
     pos = {e: i for i, e in enumerate(idems)}
     dom = [sg.dom[e] for e in idems]
     rows, slot = sg.rows, sg.slot
-    triples = [
-        (pos[e], pos[f], pos[rows[e][slot[f]]])
-        for e in idems for f in idems if sg.composable(e, f)
+    # the idempotents composable with e are those at dom e, increasing
+    at = arrows_by_end(dom, sg.n_objects)
+    latt_rows = [
+        tuple([pos[rows[e][slot[idems[j]]]] for j in at[u]]) for e, u in zip(idems, dom)
     ]
     base = validate_semigroupoid(
         dom,
         dom,
-        triples,
+        rows=latt_rows,
         n_objects=sg.n_objects,
         arrow_names=tuple(sg.arrow_names[e] for e in idems),
         object_names=sg.object_names,

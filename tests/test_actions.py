@@ -253,6 +253,23 @@ def test_order_reversal_fails_only_ordered_check():
     assert violation is not None and violation.code == "OrderNotPreserved"
 
 
+@pytest.mark.parametrize("f", [(0, -1), (0, 2)])
+def test_check_equivariant_rejects_map_values_outside_the_target(f):
+    # no domain of the source covers point 1, so neither the domain nor
+    # the commutation clause reads f(1); the order clause would index by
+    # it, -1 from the end or 2 past the target's two points
+    trivial = corpus.trivial_monoid()
+    names, order = ("x", "y"), chain_poset(2, ("x", "y"))
+    source = make_action(trivial, names, [{0: 0}], order=order)
+    target = make_action(trivial, names, [{0: 0, 1: 1}], order=order, global_flag=True)
+    for ordered, equivalence in itertools.product((False, True), repeat=2):
+        with pytest.raises(ValidationError) as err:
+            check_equivariant(
+                EquivariantMap(source, target, f), ordered=ordered, equivalence=equivalence
+            )
+        assert (err.value.code, err.value.witness) == ("MalformedAction", (1,))
+
+
 def test_commutation_failure_detected():
     # the two-element group swapping two points; a constant map cannot
     # commute with the swap

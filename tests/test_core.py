@@ -354,6 +354,92 @@ def test_row_form_matches_the_table_validator(structures):
     }, seen
 
 
+def _from_rows(sg, rows):
+    try:
+        return validate_semigroupoid(
+            sg.dom, sg.cod, rows=rows, n_objects=sg.n_objects,
+            arrow_names=sg.arrow_names, object_names=sg.object_names,
+        )
+    except ValidationError as exc:
+        return (exc.code, exc.witness)
+
+
+def _from_triples(sg, triples):
+    try:
+        return validate_semigroupoid(
+            sg.dom, sg.cod, triples, n_objects=sg.n_objects,
+            arrow_names=sg.arrow_names, object_names=sg.object_names,
+        )
+    except ValidationError as exc:
+        return (exc.code, exc.witness)
+
+
+def test_rows_and_triples_give_equal_structures(structures):
+    pool = [s.base for _name, s in structures]
+    pool += [s.base for s in corpus.enumerate_inverse_semigroupoids(5)]
+    for sg in pool:
+        by_rows = _from_rows(sg, sg.rows)
+        by_triples = _from_triples(sg, semigroupoid_triples(sg))
+        assert by_rows == by_triples == sg
+        # the derived fields, which equality ignores, agree too
+        assert by_rows.slot == by_triples.slot == sg.slot
+        assert by_rows.generators == by_triples.generators == sg.generators
+        # rows given as lists are stored as tuples
+        assert _from_rows(sg, [list(row) for row in sg.rows]).rows == sg.rows
+
+
+def _row_mutants(sg):
+    """Each cell set to each other arrow, to n and to -1, as (rows,
+    triples); and each nonempty row a cell short, as (rows, None), since
+    triples cannot say which cell a short row lost."""
+    n = sg.n_arrows
+    triples = semigroupoid_triples(sg)
+    k = 0
+    for s, row in enumerate(sg.rows):
+        for i, r in enumerate(row):
+            for other in range(-1, n + 1):
+                if other != r:
+                    rows = list(sg.rows)
+                    rows[s] = row[:i] + (other,) + row[i + 1:]
+                    t = triples[k][1]
+                    yield rows, triples[:k] + [(s, t, other)] + triples[k + 1:]
+            k += 1
+        if row:
+            rows = list(sg.rows)
+            rows[s] = row[:-1]
+            yield rows, None
+
+
+def test_row_mutants_give_the_same_witness_in_both_forms(structures):
+    seen = Counter()
+    pool = [s.base for _name, s in structures]
+    pool += [s.base for s in corpus.enumerate_inverse_semigroupoids(3)]
+    for sg in pool:
+        for rows, triples in _row_mutants(sg):
+            got = _from_rows(sg, rows)
+            if triples is None:
+                s = next(s for s, row in enumerate(rows) if len(row) != len(sg.rows[s]))
+                assert got == ("MalformedTable", (s,))
+            else:
+                assert got == _from_triples(sg, triples)
+            seen[got[0] if isinstance(got, tuple) else None] += 1
+    assert set(seen) == {
+        None, "MalformedTable", "DomCodMismatch", "AssociativityFailure",
+    }, seen
+
+
+def test_validate_semigroupoid_takes_exactly_one_product_form():
+    dom, cod, triples = pair_groupoid_table()
+    sg = validate_semigroupoid(dom, cod, triples)
+    with pytest.raises(TypeError):
+        validate_semigroupoid(dom, cod, triples, rows=sg.rows)
+    with pytest.raises(TypeError):
+        validate_semigroupoid(dom, cod)
+    with pytest.raises(ValidationError) as err:
+        validate_semigroupoid(dom, cod, rows=sg.rows[:-1])
+    assert err.value.code == "MalformedTable"
+
+
 def test_light_test_matches_cubic_oracle_on_every_perturbation(structures):
     # every defined cell of every table, set to every other arrow; the
     # n x n validator must agree too, on the table and generators as well

@@ -358,6 +358,18 @@ def test_validate_semilatticeoid_matches_the_pairwise_scan(structures):
             dataclasses.replace(s, order=chain_poset(n, names)),
             dataclasses.replace(s, order=discrete_poset(n, names)),
         ]
+    # one product cell set to each other arrow, a wrong product under the
+    # right order, on the fixture semilatticeoids and the smaller lattices
+    fixture_lattices = [s for _, s in structures if len(s.idempotents) == s.n_arrows]
+    for s in fixture_lattices + [s for s in lattices if s.n_arrows <= 4]:
+        for x, row in enumerate(s.base.rows):
+            for i, xy in enumerate(row):
+                for other in s.arrows():
+                    if other != xy:
+                        rows = list(s.base.rows)
+                        rows[x] = row[:i] + (other,) + row[i + 1:]
+                        base = dataclasses.replace(s.base, rows=tuple(rows))
+                        cases.append(dataclasses.replace(s, base=base))
     outcomes = set()
     for s in cases:
         expected = pairwise_semilatticeoid(s)
