@@ -5,8 +5,6 @@ McAlister triples, and the reconstruction of E-unitary structures."""
 from .core import (
     FiniteSemigroupoid,
     SemigroupoidMorphism,
-    compose_morphisms,
-    identity_morphism,
     validate_morphism,
     validate_semigroupoid,
 )
@@ -78,7 +76,6 @@ from .ptheorem import (
     mcalister_from_action,
     munn_action,
     ptheorem_bundle,
-    ptheorem_isomorphism,
     semidirect_product,
     triple_restriction,
     validate_mcalister_triple,

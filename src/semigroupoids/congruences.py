@@ -51,12 +51,6 @@ class GraphedCongruence:
         pos = {r: i for i, r in enumerate(reps)}
         return tuple(pos[r] for r in self.rep)
 
-    def pairs(self) -> frozenset[tuple[int, int]]:
-        n = len(self.rep)
-        return frozenset(
-            (s, t) for s in range(n) for t in range(n) if self.rep[s] == self.rep[t]
-        )
-
     @cached_property
     def quotient(self) -> tuple[InverseSemigroupoid, SemigroupoidMorphism]:
         """The quotient inverse semigroupoid and its projection morphism.

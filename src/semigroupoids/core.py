@@ -292,15 +292,6 @@ def _least_non_associative(dom, rows, slot, into) -> tuple[int, int, int]:
     raise InternalInconsistencyError("NoAssociativityWitness", ())
 
 
-def semigroupoid_triples(sg: FiniteSemigroupoid) -> list[tuple[int, int, int]]:
-    """The defined products of ``sg`` as sorted (s, t, s*t) triples; each
-    s meets only the arrows t with cod t = dom s, in increasing order."""
-    into = arrows_by_end(sg.cod, sg.n_objects)
-    return [
-        (s, t, r) for s, row in enumerate(sg.rows) for t, r in zip(into[sg.dom[s]], row)
-    ]
-
-
 @dataclass(frozen=True)
 class SemigroupoidMorphism:
     """An arrow map with its unique graph-morphism companion on objects."""
@@ -348,23 +339,6 @@ def validate_morphism(
                 raise ValidationError("ObjectMapConflict", (u,))
     derived = tuple(obj[u] for u in range(source.n_objects))
     return SemigroupoidMorphism(source, target, f, derived)
-
-
-def compose_morphisms(
-    g: SemigroupoidMorphism, f: SemigroupoidMorphism
-) -> SemigroupoidMorphism:
-    """The composite g after f, revalidated."""
-    if f.target is not g.source and f.target != g.source:
-        raise ValidationError("MalformedTable", (), "morphisms not composable")
-    return validate_morphism(
-        f.source, g.target, tuple(g.arrow_map[a] for a in f.arrow_map)
-    )
-
-
-def identity_morphism(sg: FiniteSemigroupoid) -> SemigroupoidMorphism:
-    return SemigroupoidMorphism(
-        sg, sg, tuple(range(sg.n_arrows)), tuple(range(sg.n_objects))
-    )
 
 
 class UnionFind:

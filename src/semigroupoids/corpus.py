@@ -27,8 +27,8 @@ def _one_object(names: Sequence[str], product) -> InverseSemigroupoid:
     """The inverse semigroupoid on one object whose arrows are ``names``
     and whose product of arrows i and j is ``product(i, j)``."""
     n = len(names)
-    triples = [(i, j, product(i, j)) for i in range(n) for j in range(n)]
-    sg = validate_semigroupoid([0] * n, [0] * n, triples, arrow_names=names)
+    rows = [[product(i, j) for j in range(n)] for i in range(n)]
+    sg = validate_semigroupoid([0] * n, [0] * n, rows=rows, arrow_names=names)
     return promote_to_inverse(sg)
 
 
@@ -63,13 +63,11 @@ def pair_groupoid(m: int) -> InverseSemigroupoid:
     index = {p: i for i, p in enumerate(arrows)}
     dom = [a for (b, a) in arrows]
     cod = [b for (b, a) in arrows]
-    triples = []
-    for i, (b1, a1) in enumerate(arrows):
-        for j, (b2, a2) in enumerate(arrows):
-            if a1 == b2:
-                triples.append((i, j, index[(b1, a2)]))
+    rows = [
+        [index[(b1, a2)] for (b2, a2) in arrows if b2 == a1] for (b1, a1) in arrows
+    ]
     names = tuple(f"g{a}{b}" for (b, a) in arrows)
-    sg = validate_semigroupoid(dom, cod, triples, arrow_names=names)
+    sg = validate_semigroupoid(dom, cod, rows=rows, arrow_names=names)
     return promote_to_inverse(sg)
 
 
@@ -77,7 +75,7 @@ def discrete_groupoid(m: int) -> InverseSemigroupoid:
     sg = validate_semigroupoid(
         list(range(m)),
         list(range(m)),
-        [(i, i, i) for i in range(m)],
+        rows=[[i] for i in range(m)],
         arrow_names=tuple(f"1u{i}" for i in range(m)),
     )
     return promote_to_inverse(sg)
@@ -116,9 +114,9 @@ def c2_with_zero() -> InverseSemigroupoid:
 def two_fiber_semilatticeoid() -> InverseSemigroupoid:
     """A two-element chain over one object next to a point over another."""
     dom = [0, 0, 1]
-    triples = [(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 1), (2, 2, 2)]
+    rows = [[0, 1], [1, 1], [2]]
     sg = validate_semigroupoid(
-        dom, dom, triples, arrow_names=("e", "f", "p"), object_names=("u", "v")
+        dom, dom, rows=rows, arrow_names=("e", "f", "p"), object_names=("u", "v")
     )
     return promote_to_inverse(sg)
 
@@ -143,18 +141,17 @@ def gen_SA(s: InverseSemigroupoid, a_size: int) -> InverseSemigroupoid:
     dom = [u for (_, _, u) in arrows]
     cod = [v for (v, _, _) in arrows]
     into = arrows_by_end(cod, a_size)
-    triples = []
-    for i, (w, t, v) in enumerate(arrows):
-        for j in into[v]:
-            _v, m, u = arrows[j]
-            triples.append((i, j, index[(w, s.base.product(t, m), u)]))
+    rows = [
+        [index[(w, s.base.product(t, m), u)] for _v, m, u in (arrows[j] for j in into[v])]
+        for w, t, v in arrows
+    ]
     names = tuple(
         f"({v},{s.base.arrow_names[m]},{u})" for (v, m, u) in arrows
     )
     sg = validate_semigroupoid(
         dom,
         cod,
-        triples,
+        rows=rows,
         n_objects=a_size,
         arrow_names=names,
         object_names=tuple(str(u) for u in range(a_size)),
@@ -192,15 +189,13 @@ def gen_Jpi(pi: Sequence[int]) -> InverseSemigroupoid:
     cod = [v for (v, _, _) in arrows]
     into = arrows_by_end(cod, n_obj)
 
-    triples = []
-    for i, (w, g, v) in enumerate(arrows):
+    rows = []
+    for w, g, v in arrows:
         gd = dict(g)
-        for j in into[v]:
-            _v, f, u = arrows[j]
-            comp = tuple(
-                sorted((x, gd[y]) for x, y in f if y in gd)
-            )
-            triples.append((i, j, index[(w, comp, u)]))
+        rows.append([
+            index[(w, tuple(sorted((x, gd[y]) for x, y in f if y in gd)), u)]
+            for _v, f, u in (arrows[j] for j in into[v])
+        ])
 
     def fname(f):
         if not f:
@@ -211,7 +206,7 @@ def gen_Jpi(pi: Sequence[int]) -> InverseSemigroupoid:
     sg = validate_semigroupoid(
         dom,
         cod,
-        triples,
+        rows=rows,
         n_objects=n_obj,
         arrow_names=names,
         object_names=tuple(str(u) for u in range(n_obj)),

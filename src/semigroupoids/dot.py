@@ -12,7 +12,9 @@ from .posets import FinitePoset
 
 
 def _quote(name: str) -> str:
-    return '"%s"' % name.replace('"', '\\"')
+    """A DOT string literal: backslashes doubled first, then quotes
+    escaped, so a name ending in a backslash cannot end the string."""
+    return '"%s"' % name.replace("\\", "\\\\").replace('"', '\\"')
 
 
 def _arrow_graph_lines(sg: FiniteSemigroupoid, indent: str, prefix: str) -> list[str]:

@@ -178,8 +178,9 @@ def semigroupoid_to_doc(sg: FiniteSemigroupoid) -> dict:
             }
             for s in sg.arrows()
         ],
-        # the (s, t, s*t) rows of core.semigroupoid_triples, built as lists
-        # (_triples reads list rows only) straight from the stored rows
+        # one (s, t, s*t) entry per composable pair in row-major order,
+        # built as lists (_triples reads list rows only) straight from the
+        # stored rows
         "mul": [
             [s, t, r] for s, row in enumerate(sg.rows) for t, r in zip(into[sg.dom[s]], row)
         ],

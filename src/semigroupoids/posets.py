@@ -80,16 +80,6 @@ class FinitePoset:
             names=tuple(self.names[x] for x in elems),
         )
 
-    def glb(self, x: int, y: int) -> int | None:
-        """Greatest lower bound by brute-force scan, or None: the least
-        lower bound of x and y that lies above every lower bound."""
-        both = 1 << x | 1 << y
-        lower = [z for z, m in enumerate(self.up) if m & both == both]
-        upper = -1
-        for z in lower:
-            upper &= self.up[z]
-        return next((w for w in lower if upper >> w & 1), None)
-
 
 def validate_poset(
     pairs: Iterable[tuple[int, int]],
@@ -210,6 +200,17 @@ class Semilatticeoid:
         return self.base.base.dom[x]
 
 
+def _down_masks(up: Sequence[int]) -> list[int]:
+    """The transpose of the up-set masks: bit x of ``down[y]`` is set iff
+    x <= y; O(|<=|)."""
+    down = [0] * len(up)
+    for x, m in enumerate(up):
+        bit = 1 << x
+        for y in _bits(m):
+            down[y] |= bit
+    return down
+
+
 def validate_semilatticeoid(inv_sg: "InverseSemigroupoid") -> Semilatticeoid:
     """Check that every arrow is idempotent and products realize meets.
 
@@ -226,11 +227,7 @@ def validate_semilatticeoid(inv_sg: "InverseSemigroupoid") -> Semilatticeoid:
         if s not in idems:
             raise ValidationError("NonIdempotentArrow", (s,))
 
-    down = [0] * base.n_arrows
-    for x, m in enumerate(inv_sg.order.up):
-        bit = 1 << x
-        for y in _bits(m):
-            down[y] |= bit
+    down = _down_masks(inv_sg.order.up)
     # into[dom x] is every y composable with x, increasing, so the first
     # failure is the one a row-major scan of all pairs finds
     into = arrows_by_end(base.cod, base.n_objects)
@@ -262,24 +259,28 @@ def semilatticeoid_from_poset(poset: FinitePoset) -> Semilatticeoid:
 
     Comparability components become the objects; every same-component
     pair must admit a greatest lower bound, which becomes the product.
+    z is the meet of x and y iff ``down[z] == down[x] & down[y]`` (see
+    :func:`validate_semilatticeoid`), and distinct points have distinct
+    down-sets, so each meet is one lookup of that mask among the points'
+    own: O(|<=| + c) in all.  The first pair, in row-major order, whose
+    mask names no point is the ``ProductNotMeet`` witness.
     """
     from .inverse import promote_to_inverse
 
     components = comparability_components(poset)
-    comp_of = {}
+    dom = [0] * poset.size
     for u, comp in enumerate(components):
         for x in comp:
-            comp_of[x] = u
+            dom[x] = u
 
-    dom = [comp_of[x] for x in poset.elements()]
+    down = _down_masks(poset.up)
+    point_of = {m: z for z, m in enumerate(down)}
     rows = []
-    for x in poset.elements():
-        row = []
-        for y in components[comp_of[x]]:
-            m = poset.glb(x, y)
-            if m is None:
-                raise ValidationError("ProductNotMeet", (x, y))
-            row.append(m)
+    for x, down_x in enumerate(down):
+        ys = components[dom[x]]
+        row = [point_of.get(down_x & down[y]) for y in ys]
+        if None in row:
+            raise ValidationError("ProductNotMeet", (x, ys[row.index(None)]))
         rows.append(row)
 
     sg = validate_semigroupoid(

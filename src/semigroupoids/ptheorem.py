@@ -372,8 +372,3 @@ def ptheorem_bundle(inv_sg: InverseSemigroupoid) -> PTheoremBundle:
     if set(arrow_map) != set(range(sdp.product.n_arrows)):
         raise InternalInconsistencyError("PhiNotSurjective", ())
     return PTheoremBundle(munn=theta, semidirect=sdp, morphism=phi)
-
-
-def ptheorem_isomorphism(inv_sg: InverseSemigroupoid) -> SemigroupoidMorphism:
-    """The isomorphism onto the semidirect-product reconstruction."""
-    return ptheorem_bundle(inv_sg).morphism

@@ -287,6 +287,22 @@ def test_export_dot_poset(tmp_path):
     assert "digraph hasse" in out.read_text()
 
 
+def test_export_dot_escapes_backslashes_in_names(tmp_path):
+    # a name ending in a backslash must not escape its closing quote
+    p = tmp_path / "p.json"
+    io.save_structure(posets.chain_poset(2, names=["a\\", 'b"']), str(p))
+    out = tmp_path / "p.dot"
+    assert cli(["--input", str(p), "export-dot", "--output", str(out)]) == 0
+    assert out.read_text() == (
+        "digraph hasse {\n"
+        "  rankdir=BT;\n"
+        '  "a\\\\" [shape=box];\n'
+        '  "b\\"" [shape=box];\n'
+        '  "a\\\\" -> "b\\"";\n'
+        "}\n"
+    )
+
+
 def test_semidirect_rejects_carrier_without_meets(files, tmp_path, capsys):
     # trivial actor on two maximal points over two incomparable bottoms:
     # a valid ordered action whose carrier has no meet for the tops

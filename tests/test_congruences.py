@@ -28,6 +28,14 @@ from semigroupoids.inverse import is_groupoid, promote_to_inverse
 from semigroupoids.posets import validate_poset
 
 
+def related_pairs(cong):
+    """Every (s, t) the congruence relates, read from its representatives."""
+    rep = cong.rep
+    return frozenset(
+        (s, t) for s in range(len(rep)) for t in range(len(rep)) if rep[s] == rep[t]
+    )
+
+
 def naive_closure_pairs(inv_sg, seed):
     """Oracle: grow the explicit pair set to a fixpoint of symmetry,
     transitivity, and multiplication."""
@@ -167,7 +175,7 @@ def test_closure_matches_naive_fixpoint_oracle(structures):
     ]
     for inv_sg, seed in cases:
         cong = congruence_closure(inv_sg, seed)
-        assert cong.pairs() == naive_closure_pairs(inv_sg, seed), seed
+        assert related_pairs(cong) == naive_closure_pairs(inv_sg, seed), seed
 
 
 def test_closure_of_parallel_idempotents_is_sigma(structures):
@@ -284,7 +292,7 @@ def test_closure_respects_involution(data):
     ]
     seed = data.draw(st.lists(st.sampled_from(parallel), max_size=2)) if parallel else []
     cong = congruence_closure(inv_sg, seed)
-    for s, t in cong.pairs():
+    for s, t in related_pairs(cong):
         assert cong.related(inv_sg.inv[s], inv_sg.inv[t])
 
 
@@ -349,7 +357,7 @@ def pairwise_sigma_by_equations(inv_sg):
     for s, t in right:
         uf.union(s, t)
     cong = GraphedCongruence(base=inv_sg, rep=uf.reps())
-    if cong.pairs() != frozenset(right):
+    if related_pairs(cong) != frozenset(right):
         raise InternalInconsistencyError("SigmaEquationNotEquivalence", ())
     validate_congruence(cong)
     return cong

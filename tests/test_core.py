@@ -6,18 +6,21 @@ from itertools import combinations
 
 import pytest
 
-from semigroupoids import corpus
+from semigroupoids import corpus, io
 from semigroupoids.congruences import sigma
 from semigroupoids.core import (
     NOT_COMPOSABLE,
     _generators,
-    compose_morphisms,
-    identity_morphism,
-    semigroupoid_triples,
     validate_morphism,
     validate_semigroupoid,
 )
 from semigroupoids.errors import ValidationError
+
+
+def semigroupoid_triples(sg):
+    """The defined products as sorted (s, t, s*t) tuples, read from the
+    file writer's ``mul`` entry."""
+    return [tuple(x) for x in io.semigroupoid_to_doc(sg)["mul"]]
 
 
 def pair_groupoid_table():
@@ -99,8 +102,9 @@ def test_orphan_object_rejected():
 
 def test_identity_morphism_valid(structures):
     for _name, s in structures:
-        phi = validate_morphism(s.base, s.base, list(range(s.n_arrows)))
+        phi = validate_morphism(s.base, s.base, range(s.n_arrows))
         assert phi.arrow_map == tuple(range(s.n_arrows))
+        assert phi.object_map == tuple(range(s.n_objects))
 
 
 def test_collapse_chain2_valid():
@@ -127,11 +131,13 @@ def test_morphism_composition_closed(structures):
     trivial = validate_semigroupoid([0], [0], [(0, 0, 0)])
     f = validate_morphism(chain2, chain2, [0, 1])
     g = validate_morphism(chain2, trivial, [0, 0])
-    comp = compose_morphisms(g, f)
+    # the composite g after f is the composed arrow map, revalidated
+    comp = validate_morphism(f.source, g.target, [g(a) for a in f.arrow_map])
     assert comp.arrow_map == (0, 0)
     for _name, s in structures:
-        ident = identity_morphism(s.base)
-        assert compose_morphisms(ident, ident).arrow_map == ident.arrow_map
+        ident = validate_morphism(s.base, s.base, range(s.n_arrows))
+        twice = validate_morphism(s.base, s.base, [ident(a) for a in ident.arrow_map])
+        assert twice.arrow_map == ident.arrow_map
 
 
 def _scan_morphism_verdict(source, target, f):

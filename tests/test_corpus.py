@@ -157,6 +157,47 @@ def test_enumeration_tables_are_pinned():
     assert h.hexdigest() == ENUMERATION_DIGEST
 
 
+def built_fixtures():
+    """The fixture corpus, the Jpi and gen_SA ladder rungs and I4."""
+    out = [s for _name, s in corpus.structure_corpus()]
+    for pi in ((0, 0), (0, 1, 1), (0, 0, 1, 1), (0, 0, 0), (0, 1, 1, 1), (0, 0, 0, 0)):
+        out.append(corpus.gen_Jpi(pi))
+    for one, objects in (
+        (corpus.chain_semilattice(2), 2),
+        (corpus.cyclic_group(2), 3),
+        (corpus.chain_semilattice(3), 3),
+        (corpus.brandt_b2(), 3),
+        (corpus.chain_semilattice(4), 4),
+    ):
+        out.append(corpus.gen_SA(one, objects))
+    return out
+
+
+# sha256 of the fixtures' fields, generators included, as the builders
+# made them when they passed triples
+FIXTURE_DIGEST = "6c6fd9692f5e912593b78e4c172b0fc7d91351c565dcd2dc92bf7bfb2d90e02a"
+
+
+def test_fixtures_built_from_rows_equal_the_triple_form():
+    h = hashlib.sha256()
+    for s in built_fixtures():
+        sg = s.base
+        by_triples = validate_semigroupoid(
+            sg.dom,
+            sg.cod,
+            io.semigroupoid_to_doc(sg)["mul"],
+            n_objects=sg.n_objects,
+            arrow_names=sg.arrow_names,
+            object_names=sg.object_names,
+        )
+        assert by_triples == sg
+        assert (by_triples.slot, by_triples.generators) == (sg.slot, sg.generators)
+        fields = (sg.n_objects, sg.dom, sg.cod, sg.rows, sg.arrow_names, sg.object_names)
+        h.update(repr((*fields, sg.generators)).encode())
+        h.update(b"\n")
+    assert h.hexdigest() == FIXTURE_DIGEST
+
+
 def test_enumerate_cap():
     with pytest.raises(ValidationError) as err:
         list(corpus.enumerate_inverse_semigroupoids(6))

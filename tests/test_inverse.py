@@ -12,7 +12,6 @@ from semigroupoids import congruences, corpus, ptheorem
 from semigroupoids.congruences import is_e_unitary, sigma
 from semigroupoids.core import (
     NOT_COMPOSABLE,
-    identity_morphism,
     validate_morphism,
     validate_semigroupoid,
 )
@@ -179,7 +178,7 @@ def test_strong_morphism_matches_the_pairwise_scan(structures):
     for inv_sg in pool:
         sg = inv_sg.base
         morphisms += [
-            identity_morphism(sg),
+            validate_morphism(sg, sg, range(sg.n_arrows)),
             sigma(inv_sg).quotient[1],
             validate_morphism(sg, trivial, [0] * sg.n_arrows),
         ]

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -313,7 +314,6 @@ def test_mask_readers_match_matrix_scans(structures, actions):
         for _ in range(30):
             x, y = rng.choice(points), rng.choice(points)
             assert order.le(x, y) == leq[x][y]
-            assert order.glb(x, y) == matrix_glb(leq, x, y)
         assert comparability_components(order) == matrix_components(leq)
         elems = rng.sample(points, len(points) // 2)
         assert order.restrict(elems).leq == tuple(
@@ -326,6 +326,52 @@ def test_mask_readers_match_matrix_scans(structures, actions):
             f = rng.sample(points, len(points))
             expected = all(leq[x][y] == leq[f[x]][f[y]] for x in points for y in points)
             assert check_order_iso(f, order, order) == expected
+
+
+def matrix_semilatticeoid_rows(leq):
+    """The rows ``semilatticeoid_from_poset`` builds, each meet by a scan
+    of the matrix: ("ok", rows), or the first pair in row-major order
+    with no meet as ("ProductNotMeet", (x, y))."""
+    component_of = {x: comp for comp in matrix_components(leq) for x in comp}
+    rows = []
+    for x in range(len(leq)):
+        row = []
+        for y in component_of[x]:
+            z = matrix_glb(leq, x, y)
+            if z is None:
+                return ("ProductNotMeet", (x, y))
+            row.append(z)
+        rows.append(tuple(row))
+    return ("ok", tuple(rows))
+
+
+def test_semilatticeoid_from_poset_matches_the_matrix_meets():
+    # random orders on 1-6 points, each the closure of random pairs that
+    # respect a random linear extension, sparse to dense
+    rng = random.Random(11)
+    outcomes = Counter()
+    for _ in range(2400):
+        size = rng.randint(1, 6)
+        line = rng.sample(range(size), size)
+        density = rng.random()
+        pairs = [
+            (line[i], line[j])
+            for i in range(size)
+            for j in range(i + 1, size)
+            if rng.random() < density
+        ]
+        poset = validate_poset(pairs, size, auto_close=True)
+        code, expected = matrix_semilatticeoid_rows(poset.leq)
+        if code == "ok":
+            rebuilt = semilatticeoid_from_poset(poset)
+            assert rebuilt.base.base.rows == expected
+            assert rebuilt.base.order.up == poset.up
+        else:
+            with pytest.raises(ValidationError) as err:
+                semilatticeoid_from_poset(poset)
+            assert (err.value.code, err.value.witness) == (code, expected)
+        outcomes[code] += 1
+    assert outcomes["ok"] > 1000 and outcomes["ProductNotMeet"] > 200, outcomes
 
 
 def pairwise_semilatticeoid(inv_sg):

@@ -25,7 +25,6 @@ from semigroupoids.ptheorem import (
     mcalister_from_action,
     munn_action,
     ptheorem_bundle,
-    ptheorem_isomorphism,
     semidirect_product,
     triple_restriction,
     validate_mcalister_triple,
@@ -270,7 +269,7 @@ def test_ptheorem_groupoid_product_isomorphic():
 
 def test_ptheorem_requires_e_unitary():
     with pytest.raises(ValidationError) as err:
-        ptheorem_isomorphism(corpus.brandt_b2())
+        ptheorem_bundle(corpus.brandt_b2())
     assert err.value.code == "NotEUnitary"
 
 
@@ -314,7 +313,7 @@ def test_ptheorem_small_structures(small_structures):
     for s in small_structures:
         if not is_e_unitary(s).verdict:
             continue
-        phi = ptheorem_isomorphism(s)
+        phi = ptheorem_bundle(s).morphism
         assert is_strong_morphism(phi)
         assert len(set(phi.arrow_map)) == s.n_arrows == phi.target.n_arrows
 
@@ -322,7 +321,7 @@ def test_ptheorem_small_structures(small_structures):
 def test_ptheorem_sa_fixture():
     sa = corpus.gen_SA(corpus.chain2(), 2)
     assert is_e_unitary(sa).verdict
-    phi = ptheorem_isomorphism(sa)
+    phi = ptheorem_bundle(sa).morphism
     assert len(set(phi.arrow_map)) == sa.n_arrows == phi.target.n_arrows
 
 
@@ -334,7 +333,7 @@ def test_ptheorem_larger_generated_fixtures():
     ):
         cert = is_e_unitary(s)
         if cert.verdict:
-            phi = ptheorem_isomorphism(s)
+            phi = ptheorem_bundle(s).morphism
             assert len(set(phi.arrow_map)) == s.n_arrows
         theta = munn_action(s)
         assert validate_partial_action_E(theta) is None
@@ -358,7 +357,7 @@ def test_ptheorem_inverse_map_is_morphism(small_structures):
 
     pool = [s for s in small_structures if is_e_unitary(s).verdict]
     for s in pool[:15] + [corpus.gen_SA(corpus.chain2(), 2)]:
-        phi = ptheorem_isomorphism(s if hasattr(s, "base") else s)
+        phi = ptheorem_bundle(s).morphism
         back = [0] * len(phi.arrow_map)
         for a, b in enumerate(phi.arrow_map):
             back[b] = a

@@ -10,11 +10,7 @@ from semigroupoids.actions import (
     validate_partial_action_P,
 )
 from semigroupoids.congruences import is_e_unitary, universal_groupoid_property
-from semigroupoids.core import (
-    compose_morphisms,
-    validate_morphism,
-    validate_semigroupoid,
-)
+from semigroupoids.core import validate_morphism, validate_semigroupoid
 from semigroupoids.errors import ValidationError
 from semigroupoids.posets import (
     chain_poset,
@@ -58,14 +54,6 @@ def test_object_map_conflict():
         validate_morphism(src, dst, [0, 1])
     assert err.value.code == "ObjectMapConflict"
     assert err.value.witness == (0,)
-
-
-def test_compose_morphisms_mismatch():
-    c2 = corpus.chain2().base
-    trivial = corpus.trivial_monoid().base
-    f = validate_morphism(c2, trivial, [0, 0])
-    with pytest.raises(ValidationError):
-        compose_morphisms(f, f)
 
 
 def test_malformed_relation():
