@@ -94,8 +94,9 @@ def validate_semigroupoid(
     Give the partial product either as ``triples``, (s, t, s*t) arrow
     triples, tuples or lists, or as ``rows``, where ``rows[s]`` lists the
     products s t over the arrows t with cod t = dom s in increasing t,
-    the stored form.  Both then run one row check, so they agree on
-    every table both can write.
+    the stored form.  Rows are checked for length and range, which the
+    triple checks imply; both forms then run one dom/cod and
+    associativity check, so they agree on every table both can write.
     Raises :class:`ValidationError` naming the first violated axiom with
     the smallest witness under index order.  Nothing is allocated per
     pair beyond the triples given until every composable pair is known
@@ -119,20 +120,21 @@ def validate_semigroupoid(
     # into[dom s] is every t composable with s, increasing
     into = arrows_by_end(cod, n_objects)
     if rows is None:
+        # every row it returns has length |into dom s| and products in range
         rows = _rows_from_triples(dom, cod, triples, into)
     else:
         rows = tuple(map(tuple, rows))
         if len(rows) != n:
             raise ValidationError("MalformedTable", (), "row count differs from arrow count")
+        for s, row in enumerate(rows):
+            if len(row) != len(into[dom[s]]):
+                raise ValidationError("MalformedTable", (s,), "row length is not |into dom s|")
+        for s, row in enumerate(rows):
+            if row and (min(row) < 0 or max(row) >= n):
+                t, r = next((t, r) for t, r in zip(into[dom[s]], row) if not 0 <= r < n)
+                raise ValidationError("MalformedTable", (s, t, r), "arrow index out of range")
 
-    # the row check both forms share, each clause in row-major order
-    for s, row in enumerate(rows):
-        if len(row) != len(into[dom[s]]):
-            raise ValidationError("MalformedTable", (s,), "row length is not |into dom s|")
-    for s, row in enumerate(rows):
-        if row and (min(row) < 0 or max(row) >= n):
-            t, r = next((t, r) for t, r in zip(into[dom[s]], row) if not 0 <= r < n)
-            raise ValidationError("MalformedTable", (s, t, r), "arrow index out of range")
+    # the checks both forms share, each in row-major order
     for s, row in enumerate(rows):
         c = cod[s]
         for t, r in zip(into[dom[s]], row):

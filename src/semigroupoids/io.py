@@ -382,69 +382,11 @@ def parse_document(doc: Any):
     return _FROM_DOC[kind](doc)
 
 
-_escape = json.encoder.encode_basestring_ascii
-# the JSON text of one leaf, for the leaf types formatted in bulk
-_LEAF_TEXT = {int: int.__repr__, str: _escape}
-
-
-def _leaf_type(items: list) -> type | None:
-    """int when all items are ints, str when all are strings (``bool``
-    is neither), None otherwise."""
-    kinds = set(map(type, items))
-    return kinds.pop() if kinds == {int} or kinds == {str} else None
-
-
-def _rows_text(rows: list, pad: str) -> str | None:
-    """The items of an array of equal-width rows of leaves of one type,
-    each row indented below pad, joined through one template; None when
-    rows has another shape."""
-    if not set(map(type, rows)) <= {list, tuple}:
-        return None
-    widths = set(map(len, rows))
-    if len(widths) != 1 or 0 in widths:
-        return None
-    leaves = list(chain.from_iterable(rows))
-    kind = _leaf_type(leaves)
-    if kind is None:
-        return None
-    inner = pad + "  "
-    row = "[\n" + inner + (",\n" + inner).join(["%s"] * widths.pop()) + "\n" + pad + "]"
-    # "%s" writes an int as int.__repr__ does
-    texts = tuple(leaves) if kind is int else tuple(map(_escape, leaves))
-    return (",\n" + pad).join([row] * len(rows)) % texts
-
-
-def _dumps(value: Any, pad: str) -> str:
-    """value as ``json.dumps(value, indent=2, sort_keys=True)`` writes it
-    at indentation pad."""
-    if isinstance(value, dict) and value:
-        inner = pad + "  "
-        items = [
-            # _escape raises TypeError on a key that is not a string
-            _escape(key) + ": " + _dumps(item, inner)
-            for key, item in sorted(value.items())
-        ]
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)) and value:
-        inner = pad + "  "
-        kind = _leaf_type(value)
-        if kind is not None:
-            body = (",\n" + inner).join(map(_LEAF_TEXT[kind], value))
-        else:
-            body = _rows_text(value, inner)
-            if body is None:
-                body = (",\n" + inner).join([_dumps(item, inner) for item in value])
-        return "[\n" + inner + body + "\n" + pad + "]"
-    # a scalar or an empty container: its text does not depend on pad
-    return json.dumps(value)
-
-
 def canonical_dumps(doc: dict) -> str:
-    """The canonical text of a document with string keys: the text of
-    ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, ASCII escapes
-    included, built with one C-level join or template per array of
-    leaves or of equal-width rows of leaves."""
-    return _dumps(doc, "") + "\n"
+    """The canonical text of a document: ``json.dumps`` with sorted keys,
+    no whitespace between tokens, every character outside ASCII as a
+    ``\\uXXXX`` escape, and one trailing newline."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _object_without_repeats(pairs: list[tuple[str, Any]]) -> dict:

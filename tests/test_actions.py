@@ -253,6 +253,20 @@ def test_order_reversal_fails_only_ordered_check():
     assert violation is not None and violation.code == "OrderNotPreserved"
 
 
+@pytest.mark.parametrize("unordered_side", ["source", "target"])
+def test_ordered_check_needs_both_orders(unordered_side):
+    trivial = corpus.trivial_monoid()
+    names = ("x", "y")
+    ordered = make_action(trivial, names, [{0: 0, 1: 1}], order=chain_poset(2, names))
+    unordered = make_action(trivial, names, [{0: 0, 1: 1}])
+    pair = (unordered, ordered) if unordered_side == "source" else (ordered, unordered)
+    m = EquivariantMap(*pair, (0, 1))
+    assert check_equivariant(m) is None
+    with pytest.raises(ValidationError) as err:
+        check_equivariant(m, ordered=True)
+    assert (err.value.code, err.value.witness) == ("MalformedAction", ())
+
+
 @pytest.mark.parametrize("f", [(0, -1), (0, 2)])
 def test_check_equivariant_rejects_map_values_outside_the_target(f):
     # no domain of the source covers point 1, so neither the domain nor

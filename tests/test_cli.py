@@ -536,8 +536,8 @@ def test_verify_all_on_action(files, tmp_path, capsys):
 
 def test_output_defaults_to_stdout(files, capsys):
     assert cli(["--input", files["chain2"], "munn"]) == 0
-    out = capsys.readouterr().out
-    assert '"kind": "action"' in out
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["kind"] == "action"
 
 
 @pytest.mark.parametrize("target", ["missing-directory", "directory"])

@@ -100,6 +100,14 @@ def test_order_iso_two_chains():
     assert not check_order_iso([1, 0], p, q)
 
 
+@pytest.mark.parametrize("f", [(0, 0), (0, 2)])
+def test_order_iso_rejects_a_repeat_or_out_of_range_value(f):
+    # on an antichain (0, 0) carries each up-set onto an up-set, so only
+    # the injectivity test rejects it; (0, 2) would index past the target
+    a = discrete_poset(2)
+    assert check_order_iso(f, a, a) is False
+
+
 def test_chain2_is_semilatticeoid():
     latt = validate_semilatticeoid(corpus.chain2())
     assert {latt.fiber_of(x) for x in range(latt.n_arrows)} == {0}
