@@ -455,6 +455,8 @@ def all_order_ideals(order: FinitePoset) -> list[frozenset[int]]:
 
 def random_ideal(order: FinitePoset, rng: random.Random) -> frozenset[int]:
     """A nonempty order ideal drawn by closing a random subset downward."""
+    if order.size == 0:
+        raise ValidationError("EmptyCarrier", (), "a 0-point order has no nonempty ideal")
     while True:
         seeds = [x for x in order.elements() if rng.random() < 0.6]
         if not seeds:

@@ -8,7 +8,8 @@ structures.
 from __future__ import annotations
 
 import json
-from itertools import chain
+from itertools import chain, islice
+from operator import itemgetter
 from typing import Any
 
 from .actions import PartialActionData, make_action
@@ -109,6 +110,47 @@ def _triples(mul: list) -> list[list[int]]:
     return mul
 
 
+def _rows_from_triples(dom, cod, triples, n_objects: int) -> list[tuple[int, ...]]:
+    """The rows of a product given as (s, t, s t) triples, after the
+    checks that only this form needs, in this order: indices in range,
+    no non-composable pair, no pair with two products, and the least
+    undefined composable pair.  Each row it returns has the length and
+    the range that :func:`validate_semigroupoid` checks next."""
+    n = len(dom)
+    # sorted, so the defined pairs come in row-major order and the
+    # repeats of a pair are adjacent
+    given = sorted(triples)
+    defined = [0] * n  # the distinct pairs (s, t) given, by s
+    last_s = last_t = last_r = -1
+    for s, t, r in given:
+        if not (0 <= s < n and 0 <= t < n and 0 <= r < n):
+            raise ValidationError("MalformedTable", (s, t, r), "arrow index out of range")
+        if dom[s] != cod[t]:
+            raise ValidationError("DefinedOnNonComposablePair", (s, t))
+        if s == last_s and t == last_t:
+            if r != last_r:
+                raise ValidationError("DuplicateProduct", (s, t))
+            continue
+        last_s, last_t, last_r = s, t, r
+        defined[s] += 1
+
+    # only composable pairs were given, so the first short count names
+    # the row of the least undefined pair
+    into = arrows_by_end(cod, n_objects)
+    sizes = [len(into[u]) for u in dom]
+    if defined != sizes:
+        s = next(s for s in range(n) if defined[s] != sizes[s])
+        seen = {t for s2, t, _r in given if s2 == s}
+        t = next(t for t in into[dom[s]] if t not in seen)
+        raise ValidationError("UndefinedOnComposablePair", (s, t))
+    if len(given) != sum(sizes):  # a triple given twice
+        given = [x for i, x in enumerate(given) if i == 0 or x != given[i - 1]]
+    # one row at a time from the sorted triples, with no list of products
+    # beside them, so the peak stays at the triples and the rows
+    products = map(itemgetter(2), given)
+    return [tuple(islice(products, m)) for m in sizes]
+
+
 def _order_pairs(pairs: list, index: dict[str, int]) -> list[tuple[int, int]]:
     """The index pairs of an order's ``[lower, upper]`` name pairs."""
     ids = _index_pairs(pairs, index)
@@ -205,10 +247,13 @@ def semigroupoid_from_doc(doc: dict) -> FiniteSemigroupoid:
         dom.append(obj_index[d])
         cod.append(obj_index[c])
     _unique_names(names, "arrow")
+    triples = _triples(mul)
+    # no arrows is EmptySemigroupoid, whatever the triples hold
+    rows = _rows_from_triples(dom, cod, triples, len(objects)) if dom else []
     return validate_semigroupoid(
         dom,
         cod,
-        _triples(mul),
+        rows=rows,
         n_objects=len(objects),
         arrow_names=names,
         object_names=objects,

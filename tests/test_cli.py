@@ -197,6 +197,41 @@ def test_empty_semigroupoid_is_bad_input(files, capsys):
         assert capsys.readouterr().out == "INVALID: EmptySemigroupoid\n", command
 
 
+@pytest.mark.parametrize(
+    "name, change, code",
+    [
+        ("chain2", lambda mul: [[5, 0, 0], *mul],
+         "MalformedTable(5, 0, 0): arrow index out of range"),
+        ("chain2", lambda mul: [[0, 0, 1], *mul], "DuplicateProduct(0, 0)"),
+        ("chain2", lambda mul: mul[1:], "UndefinedOnComposablePair(0, 0)"),
+        ("pair2", lambda mul: [[0, 2, 0], *mul], "DefinedOnNonComposablePair(0, 2)"),
+        ("chain2", lambda mul: [[0, 0, 1], [0, 1, 0], [1, 1, 0], [1, 0, 0]],
+         "AssociativityFailure(0, 0, 1)"),
+        # no triple is read when there are no arrows, so [0, 0, 0] is not
+        # an arrow index out of range
+        (None, lambda mul: [[0, 0, 0]], "EmptySemigroupoid"),
+    ],
+    ids=["range", "duplicate", "undefined", "non-composable", "associativity", "empty"],
+)
+def test_a_malformed_mul_entry_exits_2_before_any_triple_check(
+    files, capsys, name, change, code
+):
+    if name is None:
+        doc = {"kind": "semigroupoid", "version": 1, "objects": [], "arrows": []}
+    else:
+        doc = json.loads(Path(files[name]).read_text())
+    invalid = dict(doc, mul=change(doc.get("mul", [])))
+    path = files["dir"] + "/mul.json"
+    Path(path).write_text(json.dumps(invalid))
+    assert cli(["--input", path, "validate"]) == 1
+    assert capsys.readouterr().out == f"INVALID: {code}\n"
+    # the same triples with one entry of the wrong shape at the end
+    Path(path).write_text(json.dumps(dict(invalid, mul=[*invalid["mul"], [0, 0, "z"]])))
+    assert cli(["--input", path, "validate"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "bad product triple [0, 0, 'z']" in err
+
+
 def test_munn_then_globalize(files, tmp_path):
     munn = tmp_path / "munn.json"
     assert cli(["--input", files["b2"], "munn", "--output", str(munn)]) == 0
@@ -594,7 +629,7 @@ def test_semigroupoid_arrow_graph_dot(files, tmp_path):
     from semigroupoids import dot
     from semigroupoids.core import validate_semigroupoid
 
-    text = dot.semigroupoid_to_dot(validate_semigroupoid([0], [0], [(0, 0, 0)]))
+    text = dot.semigroupoid_to_dot(validate_semigroupoid([0], [0], rows=[(0,)]))
     assert text.startswith("digraph semigroupoid")
     assert "a0" in text
 
@@ -922,7 +957,7 @@ def test_validate_memory_is_bounded_by_the_file(tmp_path):
 
 
 def test_reading_a_semigroupoid_keeps_no_copy_of_its_triples():
-    # the parsed [s, t, r] lists are the triples validate_semigroupoid
+    # the parsed [s, t, r] lists are the triples the reader
     # sorts, so the read peaks near the 1,600-arrow table's own rows
     # (2.2 MiB on a 2-CPU host) and not at a tuple per triple (11.1 MiB)
     sg = corpus.gen_SA(corpus.chain_semilattice(4), 20).base

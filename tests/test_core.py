@@ -2,9 +2,11 @@
 
 import dataclasses
 from collections import Counter
+from functools import cache
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from semigroupoids import corpus, io
 from semigroupoids.congruences import sigma
@@ -23,10 +25,21 @@ def semigroupoid_triples(sg):
     return [tuple(x) for x in io.semigroupoid_to_doc(sg)["mul"]]
 
 
+def validate_triples(dom, cod, triples, n_objects):
+    """validate_semigroupoid on a product given as (s, t, s*t) triples,
+    turned into rows as the file reader turns a document's ``mul``."""
+    rows = io._rows_from_triples(dom, cod, triples, n_objects)
+    return validate_semigroupoid(dom, cod, rows=rows, n_objects=n_objects)
+
+
 def pair_groupoid_table():
-    # arrows: 1u=0, g(u->v)=1, h(v->u)=2, 1v=3
-    dom = [0, 0, 1, 1]
-    cod = [0, 1, 0, 1]
+    # arrows: 1u=0, g(u->v)=1, h(v->u)=2, 1v=3; row s lists s t over the
+    # t into dom s, which are 0 and 2 for u and 1 and 3 for v
+    return [0, 0, 1, 1], [0, 1, 0, 1], [(0, 2), (1, 3), (0, 2), (1, 3)]
+
+
+def pair_groupoid_triples():
+    dom, cod, _rows = pair_groupoid_table()
     triples = [
         (0, 0, 0),
         (0, 2, 2),
@@ -41,14 +54,14 @@ def pair_groupoid_table():
 
 
 def test_trivial_monoid_valid():
-    sg = validate_semigroupoid([0], [0], [(0, 0, 0)])
+    sg = validate_semigroupoid([0], [0], rows=[(0,)])
     assert sg.n_arrows == 1 and sg.n_objects == 1
     assert sg.mul[0][0] == 0
 
 
 def test_pair_groupoid_valid_with_bruteforce_associativity():
-    dom, cod, triples = pair_groupoid_table()
-    sg = validate_semigroupoid(dom, cod, triples)
+    dom, cod, rows = pair_groupoid_table()
+    sg = validate_semigroupoid(dom, cod, rows=rows)
     mul = sg.mul
     # independent oracle: walk all <= 64 triples directly on the table
     for r in range(4):
@@ -62,17 +75,17 @@ def test_pair_groupoid_valid_with_bruteforce_associativity():
 
 
 def test_noncomposable_product_rejected():
-    dom, cod, triples = pair_groupoid_table()
+    dom, cod, triples = pair_groupoid_triples()
     with pytest.raises(ValidationError) as err:
-        validate_semigroupoid(dom, cod, triples + [(1, 1, 0)])
+        validate_triples(dom, cod, triples + [(1, 1, 0)], 2)
     assert err.value.code == "DefinedOnNonComposablePair"
     assert err.value.witness == (1, 1)
 
 
 def test_missing_product_rejected():
-    dom, cod, triples = pair_groupoid_table()
+    dom, cod, triples = pair_groupoid_triples()
     with pytest.raises(ValidationError) as err:
-        validate_semigroupoid(dom, cod, triples[1:])
+        validate_triples(dom, cod, triples[1:], 2)
     assert err.value.code == "UndefinedOnComposablePair"
     assert err.value.witness == (0, 0)
 
@@ -80,22 +93,21 @@ def test_missing_product_rejected():
 def test_domcod_mismatch_rejected():
     # two loops at separate objects; declaring a*a = b breaks the graph law
     with pytest.raises(ValidationError) as err:
-        validate_semigroupoid([0, 1], [0, 1], [(0, 0, 1), (1, 1, 1)])
+        validate_semigroupoid([0, 1], [0, 1], rows=[(1,), (1,)])
     assert err.value.code == "DomCodMismatch"
     assert err.value.witness == (0, 0)
 
 
 def test_associativity_failure_smallest_witness():
-    triples = [(0, 0, 0), (0, 1, 1), (1, 0, 0), (1, 1, 0)]
     with pytest.raises(ValidationError) as err:
-        validate_semigroupoid([0, 0], [0, 0], triples)
+        validate_semigroupoid([0, 0], [0, 0], rows=[(0, 1), (0, 0)])
     assert err.value.code == "AssociativityFailure"
     assert err.value.witness == (1, 0, 1)
 
 
 def test_orphan_object_rejected():
     with pytest.raises(ValidationError) as err:
-        validate_semigroupoid([0], [0], [(0, 0, 0)], n_objects=2)
+        validate_semigroupoid([0], [0], rows=[(0,)], n_objects=2)
     assert err.value.code == "OrphanObject"
     assert err.value.witness == (1,)
 
@@ -109,7 +121,7 @@ def test_identity_morphism_valid(structures):
 
 def test_collapse_chain2_valid():
     chain2 = corpus.chain2().base
-    trivial = validate_semigroupoid([0], [0], [(0, 0, 0)])
+    trivial = validate_semigroupoid([0], [0], rows=[(0,)])
     phi = validate_morphism(chain2, trivial, [0, 0])
     mul = chain2.mul
     # oracle: all four products collapse consistently
@@ -128,7 +140,7 @@ def test_swap_not_multiplicative():
 
 def test_morphism_composition_closed(structures):
     chain2 = corpus.chain2().base
-    trivial = validate_semigroupoid([0], [0], [(0, 0, 0)])
+    trivial = validate_semigroupoid([0], [0], rows=[(0,)])
     f = validate_morphism(chain2, chain2, [0, 1])
     g = validate_morphism(chain2, trivial, [0, 0])
     # the composite g after f is the composed arrow map, revalidated
@@ -203,7 +215,7 @@ def test_missing_products_are_reported_at_the_least_cell(structures):
             kept = [x for i, x in enumerate(triples) if i not in dropped]
             least = triples[dropped[0]][:2]
             with pytest.raises(ValidationError) as err:
-                validate_semigroupoid(sg.dom, sg.cod, kept, n_objects=sg.n_objects)
+                validate_triples(sg.dom, sg.cod, kept, n_objects=sg.n_objects)
             assert err.value.code == "UndefinedOnComposablePair"
             assert err.value.witness == least
             checked += 1
@@ -244,7 +256,7 @@ def _cubic_verdict(dom, cod, triples):
 
 def _verdict(dom, cod, triples, n_objects):
     try:
-        validate_semigroupoid(dom, cod, triples, n_objects=n_objects)
+        validate_triples(dom, cod, triples, n_objects=n_objects)
     except ValidationError as exc:
         return (exc.code, exc.witness)
     return None
@@ -312,10 +324,51 @@ def _table_validate(dom, cod, triples, n_objects):
 def _row_form(dom, cod, triples, n_objects):
     """What validate_semigroupoid gives, in _table_validate's shape."""
     try:
-        sg = validate_semigroupoid(dom, cod, triples, n_objects=n_objects)
+        sg = validate_triples(dom, cod, triples, n_objects=n_objects)
     except ValidationError as exc:
         return (exc.code, exc.witness)
     return (None, sg.mul, sg.generators)
+
+
+@cache
+def _reader_pool():
+    """The fixtures and every structure on at most 3 arrows."""
+    pool = [s.base for _name, s in corpus.structure_corpus()]
+    return pool + [s.base for s in corpus.enumerate_inverse_semigroupoids(3)]
+
+
+def _read(doc):
+    """What the version 1 reader gives, in _table_validate's shape."""
+    try:
+        sg = io.semigroupoid_from_doc(doc)
+    except ValidationError as exc:
+        return (exc.code, exc.witness)
+    return (None, sg.mul, sg.generators)
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_reader_takes_mul_triples_in_any_order_and_repeated(data):
+    sg = data.draw(st.sampled_from(_reader_pool()))
+    doc = io.semigroupoid_to_doc(sg)
+    repeats = data.draw(st.lists(st.sampled_from(doc["mul"]), max_size=4))
+    mul = data.draw(st.permutations(doc["mul"] + [list(x) for x in repeats]))
+    got = io.semigroupoid_from_doc({**doc, "mul": mul})
+    assert got == sg
+    assert (got.slot, got.generators) == (sg.slot, sg.generators)
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_reader_gives_the_table_validators_witness_for_a_changed_triple(data):
+    sg = data.draw(st.sampled_from(_reader_pool()))
+    doc = io.semigroupoid_to_doc(sg)
+    mul = [list(x) for x in doc["mul"]]
+    i = data.draw(st.integers(0, len(mul) - 1))
+    j = data.draw(st.integers(0, 2))
+    mul[i][j] = data.draw(st.integers(-2, sg.n_arrows + 1))
+    expected = _table_validate(sg.dom, sg.cod, mul, sg.n_objects)
+    assert _read({**doc, "mul": mul}) == expected
 
 
 def _single_cell_mutants(sg):
@@ -372,8 +425,9 @@ def _from_rows(sg, rows):
 
 def _from_triples(sg, triples):
     try:
+        rows = io._rows_from_triples(sg.dom, sg.cod, triples, sg.n_objects)
         return validate_semigroupoid(
-            sg.dom, sg.cod, triples, n_objects=sg.n_objects,
+            sg.dom, sg.cod, rows=rows, n_objects=sg.n_objects,
             arrow_names=sg.arrow_names, object_names=sg.object_names,
         )
     except ValidationError as exc:
@@ -434,16 +488,19 @@ def test_row_mutants_give_the_same_witness_in_both_forms(structures):
     }, seen
 
 
-def test_validate_semigroupoid_takes_exactly_one_product_form():
-    dom, cod, triples = pair_groupoid_table()
-    sg = validate_semigroupoid(dom, cod, triples)
+def test_validate_semigroupoid_takes_rows_only():
+    dom, cod, rows = pair_groupoid_table()
+    # an old triple call, or rows given positionally, is refused rather
+    # than read as rows
     with pytest.raises(TypeError):
-        validate_semigroupoid(dom, cod, triples, rows=sg.rows)
+        validate_semigroupoid(dom, cod, pair_groupoid_triples()[2])
+    with pytest.raises(TypeError):
+        validate_semigroupoid(dom, cod, rows)
     with pytest.raises(TypeError):
         validate_semigroupoid(dom, cod)
     with pytest.raises(ValidationError) as err:
-        validate_semigroupoid(dom, cod, rows=sg.rows[:-1])
-    assert err.value.code == "MalformedTable"
+        validate_semigroupoid(dom, cod, rows=rows[:-1])
+    assert (err.value.code, err.value.witness) == ("MalformedTable", ())
 
 
 def test_light_test_matches_cubic_oracle_on_every_perturbation(structures):
@@ -515,8 +572,7 @@ def test_least_failing_triple_with_middle_outside_generators():
     table = [[1, 2, 0], [2, 0, 1], [0, 1, 1]]
     # on one object the rows are the whole table and slot t is t
     assert _generators([0] * 3, [0] * 3, table, [0, 1, 2], 1) == [0]
-    triples = [(s, t, table[s][t]) for s in range(3) for t in range(3)]
     with pytest.raises(ValidationError) as err:
-        validate_semigroupoid([0] * 3, [0] * 3, triples)
+        validate_semigroupoid([0] * 3, [0] * 3, rows=table)
     assert err.value.code == "AssociativityFailure"
     assert err.value.witness == (0, 1, 2)

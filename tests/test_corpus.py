@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import random
 
 import pytest
 
@@ -17,7 +18,7 @@ from semigroupoids.errors import (
     ValidationError,
 )
 from semigroupoids.inverse import is_groupoid, promote_to_inverse
-from semigroupoids.posets import is_order_ideal
+from semigroupoids.posets import chain_poset, discrete_poset, is_order_ideal
 from semigroupoids.ptheorem import munn_action
 
 
@@ -51,11 +52,12 @@ def naive_structures(n, m_max):
             if any(not c for c in choices):
                 continue
             for values in itertools.product(*choices):
-                triples = [
-                    (s, t, r) for (s, t), r in zip(cells, values)
-                ]
+                # the cells are the composable pairs in row-major order
+                rows = [[] for _ in range(n)]
+                for (s, _t), r in zip(cells, values):
+                    rows[s].append(r)
                 try:
-                    sg = validate_semigroupoid(dom, cod, triples, n_objects=m)
+                    sg = validate_semigroupoid(dom, cod, rows=rows, n_objects=m)
                     inv_sg = promote_to_inverse(sg)
                 except ValidationError:
                     continue
@@ -101,14 +103,7 @@ def test_enumerate_groupoid_counts_cross_checked():
         for dom, cod, mul in naive_structures(n, n):
             sg = promote_to_inverse(
                 validate_semigroupoid(
-                    dom,
-                    cod,
-                    [
-                        (s, t, mul[s][t])
-                        for s in range(n)
-                        for t in range(n)
-                        if mul[s][t] != -1
-                    ],
+                    dom, cod, rows=[[r for r in row if r != -1] for row in mul]
                 )
             )
             if is_groupoid(sg):
@@ -182,14 +177,7 @@ def test_fixtures_built_from_rows_equal_the_triple_form():
     h = hashlib.sha256()
     for s in built_fixtures():
         sg = s.base
-        by_triples = validate_semigroupoid(
-            sg.dom,
-            sg.cod,
-            io.semigroupoid_to_doc(sg)["mul"],
-            n_objects=sg.n_objects,
-            arrow_names=sg.arrow_names,
-            object_names=sg.object_names,
-        )
+        by_triples = io.semigroupoid_from_doc(io.semigroupoid_to_doc(sg))
         assert by_triples == sg
         assert (by_triples.slot, by_triples.generators) == (sg.slot, sg.generators)
         fields = (sg.n_objects, sg.dom, sg.cod, sg.rows, sg.arrow_names, sg.object_names)
@@ -226,6 +214,21 @@ def test_all_order_ideals_match_the_is_order_ideal_filter():
         ]
         expected = [s for s in subsets if is_order_ideal(a.order, s)]
         assert corpus.all_order_ideals(a.order) == expected
+
+
+def test_random_ideal_is_a_nonempty_ideal_and_refuses_an_empty_order():
+    rng = random.Random(0)
+    with pytest.raises(ValidationError) as err:
+        corpus.random_ideal(discrete_poset(0), rng)
+    assert err.value.code == "EmptyCarrier"
+    # the refusal draws nothing, so the stream for nonempty orders is
+    # the one a fresh generator gives
+    reference = random.Random(0)
+    assert rng.random() == reference.random()
+    for order in (discrete_poset(1), discrete_poset(4), chain_poset(5)):
+        for _ in range(20):
+            ideal = corpus.random_ideal(order, rng)
+            assert ideal and is_order_ideal(order, ideal)
 
 
 def test_gen_sa_counts():

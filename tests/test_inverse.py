@@ -45,9 +45,7 @@ def test_pair_groupoid_inverse():
 
 def test_left_zero_has_no_unique_inverse():
     # x y = x: both elements act as pseudoinverses of each other
-    sg = validate_semigroupoid(
-        [0, 0], [0, 0], [(0, 0, 0), (0, 1, 0), (1, 0, 1), (1, 1, 1)]
-    )
+    sg = validate_semigroupoid([0, 0], [0, 0], rows=[(0, 0), (1, 1)])
     with pytest.raises(ValidationError) as err:
         promote_to_inverse(sg)
     assert err.value.code in ("NoInverse", "NonUniqueInverse")
@@ -172,7 +170,7 @@ def test_strong_morphism_matches_the_pairwise_scan(structures):
     # monoid, each spread structure's projection onto its middles, and
     # one arrow 1 -> 0 (no products; object 1 is only a domain) collapsed
     trivial = corpus.trivial_monoid().base
-    arrow = validate_semigroupoid([1], [0], [])
+    arrow = validate_semigroupoid([1], [0], rows=[()])
     pool = list(corpus.enumerate_inverse_semigroupoids(4)) + [s for _n, s in structures]
     morphisms = []
     for inv_sg in pool:
@@ -383,16 +381,16 @@ def test_pseudoinverse_witness_on_a_multi_object_table():
     # left-zero semigroup on arrows 1, 2, 3 (p q = p), where every arrow
     # is a pseudoinverse of every other: the witness names the first
     # arrow and its two least pseudoinverses
-    left_zero = [(p, q, p) for p in (1, 2, 3) for q in (1, 2, 3)]
-    sg = validate_semigroupoid([1, 0, 0, 0], [1, 0, 0, 0], [(0, 0, 0)] + left_zero)
+    left_zero = [(p, p, p) for p in (1, 2, 3)]
+    sg = validate_semigroupoid([1, 0, 0, 0], [1, 0, 0, 0], rows=[(0,)] + left_zero)
     with pytest.raises(ValidationError) as err:
         promote_to_inverse(sg)
     assert (err.value.code, err.value.witness) == ("NonUniqueInverse", (1, 1, 2))
 
     # identities at objects 0 and 1, and s: 0 -> 1 with nothing back
-    sg = validate_semigroupoid(
-        [0, 1, 0], [0, 1, 1], [(0, 0, 0), (1, 1, 1), (2, 0, 2), (1, 2, 2)]
-    )
+    # row s lists s t over the t into dom s: 0 into object 0, 1 and 2
+    # into object 1
+    sg = validate_semigroupoid([0, 1, 0], [0, 1, 1], rows=[(0,), (1, 2), (2,)])
     with pytest.raises(ValidationError) as err:
         promote_to_inverse(sg)
     assert (err.value.code, err.value.witness) == ("NoInverse", (2,))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from semigroupoids import corpus
+from semigroupoids import corpus, io
 from semigroupoids.actions import (
     make_action,
     restrict_global,
@@ -22,33 +22,34 @@ from semigroupoids.ptheorem import munn_action
 
 
 def test_duplicate_product():
-    # identical repeated triples collapse silently
-    sg = validate_semigroupoid([0], [0], [(0, 0, 0), (0, 0, 0)])
+    # identical repeated triples of a document's mul collapse silently
+    rows = io._rows_from_triples([0], [0], [(0, 0, 0), (0, 0, 0)], 1)
+    sg = validate_semigroupoid([0], [0], rows=rows)
     assert sg.n_arrows == 1
     # conflicting duplicates are an error
     with pytest.raises(ValidationError) as err:
-        validate_semigroupoid(
-            [0, 0], [0, 0], [(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1)]
+        io._rows_from_triples(
+            [0, 0], [0, 0], [(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1)], 1
         )
     assert err.value.code == "DuplicateProduct"
 
 
 def test_empty_semigroupoid():
     with pytest.raises(ValidationError) as err:
-        validate_semigroupoid([], [], [])
+        validate_semigroupoid([], [], rows=[])
     assert err.value.code == "EmptySemigroupoid"
 
 
 def test_malformed_table():
     with pytest.raises(ValidationError) as err:
-        validate_semigroupoid([0, 0], [0], [])
+        validate_semigroupoid([0, 0], [0], rows=[])
     assert err.value.code == "MalformedTable"
 
 
 def test_object_map_conflict():
     # two arrows out of one object, never composable, mapped to loops at
     # different objects: no companion object map can exist
-    src = validate_semigroupoid([0, 0], [1, 2], [], n_objects=3)
+    src = validate_semigroupoid([0, 0], [1, 2], rows=[(), ()], n_objects=3)
     dst = corpus.discrete_groupoid(3).base
     with pytest.raises(ValidationError) as err:
         validate_morphism(src, dst, [0, 1])
