@@ -55,9 +55,10 @@ def main() -> int:
     for i, s in enumerate(structs):
         failures += failed_rows(f"enumerated[{i}]", s.base)
 
-    for name, a in corpus.action_corpus():
+    action_corpus = corpus.action_corpus()
+    for name, a in action_corpus:
         failures += failed_rows(name, a)
-    print(f"checked action corpus ({len(corpus.action_corpus())} actions)")
+    print(f"checked action corpus ({len(action_corpus)} actions)")
 
     groupoid_actions = corpus.groupoid_action_corpus()
     for name, a in groupoid_actions:

@@ -530,13 +530,13 @@ def check_equivariant(
     return None
 
 
-def point_action(actor: InverseSemigroupoid, name: str = "pt") -> PartialActionData:
-    """The one-point global ordered action; every arrow fixes the point."""
+def point_action(actor: InverseSemigroupoid) -> PartialActionData:
+    """The one-point global ordered action on ``pt``; every arrow fixes it."""
     return make_action(
         actor,
-        (name,),
+        ("pt",),
         [{0: 0} for _ in actor.arrows()],
-        order=discrete_poset(1, (name,)),
+        order=discrete_poset(1, ("pt",)),
         global_flag=True,
     )
 

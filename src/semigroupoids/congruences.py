@@ -16,6 +16,7 @@ from .core import (
     SemigroupoidMorphism,
     UnionFind,
     arrows_by_end,
+    classes_of,
     validate_morphism,
     validate_semigroupoid,
 )
@@ -31,7 +32,8 @@ from .inverse import (
 @dataclass(frozen=True)
 class GraphedCongruence:
     """An equivalence on arrows relating only parallel arrows and
-    compatible with multiplication, stored by least-index representative."""
+    compatible with multiplication, stored by least-index representative;
+    its classes are numbered once, by :func:`~semigroupoids.core.classes_of`."""
 
     base: InverseSemigroupoid
     rep: tuple[int, ...]
@@ -39,17 +41,17 @@ class GraphedCongruence:
     def related(self, s: int, t: int) -> bool:
         return self.rep[s] == self.rep[t]
 
+    @cached_property
+    def _numbering(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        return classes_of(self.rep)
+
     def classes(self) -> tuple[tuple[int, ...], ...]:
-        buckets: dict[int, list[int]] = {}
-        for s, r in enumerate(self.rep):
-            buckets.setdefault(r, []).append(s)
-        return tuple(tuple(buckets[r]) for r in sorted(buckets))
+        """The classes, each increasing, listed by least member."""
+        return self._numbering[1]
 
     def class_index(self) -> tuple[int, ...]:
         """Arrow -> index of its class in classes() order."""
-        reps = sorted(set(self.rep))
-        pos = {r: i for i, r in enumerate(reps)}
-        return tuple(pos[r] for r in self.rep)
+        return self._numbering[0]
 
     @cached_property
     def quotient(self) -> tuple[InverseSemigroupoid, SemigroupoidMorphism]:
@@ -60,8 +62,7 @@ class GraphedCongruence:
         """
         inv_sg = self.base
         sg = inv_sg.base
-        classes = self.classes()
-        index = self.class_index()
+        index, classes = self._numbering
         reps = [cls[0] for cls in classes]
 
         dom = [sg.dom[r] for r in reps]
@@ -135,13 +136,11 @@ def _least_incompatible(cong: GraphedCongruence) -> tuple[int, int, int, int]:
     sg = cong.base.base
     rep, rows, slot = cong.rep, sg.rows, sg.slot
     into = arrows_by_end(sg.cod, sg.n_objects)
-    members: dict[int, list[int]] = {}
-    for s in sg.arrows():
-        members.setdefault(rep[s], []).append(s)
+    index, classes = classes_of(rep)
     for s1 in sg.arrows():
-        for t1 in members[rep[s1]]:
+        for t1 in classes[index[s1]]:
             for s2, s1s2 in zip(into[sg.dom[s1]], rows[s1]):
-                for t2 in members[rep[s2]]:
+                for t2 in classes[index[s2]]:
                     if rep[rows[t1][slot[t2]]] != rep[s1s2]:
                         return (s1, t1, s2, t2)
     raise InternalInconsistencyError("NoIncompatibleWitness", ())
@@ -321,15 +320,13 @@ def universal_groupoid_property(
     return validate_morphism(q.base, target.base, mediating)
 
 
-def _idempotent_pure_forms(
-    cong: GraphedCongruence, classes: tuple[tuple[int, ...], ...], idems: set[int]
-) -> tuple[bool, bool]:
+def _idempotent_pure_forms(cong: GraphedCongruence, idems: set[int]) -> tuple[bool, bool]:
     """Idempotent purity of ``cong`` by its definition (every member of
     a class that holds an idempotent is idempotent) and through its
     projection (only idempotents map to idempotents of the quotient),
-    given the caller's ``cong.classes()`` and idempotent set."""
+    given the caller's idempotent set."""
     by_definition = all(
-        idems.issuperset(cls) for cls in classes if not idems.isdisjoint(cls)
+        idems.issuperset(cls) for cls in cong.classes() if not idems.isdisjoint(cls)
     )
     q, proj = cong.quotient
     q_idems = set(q.idempotents)
@@ -345,7 +342,7 @@ def is_idempotent_pure(cong: GraphedCongruence) -> bool:
     sg = inv_sg.base
     idems = set(inv_sg.idempotents)
     classes = cong.classes()
-    by_definition, by_projection = _idempotent_pure_forms(cong, classes, idems)
+    by_definition, by_projection = _idempotent_pure_forms(cong, idems)
     by_equation = all(
         sg.product(inv_sg.inv[s], t) in idems for cls in classes for s in cls for t in cls
     )
@@ -399,11 +396,10 @@ def _certify(sig: GraphedCongruence) -> EUnitarityCertificate:
     idems = set(inv_sg.idempotents)
     up = inv_sg.order.up
     n = sg.n_arrows
-    classes = sig.classes()
 
     # (1) sigma relates no non-idempotent to an idempotent, and (2) the
     # projection onto the quotient groupoid is idempotent pure
-    cond1, cond2 = _idempotent_pure_forms(sig, classes, idems)
+    cond1, cond2 = _idempotent_pure_forms(sig, idems)
 
     # (3) sigma-related pairs have idempotent s* t and s t*
     rows, slot = sg.rows, sg.slot
@@ -411,7 +407,7 @@ def _certify(sig: GraphedCongruence) -> EUnitarityCertificate:
     def _pair_idem(s: int, t: int) -> bool:
         return rows[inv[s]][slot[t]] in idems and rows[s][slot[inv[t]]] in idems
 
-    cond3 = all(_pair_idem(s, t) for cls in classes for s in cls for t in cls)
+    cond3 = all(_pair_idem(s, t) for cls in sig.classes() for s in cls for t in cls)
 
     # (4) the same, as an exact characterization of sigma on parallel pairs
     homs: dict[tuple[int, int], list[int]] = {}

@@ -320,3 +320,17 @@ class UnionFind:
     def reps(self) -> tuple[int, ...]:
         """The least member of each element's class, element by element."""
         return tuple(self.find(x) for x in range(len(self.parent)))
+
+
+def classes_of(labels: Iterable) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """``(index, classes)`` for ``0..n-1`` grouped by equal label: the
+    one class numbering of the library.  Classes are numbered by their
+    least member, which is their first appearance, and list their members
+    in increasing order; ``classes[index[x]]`` holds x.  One dict pass,
+    no sort."""
+    number: dict = {}
+    index = tuple([number.setdefault(label, len(number)) for label in labels])
+    members: list[list[int]] = [[] for _ in number]
+    for x, c in enumerate(index):
+        members[c].append(x)
+    return index, tuple(map(tuple, members))

@@ -615,30 +615,21 @@ def mutate_action(a: PartialActionData, rng: random.Random) -> PartialActionData
 
 
 def action_candidates(
-    max_actor_arrows: int = 4,
-    max_carrier: int = 4,
-    seed: int = 0,
-    random_per_actor: int = 40,
+    seed: int = 0, random_per_actor: int = 40
 ) -> list[PartialActionData]:
     """Deterministic candidate families for the two-validator agreement
-    check: valid fixtures, near-miss mutations, and random shapes."""
+    check: valid fixtures, near-miss mutations, and random shapes, over
+    actors of at most 4 arrows on carriers of at most 4 points."""
     rng = random.Random(seed)
-    actors = [
-        s for _, s in structure_corpus() if s.n_arrows <= max_actor_arrows
-    ]
-    actors += list(enumerate_inverse_semigroupoids(min(3, max_actor_arrows)))
-    if max_actor_arrows >= 4:
-        # a deterministic slice of the four-arrow structures
-        four = [
-            s
-            for s in enumerate_inverse_semigroupoids(4)
-            if s.n_arrows == 4
-        ]
-        actors += four[::25]
+    actors = [s for _, s in structure_corpus() if s.n_arrows <= 4]
+    actors += list(enumerate_inverse_semigroupoids(3))
+    # a deterministic slice of the four-arrow structures
+    four = [s for s in enumerate_inverse_semigroupoids(4) if s.n_arrows == 4]
+    actors += four[::25]
     out: list[PartialActionData] = []
     for actor in actors:
         theta = munn_action(actor)
-        if theta.carrier_size <= max_carrier:
+        if theta.carrier_size <= 4:
             out.append(theta)
             for ideal in all_order_ideals(theta.order)[:4]:
                 if ideal:
@@ -646,6 +637,6 @@ def action_candidates(
             for _ in range(6):
                 out.append(mutate_action(theta, rng))
         for _ in range(random_per_actor):
-            k = rng.randrange(1, max_carrier + 1)
+            k = rng.randrange(1, 5)
             out.append(random_action_candidate(actor, k, rng))
     return out

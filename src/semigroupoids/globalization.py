@@ -22,7 +22,7 @@ from .actions import (
     orbit,
     require_valid,
 )
-from .core import UnionFind, arrows_by_end
+from .core import UnionFind, arrows_by_end, classes_of
 from .errors import InternalInconsistencyError, ValidationError, Violation
 from .inverse import latest_structure_memo
 from .posets import FinitePoset, validate_poset
@@ -139,13 +139,7 @@ def globalize(a: PartialActionData) -> GlobalizationResult:
             uf.union(first, index[(e, x)])
         embed_pairs.append(first)
 
-    rep = uf.reps()
-    cls_of_root = {r: c for c, r in enumerate(sorted(set(rep)))}
-    class_of = tuple(cls_of_root[r] for r in rep)
-    members: list[list[int]] = [[] for _ in cls_of_root]
-    for i in range(len(pairs)):
-        members[class_of[i]].append(i)
-    classes = tuple(tuple(ms) for ms in members)
+    class_of, classes = classes_of(uf.reps())
 
     class_names = tuple(
         "[%s,%s]"

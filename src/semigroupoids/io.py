@@ -135,13 +135,15 @@ def _rows_from_triples(dom, cod, triples, n_objects: int) -> list[tuple[int, ...
         defined[s] += 1
 
     # only composable pairs were given, so the first short count names
-    # the row of the least undefined pair
-    into = arrows_by_end(cod, n_objects)
-    sizes = [len(into[u]) for u in dom]
+    # the row of the least undefined pair; row s has a cell per arrow into dom s
+    arrows_into = [0] * n_objects
+    for u in cod:
+        arrows_into[u] += 1
+    sizes = [arrows_into[u] for u in dom]
     if defined != sizes:
         s = next(s for s in range(n) if defined[s] != sizes[s])
         seen = {t for s2, t, _r in given if s2 == s}
-        t = next(t for t in into[dom[s]] if t not in seen)
+        t = next(t for t in arrows_by_end(cod, n_objects)[dom[s]] if t not in seen)
         raise ValidationError("UndefinedOnComposablePair", (s, t))
     if len(given) != sum(sizes):  # a triple given twice
         given = [x for i, x in enumerate(given) if i == 0 or x != given[i - 1]]

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, TYPE_CHECKING
 
-from .core import UnionFind, arrows_by_end, validate_semigroupoid
+from .core import UnionFind, arrows_by_end, classes_of, validate_semigroupoid
 from .errors import ValidationError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -241,17 +241,15 @@ def validate_semilatticeoid(inv_sg: "InverseSemigroupoid") -> Semilatticeoid:
 
 
 def comparability_components(poset: FinitePoset) -> list[list[int]]:
-    """Connected components of the comparability graph, each sorted and
-    listed by least point: x is joined to every point above it, in
-    O(|<=|) union-find steps."""
+    """Connected components of the comparability graph, numbered as
+    :func:`~semigroupoids.core.classes_of` numbers every partition: each
+    sorted, listed by least point.  x is joined to every point above it,
+    in O(|<=|) union-find steps."""
     uf = UnionFind(poset.size)
     for x, m in enumerate(poset.up):
         for y in _bits(m):
             uf.union(x, y)
-    components: dict[int, list[int]] = {}
-    for x, r in enumerate(uf.reps()):
-        components.setdefault(r, []).append(x)
-    return list(components.values())
+    return list(map(list, classes_of(uf.reps())[1]))
 
 
 def semilatticeoid_from_poset(poset: FinitePoset) -> Semilatticeoid:

@@ -54,9 +54,7 @@ def _enumerated(max_arrows):
 
 def test_criterion_1_axiom_set_equivalence():
     t0 = time.time()
-    candidates = corpus.action_candidates(
-        max_actor_arrows=4, max_carrier=4, seed=0, random_per_actor=40
-    )
+    candidates = corpus.action_candidates(seed=0, random_per_actor=40)
     candidates += [a for _n, a in corpus.action_corpus()]
     checked = 0
     for a in candidates:

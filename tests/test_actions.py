@@ -111,8 +111,7 @@ def test_fixtures_pass_both_validators(actions):
 
 
 def test_random_candidates_verdicts_agree():
-    for a in corpus.action_candidates(max_actor_arrows=3, max_carrier=3, seed=11,
-                                      random_per_actor=15):
+    for a in corpus.action_candidates(seed=11, random_per_actor=15):
         ve = validate_partial_action_E(a)
         vp = validate_partial_action_P(a)
         assert (ve is None) == (vp is None), (ve, vp)

@@ -440,6 +440,20 @@ def test_quotient_is_built_once_per_congruence():
     assert quotient(promote_to_inverse(b2.base), cong) is quotient(b2, cong)
 
 
+def test_classes_are_numbered_once_per_congruence(structures):
+    for name, s in structures:
+        cong = sigma(s)
+        assert cong.classes() is cong.classes(), name
+        assert cong.class_index() is cong.class_index(), name
+        # the quotient's projection reads the same numbering
+        assert cong.quotient[1].arrow_map == cong.class_index(), name
+        assert all(
+            cong.class_index()[t] == c
+            for c, cls in enumerate(cong.classes())
+            for t in cls
+        ), name
+
+
 def test_quotient_rejects_another_structure():
     cong = sigma(corpus.brandt_b2())
     with pytest.raises(ValidationError) as err:

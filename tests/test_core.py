@@ -13,6 +13,7 @@ from semigroupoids.congruences import sigma
 from semigroupoids.core import (
     NOT_COMPOSABLE,
     _generators,
+    classes_of,
     validate_morphism,
     validate_semigroupoid,
 )
@@ -576,3 +577,31 @@ def test_least_failing_triple_with_middle_outside_generators():
         validate_semigroupoid([0] * 3, [0] * 3, rows=table)
     assert err.value.code == "AssociativityFailure"
     assert err.value.witness == (0, 1, 2)
+
+
+def naive_classes(labels):
+    """The classes of equal labels, each increasing, sorted by least
+    member, and each point's position in that list."""
+    n = len(labels)
+    classes = sorted(
+        {tuple(y for y in range(n) if labels[y] == labels[x]) for x in range(n)},
+        key=min,
+    )
+    index = tuple(next(c for c, cls in enumerate(classes) if x in cls) for x in range(n))
+    return index, tuple(classes)
+
+
+@given(st.lists(st.one_of(st.integers(-3, 8), st.sampled_from("abc")), max_size=30))
+def test_classes_of_numbers_by_least_member(labels):
+    # the labels need not be least members: negative, out of range or
+    # not integers at all
+    assert classes_of(labels) == naive_classes(labels)
+    # relabelled by least member, the same partition, numbered as the
+    # sorted least members number it
+    first = {}
+    least = [first.setdefault(label, x) for x, label in enumerate(labels)]
+    index, classes = classes_of(least)
+    assert (index, classes) == classes_of(labels)
+    position = {r: c for c, r in enumerate(sorted(set(least)))}
+    assert index == tuple(position[r] for r in least)
+    assert classes_of(iter(labels)) == (index, classes)
